@@ -145,12 +145,20 @@ public:
   }
 
   /// Varint that must fit in [0, Max]; used for element counts so corrupted
-  /// headers cannot trigger multi-gigabyte allocations.
-  uint64_t readCount(uint64_t Max, const char *What) {
+  /// headers cannot trigger multi-gigabyte allocations. A nonzero
+  /// \p MinBytesEach (the smallest encoding of one element) also bounds the
+  /// count by the bytes that remain, so a count that lies about data the
+  /// peer never sent fails before the caller reserves anything for it.
+  uint64_t readCount(uint64_t Max, const char *What,
+                     uint64_t MinBytesEach = 0) {
     uint64_t V = readVarint();
     if (!Failed && V > Max)
       fail(std::string(What) + " count " + std::to_string(V) +
            " exceeds limit " + std::to_string(Max));
+    else if (!Failed && MinBytesEach && V > remaining() / MinBytesEach)
+      fail(std::string(What) + " count " + std::to_string(V) +
+           " needs at least " + std::to_string(V * MinBytesEach) +
+           " bytes, have " + std::to_string(remaining()));
     return Failed ? 0 : V;
   }
 

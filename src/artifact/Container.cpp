@@ -8,6 +8,7 @@
 
 #include "support/Hashing.h"
 
+#include <algorithm>
 #include <cassert>
 
 using namespace uspec;
@@ -104,6 +105,7 @@ std::optional<ArtifactReader> ArtifactReader::open(std::string_view Data,
   std::string_view Payload = Data.substr(R.offset());
   ArtifactReader Result;
   Result.Version = Version;
+  uint64_t PayloadEnd = 0;
   for (const TableEntry &E : Table) {
     if (E.Offset > Payload.size() || E.Size > Payload.size() - E.Offset) {
       R.fail("section '" + std::string(E.Name) + "' out of bounds (offset " +
@@ -111,6 +113,7 @@ std::optional<ArtifactReader> ArtifactReader::open(std::string_view Data,
              ", payload " + std::to_string(Payload.size()) + ")");
       return Fail();
     }
+    PayloadEnd = std::max(PayloadEnd, E.Offset + E.Size);
     std::string_view Bytes =
         Payload.substr(static_cast<size_t>(E.Offset),
                        static_cast<size_t>(E.Size));
@@ -120,6 +123,13 @@ std::optional<ArtifactReader> ArtifactReader::open(std::string_view Data,
       return Fail();
     }
     Result.Sections.push_back({E.Name, Bytes});
+  }
+  // The writer lays sections end to end, so bytes past the last one can only
+  // come from corruption or a spliced file.
+  if (PayloadEnd != Payload.size()) {
+    R.fail(std::to_string(Payload.size() - PayloadEnd) +
+           " trailing bytes after the last section");
+    return Fail();
   }
   return Result;
 }

@@ -39,6 +39,7 @@ double uspec::scoreCandidate(const CandidateStats &Stats, ScoreKind Kind,
 }
 
 void CandidateCollector::recordMatch(const Spec &S, const EventGraph &G,
+                                     EventLabels &Labels,
                                      const std::vector<InducedEdge> &Edges,
                                      uint32_t ProgramId) {
   CandidateStats *Stats;
@@ -57,8 +58,10 @@ void CandidateCollector::recordMatch(const Spec &S, const EventGraph &G,
   // Alg. 1 line 6–8: only matches inducing exactly one edge are scored.
   if (Edges.size() != 1)
     return;
+  if (Labels.empty())
+    Labels = eventLabels(G);
   Stats->Confidences.push_back(
-      Model.edgeProbability(G, Edges[0].first, Edges[0].second));
+      Model.edgeProbability(G, Labels, Edges[0].first, Edges[0].second));
 }
 
 void CandidateCollector::merge(CandidateCollector &&Other) {
@@ -154,6 +157,7 @@ void CandidateLedger::extendWith(CandidateLedger &&Other) {
 
 bool CandidateCollector::addGraph(const EventGraph &G, uint32_t ProgramId,
                                   Budget *B) {
+  EventLabels Labels;
   for (auto [LaterIdx, EarlierIdx] : G.receiverPairs(DistanceBound)) {
     if (B && !B->consume())
       return false;
@@ -167,13 +171,13 @@ bool CandidateCollector::addGraph(const EventGraph &G, uint32_t ProgramId,
 
     if (matchesRetSame(G, M1, M2, B)) {
       Spec S = Spec::retSame(M1.Method);
-      recordMatch(S, G, inducedRetSame(G, M1, M2), ProgramId);
+      recordMatch(S, G, Labels, inducedRetSame(G, M1, M2), ProgramId);
     }
     for (unsigned X = 1; X <= M2.nargs(); ++X) {
       if (!matchesRetArg(G, M1, M2, X, B))
         continue;
       Spec S = Spec::retArg(M1.Method, M2.Method, static_cast<uint8_t>(X));
-      recordMatch(S, G, inducedRetArg(G, M1, M2, X), ProgramId);
+      recordMatch(S, G, Labels, inducedRetArg(G, M1, M2, X), ProgramId);
     }
     if (B && B->exhausted())
       return false;
@@ -188,7 +192,7 @@ bool CandidateCollector::addGraph(const EventGraph &G, uint32_t ProgramId,
       if (M.Recv == InvalidEvent || M.Ret == InvalidEvent ||
           M.Method.Name.isEmpty())
         continue;
-      recordMatch(Spec::retRecv(M.Method), G, inducedRetRecv(G, M),
+      recordMatch(Spec::retRecv(M.Method), G, Labels, inducedRetRecv(G, M),
                   ProgramId);
     }
   }

@@ -105,7 +105,8 @@ public:
   size_t numMatches() const { return TotalMatches; }
 
 private:
-  void recordMatch(const Spec &S, const EventGraph &G,
+  /// \p Labels is \p G's label table, built on the first scored match.
+  void recordMatch(const Spec &S, const EventGraph &G, EventLabels &Labels,
                    const std::vector<InducedEdge> &Edges, uint32_t ProgramId);
 
   const EdgeModel &Model;

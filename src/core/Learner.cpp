@@ -19,6 +19,19 @@
 
 using namespace uspec;
 
+void uspec::trainOnSamples(std::vector<SampleSet> Parts, size_t BaseSamples,
+                           EdgeModel &Model, LearnResult &Result) {
+  TraceSpan PhaseSpan("learn.phase2_train");
+  SampleSet Samples = SampleSet::concat(std::move(Parts));
+  Result.NumTrainingSamples = BaseSamples + Samples.size();
+  Result.Stats.TrainingSamples = Samples.size();
+  Result.Stats.FeatureHashes = Samples.numHashes();
+  Model.train(Samples);
+  Result.TrainAccuracy = Model.accuracy(Samples);
+  if (PhaseSpan.active())
+    PhaseSpan.arg("samples", std::to_string(Samples.size()));
+}
+
 LearnResult USpecLearner::learn(const std::vector<IRProgram> &Corpus) {
   assert(!Config.Analysis.ApiAware &&
          "learning runs on the API-unaware analysis");
@@ -56,7 +69,7 @@ LearnResult USpecLearner::learn(const std::vector<IRProgram> &Corpus) {
   std::vector<std::string> QReason(N);
   // Phase 2a (§4.2): per-program training samples, seeded per program so
   // results do not depend on scheduling.
-  std::vector<std::vector<TrainingSample>> PerProgramSamples(N);
+  std::vector<SampleSet> PerProgramSamples(N);
   {
   TraceSpan PhaseSpan("learn.phase1_analyze");
   parallelFor(N, Config.Threads, [&](size_t I) {
@@ -89,12 +102,12 @@ LearnResult USpecLearner::learn(const std::vector<IRProgram> &Corpus) {
       QReason[I] = "fault:" + F.site();
       Analyses[I] = std::make_unique<AnalysisResult>();
       Graphs[I] = EventGraph();
-      PerProgramSamples[I].clear();
+      PerProgramSamples[I] = SampleSet();
     } catch (const std::exception &E) {
       QReason[I] = std::string("error:") + E.what();
       Analyses[I] = std::make_unique<AnalysisResult>();
       Graphs[I] = EventGraph();
-      PerProgramSamples[I].clear();
+      PerProgramSamples[I] = SampleSet();
     }
   });
   for (const EventGraph &G : Graphs)
@@ -104,22 +117,8 @@ LearnResult USpecLearner::learn(const std::vector<IRProgram> &Corpus) {
   }
 
   // Phase 2b: train the model on the concatenated samples.
-  {
-  TraceSpan PhaseSpan("learn.phase2_train");
-  std::vector<TrainingSample> Samples;
-  for (std::vector<TrainingSample> &Local : PerProgramSamples) {
-    Samples.insert(Samples.end(), std::make_move_iterator(Local.begin()),
-                   std::make_move_iterator(Local.end()));
-    Local.clear();
-  }
-  Result.NumTrainingSamples = Samples.size();
-  Result.Model.train(Samples);
-  Result.TrainAccuracy = Result.Model.accuracy(Samples);
-  Result.Stats.TrainingSamples = Samples.size();
+  trainOnSamples(std::move(PerProgramSamples), 0, Result.Model, Result);
   Result.Stats.TrainSeconds = Phase.lap();
-  if (PhaseSpan.active())
-    PhaseSpan.arg("samples", std::to_string(Samples.size()));
-  }
 
   // Phase 3 (Alg. 1): candidate extraction and confidence collection,
   // sharded. Each worker runs Alg. 1 over its own contiguous range of
@@ -251,7 +250,7 @@ LearnResult USpecLearner::learnIncrement(const std::vector<IRProgram> &Delta,
   std::vector<std::unique_ptr<AnalysisResult>> Analyses(N);
   std::vector<EventGraph> Graphs(N);
   std::vector<std::string> QReason(N);
-  std::vector<std::vector<TrainingSample>> PerProgramSamples(N);
+  std::vector<SampleSet> PerProgramSamples(N);
   {
   TraceSpan PhaseSpan("learn.phase1_analyze");
   parallelFor(N, Config.Threads, [&](size_t I) {
@@ -284,12 +283,12 @@ LearnResult USpecLearner::learnIncrement(const std::vector<IRProgram> &Delta,
       QReason[I] = "fault:" + F.site();
       Analyses[I] = std::make_unique<AnalysisResult>();
       Graphs[I] = EventGraph();
-      PerProgramSamples[I].clear();
+      PerProgramSamples[I] = SampleSet();
     } catch (const std::exception &E) {
       QReason[I] = std::string("error:") + E.what();
       Analyses[I] = std::make_unique<AnalysisResult>();
       Graphs[I] = EventGraph();
-      PerProgramSamples[I].clear();
+      PerProgramSamples[I] = SampleSet();
     }
   });
   for (const EventGraph &G : Graphs)
@@ -303,22 +302,9 @@ LearnResult USpecLearner::learnIncrement(const std::vector<IRProgram> &Delta,
   // the restored weights are the optimization's starting point. Accuracy is
   // measured on the delta samples (the base samples are gone); the sample
   // count reported is cumulative.
-  {
-  TraceSpan PhaseSpan("learn.phase2_train");
-  std::vector<TrainingSample> Samples;
-  for (std::vector<TrainingSample> &Local : PerProgramSamples) {
-    Samples.insert(Samples.end(), std::make_move_iterator(Local.begin()),
-                   std::make_move_iterator(Local.end()));
-    Local.clear();
-  }
-  Result.NumTrainingSamples = Prev.BaseTrainingSamples + Samples.size();
-  Result.Model.train(Samples);
-  Result.TrainAccuracy = Result.Model.accuracy(Samples);
-  Result.Stats.TrainingSamples = Samples.size();
+  trainOnSamples(std::move(PerProgramSamples), Prev.BaseTrainingSamples,
+                 Result.Model, Result);
   Result.Stats.TrainSeconds = Phase.lap();
-  if (PhaseSpan.active())
-    PhaseSpan.arg("samples", std::to_string(Samples.size()));
-  }
 
   // Phase 3: sharded extraction over the delta graphs, merged left-to-right
   // exactly as in learn(), then folded into the carried ledger — known

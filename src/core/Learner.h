@@ -131,6 +131,17 @@ struct LearnResult {
   PipelineStats Stats;
 };
 
+/// Phase 2b (§4), the one implementation shared by USpecLearner::learn,
+/// USpecLearner::learnIncrement and the distributed coordinator:
+/// concatenates \p Parts in order (per-program or per-shard sample sets) into
+/// one training set, continues SGD on \p Model over it, and records the
+/// training counters and in-sample accuracy in \p Result
+/// (NumTrainingSamples = \p BaseSamples + the set's size). Every sample is
+/// released before it returns, so a phase lap taken right after covers the
+/// release too.
+void trainOnSamples(std::vector<SampleSet> Parts, size_t BaseSamples,
+                    EdgeModel &Model, LearnResult &Result);
+
 /// The USpec pipeline.
 class USpecLearner {
 public:

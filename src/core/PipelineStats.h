@@ -61,6 +61,7 @@ struct PipelineStats {
   size_t ReceiverPairs = 0;   ///< Call-site pairs enumerated by Alg. 1.
   size_t Matches = 0;         ///< Total pattern matches recorded.
   size_t TrainingSamples = 0; ///< Samples the model ϕ was trained on.
+  size_t FeatureHashes = 0;   ///< Feature hashes over those samples.
   size_t Candidates = 0;      ///< Distinct candidate specifications.
   /// Peak number of candidate-table entries resident at once (sum of
   /// shard-local tables before the merge; equals Candidates when serial).
@@ -72,7 +73,7 @@ struct PipelineStats {
 
   /// Renders the stats as a single JSON object (no trailing newline).
   std::string json() const {
-    char Buf[704];
+    char Buf[768];
     std::snprintf(
         Buf, sizeof(Buf),
         "{\"threads\": %u, "
@@ -81,12 +82,13 @@ struct PipelineStats {
         "\"total\": %.6f}, "
         "\"programs\": %zu, \"graphs\": %zu, \"receiver_pairs\": %zu, "
         "\"matches\": %zu, \"training_samples\": %zu, "
-        "\"candidates\": %zu, \"peak_candidates\": %zu, "
+        "\"feature_hashes\": %zu, \"candidates\": %zu, "
+        "\"peak_candidates\": %zu, "
         "\"quarantined_count\": %zu, \"quarantined\": [",
         ThreadsUsed, AnalyzeSeconds, TrainSeconds, ExtractSeconds,
         ScoreSeconds, SelectSeconds, TotalSeconds, Programs, Graphs,
-        ReceiverPairs, Matches, TrainingSamples, Candidates, PeakCandidates,
-        Quarantined.size());
+        ReceiverPairs, Matches, TrainingSamples, FeatureHashes, Candidates,
+        PeakCandidates, Quarantined.size());
     std::string Out = Buf;
     for (size_t I = 0; I < Quarantined.size(); ++I) {
       const QuarantineRecord &Q = Quarantined[I];

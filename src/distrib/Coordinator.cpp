@@ -343,6 +343,11 @@ void Coordinator::runAnalyzeRound() {
       if (Ok) {
         AnalyzedResult R;
         Ok = decodeAnalyzedResult(Frame, R, &IoErr) && R.Shard == P.Id;
+        if (Ok && R.QReason.size() != P.Hi - P.Lo) {
+          Ok = false;
+          IoErr = "analyzed reply covers " + std::to_string(R.QReason.size()) +
+                  " programs, shard has " + std::to_string(P.Hi - P.Lo);
+        }
         if (Ok) {
           std::lock_guard<std::mutex> Lock(Mu);
           Analyzed[P.Id] = std::move(R);
@@ -630,26 +635,15 @@ std::optional<LearnResult> Coordinator::run(std::optional<WarmStart> Warm,
   // corpus order; shards are contiguous ascending) and train — the exact
   // sample sequence a single-process run feeds Model.train.
   {
-    std::vector<TrainingSample> Samples;
+    std::vector<SampleSet> ShardSamples;
+    ShardSamples.reserve(Shards.size());
     for (const ShardPlan &P : Shards)
-      for (std::vector<TrainingSample> &Per : Analyzed[P.Id].Samples) {
-        Samples.insert(Samples.end(),
-                       std::make_move_iterator(Per.begin()),
-                       std::make_move_iterator(Per.end()));
-        Per.clear();
-      }
-    if (Warm) {
-      Model = std::move(Warm->Model);
-      Result.NumTrainingSamples = Warm->BaseTrainingSamples + Samples.size();
-    } else {
-      Model = EdgeModel(Config.Model);
-      Result.NumTrainingSamples = Samples.size();
-    }
-    Result.Stats.TrainingSamples = Samples.size();
-    Model.train(Samples);
-    Result.TrainAccuracy = Model.accuracy(Samples);
-    Result.Stats.TrainSeconds = Phase.lap();
+      ShardSamples.push_back(std::move(Analyzed[P.Id].Samples));
+    Model = Warm ? std::move(Warm->Model) : EdgeModel(Config.Model);
+    trainOnSamples(std::move(ShardSamples),
+                   Warm ? Warm->BaseTrainingSamples : 0, Model, Result);
   }
+  Result.Stats.TrainSeconds = Phase.lap();
 
   // Round 2: Phase 3 across workers, ledgers merged left-to-right.
   runExtractRound();

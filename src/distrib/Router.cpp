@@ -222,13 +222,16 @@ void Router::recordHotLine(size_t Replica, const service::Request &Req,
 size_t Router::replayWarmKeys(size_t Replica) {
   if (Config.WarmKeys == 0 || Replica >= Warm.size())
     return 0;
+  // Coldest first: each replayed line becomes the most recent entry of its
+  // cache shard, so replaying in reverse recency leaves the replica's LRU
+  // in the order it had before (cachekeys lists it hottest first).
   std::vector<std::string> Lines;
   {
     WarmSet &W = *Warm[Replica];
     std::lock_guard<std::mutex> Lock(W.Mu);
     Lines.reserve(W.Lru.size());
-    for (const HotEntry &E : W.Lru)
-      Lines.push_back(E.Line);
+    for (auto It = W.Lru.rbegin(); It != W.Lru.rend(); ++It)
+      Lines.push_back(It->Line);
   }
   size_t Replayed = 0;
   for (const std::string &Line : Lines) {

@@ -10,10 +10,12 @@
 #include "artifact/Container.h"
 
 #include <arpa/inet.h>
+#include <cassert>
 #include <cerrno>
 #include <cstring>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
+#include <numeric>
 #include <poll.h>
 #include <sys/socket.h>
 #include <sys/un.h>
@@ -403,7 +405,7 @@ void writePrograms(BinaryWriter &W, const std::vector<ProgramSource> &Ps) {
 
 bool readPrograms(BinaryReader &R, std::vector<ProgramSource> &Ps,
                   std::string *Err) {
-  uint64_t N = R.readCount(1u << 24, "programs");
+  uint64_t N = R.readCount(1u << 24, "programs", 2);
   Ps.clear();
   Ps.reserve(static_cast<size_t>(N));
   for (uint64_t I = 0; I < N && R.ok(); ++I) {
@@ -514,7 +516,7 @@ bool uspec::distrib::decodeInit(std::string_view Frame, InitMsg &Out,
   }
   Out.WorkerId = R.readU32();
   readWireConfig(R, Out.Config);
-  uint64_t N = R.readCount(1u << 28, "symbols");
+  uint64_t N = R.readCount(1u << 28, "symbols", 1);
   Out.Symbols.clear();
   Out.Symbols.reserve(static_cast<size_t>(N));
   for (uint64_t I = 0; I < N && R.ok(); ++I)
@@ -564,16 +566,23 @@ uspec::distrib::encodeAnalyzedResult(const AnalyzedResult &Result) {
   W.writeU8(static_cast<uint8_t>(MsgType::Analyzed));
   W.writeVarint(Result.Shard);
   W.writeVarint(Result.Graphs);
-  W.writeVarint(Result.Samples.size());
-  for (size_t I = 0; I < Result.Samples.size(); ++I) {
+  const SampleSet &Samples = Result.Samples;
+  assert(Result.QReason.size() == Result.ProgramSamples.size() &&
+         std::accumulate(Result.ProgramSamples.begin(),
+                         Result.ProgramSamples.end(), uint64_t(0)) ==
+             Samples.size() &&
+         "ProgramSamples must partition Samples");
+  W.writeVarint(Result.ProgramSamples.size());
+  size_t Row = 0;
+  for (size_t I = 0; I < Result.ProgramSamples.size(); ++I) {
     W.writeString(Result.QReason[I]);
-    const std::vector<TrainingSample> &Ps = Result.Samples[I];
-    W.writeVarint(Ps.size());
-    for (const TrainingSample &S : Ps) {
-      W.writeU16(S.Features.PosKey);
-      W.writeF32(S.Label);
-      W.writeVarint(S.Features.Hashes.size());
-      for (uint32_t H : S.Features.Hashes)
+    W.writeVarint(Result.ProgramSamples[I]);
+    for (size_t End = Row + Result.ProgramSamples[I]; Row < End; ++Row) {
+      W.writeU16(Samples.posKey(Row));
+      W.writeF32(Samples.label(Row));
+      std::span<const uint32_t> Hashes = Samples.hashes(Row);
+      W.writeVarint(Hashes.size());
+      for (uint32_t H : Hashes)
         W.writeU32(H);
     }
   }
@@ -593,26 +602,29 @@ bool uspec::distrib::decodeAnalyzedResult(std::string_view Frame,
   R.readU8();
   Out.Shard = R.readVarint();
   Out.Graphs = R.readVarint();
-  uint64_t N = R.readCount(1u << 24, "programs");
-  Out.Samples.clear();
-  Out.QReason.clear();
-  Out.Samples.resize(static_cast<size_t>(N));
-  Out.QReason.resize(static_cast<size_t>(N));
+  // Each count is bounded by the bytes left before anything is sized from
+  // it: a program takes at least 2 bytes (reason length, sample count), a
+  // sample 7 (PosKey, label, hash count) and a hash 4.
+  uint64_t N = R.readCount(1u << 24, "programs", 2);
+  Out.Samples = SampleSet();
+  Out.ProgramSamples.assign(static_cast<size_t>(N), 0);
+  Out.QReason.assign(static_cast<size_t>(N), std::string());
+  std::vector<uint32_t> &Pool = Out.Samples.pool();
   for (uint64_t I = 0; I < N && R.ok(); ++I) {
     Out.QReason[I] = R.readString();
-    uint64_t M = R.readCount(1u << 28, "samples");
-    std::vector<TrainingSample> &Ps = Out.Samples[I];
-    Ps.resize(static_cast<size_t>(M));
+    uint64_t M = R.readCount(1u << 28, "samples", 7);
+    Out.ProgramSamples[I] = M;
     for (uint64_t J = 0; J < M && R.ok(); ++J) {
-      TrainingSample &S = Ps[J];
-      S.Features.PosKey = R.readU16();
-      S.Label = R.readF32();
-      uint64_t H = R.readCount(1u << 20, "feature hashes");
-      S.Features.Hashes.resize(static_cast<size_t>(H));
+      uint16_t PosKey = R.readU16();
+      float Label = R.readF32();
+      uint64_t H = R.readCount(1u << 20, "feature hashes", 4);
       for (uint64_t K = 0; K < H && R.ok(); ++K)
-        S.Features.Hashes[K] = R.readU32();
+        Pool.push_back(R.readU32());
+      Out.Samples.closeRow(PosKey, Label);
     }
   }
+  if (R.ok() && !R.atEnd())
+    R.fail("trailing bytes after the last program");
   return R.ok() || failReader(R, Err);
 }
 
@@ -718,7 +730,7 @@ bool uspec::distrib::decodeExtractedResult(std::string_view Frame,
   Out.ReceiverPairs = R.readVarint();
   Out.Matches = R.readVarint();
   Out.PeakCandidates = R.readVarint();
-  uint64_t N = R.readCount(1u << 24, "quarantine updates");
+  uint64_t N = R.readCount(1u << 24, "quarantine updates", 2);
   Out.QUpdates.clear();
   Out.QUpdates.reserve(static_cast<size_t>(N));
   for (uint64_t I = 0; I < N && R.ok(); ++I) {

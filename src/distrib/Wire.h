@@ -161,8 +161,10 @@ struct AnalyzeTask {
 /// Analyzed payload: everything Phase 1–2a produced for the shard.
 struct AnalyzedResult {
   uint64_t Shard = 0;
-  /// Per program, in shard order.
-  std::vector<std::vector<TrainingSample>> Samples;
+  /// Every program's training samples, in shard order.
+  SampleSet Samples;
+  /// Per program, in shard order: how many of Samples it contributed.
+  std::vector<uint64_t> ProgramSamples;
   /// Per-program quarantine reason ("" = healthy), same indexing.
   std::vector<std::string> QReason;
   /// Number of non-empty event graphs (PipelineStats::Graphs contribution).

@@ -53,7 +53,7 @@ AnalyzedResult uspec::distrib::analyzeShard(const AnalyzeTask &Task,
   State.QReason.assign(N, std::string());
   AnalyzedResult Result;
   Result.Shard = Task.Shard;
-  Result.Samples.resize(N);
+  std::vector<SampleSet> PerProgramSamples(N);
   Result.QReason.resize(N);
   parallelFor(N, static_cast<unsigned>(Config.Threads), [&](size_t I) {
     uint64_t G = State.Base + I;
@@ -75,22 +75,26 @@ AnalyzedResult uspec::distrib::analyzeShard(const AnalyzeTask &Task,
       }
       State.Graphs[I] = EventGraph::build(*State.Analyses[I]);
       Rng Rand(hashValues(Config.Seed, G));
-      collectTrainingSamples(State.Graphs[I], Rand, Result.Samples[I]);
+      collectTrainingSamples(State.Graphs[I], Rand, PerProgramSamples[I]);
     } catch (const FaultInjected &F) {
       State.QReason[I] = "fault:" + F.site();
       State.Analyses[I] = std::make_unique<AnalysisResult>();
       State.Graphs[I] = EventGraph();
-      Result.Samples[I].clear();
+      PerProgramSamples[I] = SampleSet();
     } catch (const std::exception &E) {
       State.QReason[I] = std::string("error:") + E.what();
       State.Analyses[I] = std::make_unique<AnalysisResult>();
       State.Graphs[I] = EventGraph();
-      Result.Samples[I].clear();
+      PerProgramSamples[I] = SampleSet();
     }
   });
 
-  for (size_t I = 0; I < N; ++I)
+  Result.ProgramSamples.resize(N);
+  for (size_t I = 0; I < N; ++I) {
     Result.QReason[I] = State.QReason[I];
+    Result.ProgramSamples[I] = PerProgramSamples[I].size();
+  }
+  Result.Samples = SampleSet::concat(std::move(PerProgramSamples));
   for (const EventGraph &G : State.Graphs)
     if (!G.callSites().empty())
       ++Result.Graphs;

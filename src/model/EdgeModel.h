@@ -17,18 +17,14 @@
 
 #include "model/Features.h"
 #include "model/LogisticRegression.h"
+#include "model/SampleSet.h"
 #include "support/Random.h"
 
 #include <map>
+#include <span>
 #include <vector>
 
 namespace uspec {
-
-/// One labeled training sample.
-struct TrainingSample {
-  EdgeFeatures Features;
-  float Label = 0; ///< 1 = edge exists, 0 = non-edge.
-};
 
 /// Training/prediction configuration.
 struct EdgeModelConfig {
@@ -45,20 +41,24 @@ public:
   explicit EdgeModel(EdgeModelConfig Config = EdgeModelConfig())
       : Config(Config) {}
 
-  /// Trains the per-position-pair models; shuffles samples internally
-  /// (deterministically from Config.Seed).
-  void train(std::vector<TrainingSample> Samples);
+  /// Trains the per-position-pair models, continuing from their current
+  /// weights (models for new position pairs start at zero). Each epoch
+  /// visits the samples in a fresh shuffle drawn deterministically from
+  /// Config.Seed.
+  void train(const SampleSet &Samples);
 
-  /// ϕ(ftr) for a pre-extracted feature vector. Position pairs never seen
-  /// during training fall back to probability 0.5.
-  double predict(const EdgeFeatures &Features) const;
+  /// ϕ(ftr) for pre-extracted features: the model selector \p PosKey and
+  /// the raw hashes. Position pairs never seen during training fall back to
+  /// probability 0.5.
+  double predict(uint16_t PosKey, std::span<const uint32_t> Hashes) const;
 
   /// Convenience: extract (without pruning) and predict the probability of
-  /// the potential edge (E1, E2) in \p G.
-  double edgeProbability(const EventGraph &G, EventId E1, EventId E2) const;
+  /// the potential edge (E1, E2) in \p G; \p Labels is eventLabels(G).
+  double edgeProbability(const EventGraph &G, const EventLabels &Labels,
+                         EventId E1, EventId E2) const;
 
   /// Fraction of \p Samples classified correctly at threshold 0.5.
-  double accuracy(const std::vector<TrainingSample> &Samples) const;
+  double accuracy(const SampleSet &Samples) const;
 
   /// Number of per-position-pair models instantiated.
   size_t numModels() const { return Models.size(); }
@@ -91,11 +91,11 @@ private:
 // Training data collection (§4.2)
 //===----------------------------------------------------------------------===//
 
-/// Collects training samples from one event graph: every edge becomes a
-/// positive sample (with pruned contexts); an equal number of non-edge
-/// event pairs from the same calling context is subsampled as negatives.
-void collectTrainingSamples(const EventGraph &G, Rng &Rand,
-                            std::vector<TrainingSample> &Out);
+/// Collects training samples from one event graph into \p Out: every edge
+/// becomes a positive sample (with pruned contexts); an equal number of
+/// non-edge event pairs from the same calling context is subsampled as
+/// negatives.
+void collectTrainingSamples(const EventGraph &G, Rng &Rand, SampleSet &Out);
 
 } // namespace uspec
 

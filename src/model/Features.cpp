@@ -6,6 +6,8 @@
 
 #include "model/Features.h"
 
+#include <cassert>
+
 using namespace uspec;
 
 PosBucket uspec::bucketPos(EventPos Pos) {
@@ -24,11 +26,8 @@ PosBucket uspec::bucketPos(EventPos Pos) {
 
 namespace {
 
-/// Stable label of an event for feature purposes: the method identifier and
-/// position bucket (never the raw site id — features must generalize across
-/// programs).
-uint64_t eventLabel(const EventGraph &G, EventId E) {
-  const Event &Ev = G.event(E);
+/// Stable label of one event (see EventLabels).
+uint64_t eventLabel(const Event &Ev) {
   uint64_t KindTag = static_cast<uint64_t>(Ev.Kind);
   uint64_t LitTag = static_cast<uint64_t>(Ev.Lit);
   return hashValues(KindTag, Ev.Method.Class.id(), Ev.Method.Name.id(),
@@ -68,34 +67,31 @@ uint32_t participantClassMask(const EventGraph &G, EventId E) {
 
 class Extractor {
 public:
-  Extractor(const EventGraph &G, EventId E1, EventId E2, bool PruneLink)
-      : G(G), E1(E1), E2(E2), Prune(PruneLink) {}
+  Extractor(const EventGraph &G, const EventLabels &Labels, EventId E1,
+            EventId E2, bool PruneLink, std::vector<uint32_t> &Out)
+      : G(G), Labels(Labels), E1(E1), E2(E2), Prune(PruneLink), Out(Out) {}
 
-  EdgeFeatures run() {
-    EdgeFeatures Out;
-    Out.PosKey = posKey(bucketPos(G.event(E1).Pos), bucketPos(G.event(E2).Pos));
-
+  uint16_t run() {
     // Label-pair interaction: the quadratic (ctx1 × ctx2) feature a Vowpal
     // Wabbit setup would generate with namespace interactions. A linear
     // model needs it to rank which label *pairs* co-occur as edges.
-    add(hashValues(0xBB, eventLabel(G, E1), eventLabel(G, E2)));
+    add(hashValues(0xBB, Labels[E1], Labels[E2]));
 
     emitContext(E1, /*Role=*/1, /*Excluded=*/E2);
     emitContext(E2, /*Role=*/2, /*Excluded=*/E1);
-    emitGamma(Out);
+    emitGamma();
 
-    Out.Hashes = std::move(Hashes);
-    return Out;
+    return posKey(bucketPos(G.event(E1).Pos), bucketPos(G.event(E2).Pos));
   }
 
 private:
-  void add(uint64_t Token) { Hashes.push_back(static_cast<uint32_t>(Token)); }
+  void add(uint64_t Token) { Out.push_back(static_cast<uint32_t>(Token)); }
 
   /// Emits the length-≤2 path context of \p E, role-tagged. \p Excluded is
   /// the other event of the pair: when pruning, paths through it are
   /// dropped, and on the e2 side two-hop bridges from e1 are broken.
   void emitContext(EventId E, int Role, EventId Excluded) {
-    uint64_t Self = eventLabel(G, E);
+    uint64_t Self = Labels[E];
     add(hashValues(0xC0, Role, Self));
     for (EventId P : G.parents(E)) {
       if (Prune && P == Excluded)
@@ -104,19 +100,18 @@ private:
       // skip parents z that are children of e1.
       if (Prune && Role == 2 && G.hasEdge(Excluded, P))
         continue;
-      add(hashValues(0xC1, Role, eventLabel(G, P), Self));
+      add(hashValues(0xC1, Role, Labels[P], Self));
     }
     for (EventId C : G.children(E)) {
       if (Prune && C == Excluded)
         continue;
-      add(hashValues(0xC2, Role, Self, eventLabel(G, C)));
+      add(hashValues(0xC2, Role, Self, Labels[C]));
     }
   }
 
   /// γ(e1, e2): argument literal classes at both call sites and the relation
   /// of the sites to guarding conditions.
-  void emitGamma(EdgeFeatures &Out) {
-    (void)Out;
+  void emitGamma() {
     const Event &Ev1 = G.event(E1);
     const Event &Ev2 = G.event(E2);
 
@@ -147,15 +142,24 @@ private:
   }
 
   const EventGraph &G;
+  const EventLabels &Labels;
   EventId E1, E2;
   bool Prune;
-  std::vector<uint32_t> Hashes;
+  std::vector<uint32_t> &Out;
 };
 
 } // namespace
 
-EdgeFeatures uspec::extractFeatures(const EventGraph &G, EventId E1,
-                                    EventId E2, bool PruneLink) {
-  Extractor X(G, E1, E2, PruneLink);
-  return X.run();
+EventLabels uspec::eventLabels(const EventGraph &G) {
+  EventLabels Labels(G.numEvents());
+  for (EventId E = 0; E < Labels.size(); ++E)
+    Labels[E] = eventLabel(G.event(E));
+  return Labels;
+}
+
+uint16_t uspec::extractFeatures(const EventGraph &G, const EventLabels &Labels,
+                                EventId E1, EventId E2, bool PruneLink,
+                                std::vector<uint32_t> &Out) {
+  assert(Labels.size() == G.numEvents() && "label table of another graph");
+  return Extractor(G, Labels, E1, E2, PruneLink, Out).run();
 }

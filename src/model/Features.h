@@ -53,13 +53,18 @@ inline uint16_t posKey(PosBucket A, PosBucket B) {
                                static_cast<unsigned>(B));
 }
 
-/// One extracted sample: the model selector plus hashed sparse features.
-struct EdgeFeatures {
-  uint16_t PosKey = 0;
-  std::vector<uint32_t> Hashes; ///< Raw 32-bit feature hashes (pre-masking).
-};
+/// Per-graph label table: Labels[E] is the stable identity of event E for
+/// feature purposes — its kind, method identifier, position bucket and
+/// literal class, never the raw site id, so features generalize across
+/// programs. Built once per graph and read by every extraction over it.
+using EventLabels = std::vector<uint64_t>;
 
-/// Extracts ftr(e1, e2) from \p G.
+/// Computes the label table of \p G.
+EventLabels eventLabels(const EventGraph &G);
+
+/// Extracts ftr(e1, e2) from \p G: appends its raw 32-bit feature hashes
+/// (pre-masking) to \p Out and returns the model selector posKey(x1, x2).
+/// \p Labels must be eventLabels(G).
 ///
 /// When \p PruneLink is set (used for positive training samples, §4.2), the
 /// contexts are modified so that no path between e1 and e2 remains in their
@@ -67,8 +72,9 @@ struct EdgeFeatures {
 /// two-hop connections through a shared middle node are broken on the e2
 /// side. This prevents the model from merely learning the transitive
 /// closure.
-EdgeFeatures extractFeatures(const EventGraph &G, EventId E1, EventId E2,
-                             bool PruneLink);
+uint16_t extractFeatures(const EventGraph &G, const EventLabels &Labels,
+                         EventId E1, EventId E2, bool PruneLink,
+                         std::vector<uint32_t> &Out);
 
 } // namespace uspec
 

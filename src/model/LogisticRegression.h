@@ -18,6 +18,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 namespace uspec {
@@ -30,13 +31,13 @@ public:
       : Mask((1u << DimBits) - 1), Weights(1u << DimBits, 0.0f) {}
 
   /// σ(w·x + b) for binary features given by raw 32-bit hashes.
-  double predict(const std::vector<uint32_t> &Features) const {
+  double predict(std::span<const uint32_t> Features) const {
     return sigmoid(margin(Features));
   }
 
   /// One SGD step toward \p Label ∈ {0, 1}; returns the pre-update
   /// prediction.
-  double update(const std::vector<uint32_t> &Features, double Label,
+  double update(std::span<const uint32_t> Features, double Label,
                 double LearningRate, double L2) {
     double P = predict(Features);
     double Gradient = P - Label;
@@ -50,11 +51,18 @@ public:
   }
 
   /// Raw decision value w·x + b.
-  double margin(const std::vector<uint32_t> &Features) const {
+  double margin(std::span<const uint32_t> Features) const {
     double Z = Bias;
     for (uint32_t F : Features)
       Z += Weights[F & Mask];
     return Z;
+  }
+
+  /// Asks the cache to load the weight slots of \p Features ahead of an
+  /// update. Only a hint: it never changes a result.
+  void prefetch(std::span<const uint32_t> Features) const {
+    for (uint32_t F : Features)
+      __builtin_prefetch(&Weights[F & Mask], /*rw=*/1);
   }
 
   static double sigmoid(double Z) {

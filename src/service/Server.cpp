@@ -50,6 +50,16 @@ const char *verbName(Verb V) {
   return "?";
 }
 
+/// Hash of every string \p Strings interned, in id order. Symbol ids are
+/// assigned in first-occurrence order, so this is equal for two parses of
+/// one program and differs when the programs use different names.
+uint64_t symbolTextHash(const StringInterner &Strings) {
+  uint64_t H = 0x5e7ULL;
+  for (uint32_t Id = 1; Id < Strings.size(); ++Id)
+    H = hashCombine(H, hashString(Strings.str(Symbol(Id))));
+  return H;
+}
+
 } // namespace
 
 //===----------------------------------------------------------------------===//
@@ -444,10 +454,13 @@ void Server::watchdogLoop() {
         continue;
       // Over deadline: answer with a structured error. The worker (if any)
       // keeps running — its eventual answer() is a no-op — and frees up on
-      // its own via the cooperative budget.
-      if (S->answer(errorResponse(S->Id, "deadline_exceeded",
-                                  "request exceeded its deadline")))
-        Metrics.recordDeadlineExceeded();
+      // its own via the cooperative budget. The counter moves before the
+      // answer is visible, so a caller woken by it already sees the count.
+      if (!S->claim())
+        continue;
+      Metrics.recordDeadlineExceeded();
+      S->Promise.set_value(errorResponse(S->Id, "deadline_exceeded",
+                                         "request exceeded its deadline"));
     }
     // Drop resolved entries.
     Watched.erase(std::remove_if(Watched.begin(), Watched.end(),
@@ -633,8 +646,12 @@ Server::analysisFor(const ModelState &M, const std::string &Program,
   }();
   if (!Parsed)
     return nullptr;
+  // The structural fingerprint hashes the request interner's symbol ids,
+  // which two programs differing only in names share; the symbol texts keep
+  // them apart, while a whitespace or comment variant still hits.
   uint64_t FpKey =
-      hashValues(Parsed->Fingerprint, Coverage ? 1ull : 0ull, M.Checksum);
+      hashValues(Parsed->Fingerprint, symbolTextHash(Parsed->Strings),
+                 Coverage ? 1ull : 0ull, M.Checksum);
   {
     TraceSpan Probe("service.cache_probe");
     if (auto PA = Cache.findByFingerprint(FpKey)) {

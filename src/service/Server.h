@@ -221,9 +221,13 @@ private:
     TimePoint Deadline{}; ///< Meaningful only when HasDeadline.
     bool HasDeadline = false;
 
+    /// Claims the single right to resolve the promise; true for exactly
+    /// one caller.
+    bool claim() { return !Answered.exchange(true, std::memory_order_acq_rel); }
+
     /// Resolves the promise once. Returns false if already answered.
     bool answer(std::string Response) {
-      if (Answered.exchange(true, std::memory_order_acq_rel))
+      if (!claim())
         return false;
       Promise.set_value(std::move(Response));
       return true;

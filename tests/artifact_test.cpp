@@ -258,14 +258,12 @@ TEST(ArtifactIO, ModelRoundTripPredictsIdentically) {
 
   // Train on synthetic feature vectors across two position keys.
   Rng Rand(42);
-  std::vector<TrainingSample> Samples;
+  SampleSet Samples;
   for (int I = 0; I < 200; ++I) {
-    TrainingSample S;
-    S.Features.PosKey = I % 2;
     for (int J = 0; J < 8; ++J)
-      S.Features.Hashes.push_back(static_cast<uint32_t>(Rand.next()));
-    S.Label = static_cast<float>(I % 3 == 0);
-    Samples.push_back(std::move(S));
+      Samples.pool().push_back(static_cast<uint32_t>(Rand.next()));
+    Samples.closeRow(static_cast<uint16_t>(I % 2),
+                     static_cast<float>(I % 3 == 0));
   }
   Model.train(Samples);
   ASSERT_EQ(Model.numModels(), 2u);
@@ -275,12 +273,11 @@ TEST(ArtifactIO, ModelRoundTripPredictsIdentically) {
   ASSERT_TRUE(Loaded.has_value()) << Err.str();
   EXPECT_EQ(Loaded->numModels(), Model.numModels());
   EXPECT_EQ(Loaded->config().DimBits, Cfg.DimBits);
-  for (const TrainingSample &S : Samples)
-    EXPECT_EQ(Loaded->predict(S.Features), Model.predict(S.Features));
+  for (size_t I = 0; I < Samples.size(); ++I)
+    EXPECT_EQ(Loaded->predict(Samples.posKey(I), Samples.hashes(I)),
+              Model.predict(Samples.posKey(I), Samples.hashes(I)));
   // Unseen position keys still fall back to 0.5.
-  EdgeFeatures Unseen;
-  Unseen.PosKey = 35;
-  EXPECT_EQ(Loaded->predict(Unseen), 0.5);
+  EXPECT_EQ(Loaded->predict(35, {}), 0.5);
 }
 
 TEST(ArtifactIO, CandidateTableRoundTrip) {

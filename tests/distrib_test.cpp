@@ -22,11 +22,14 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "artifact/Binary.h"
+#include "artifact/Container.h"
 #include "distrib/Router.h"
 #include "distrib/Wire.h"
 #include "service/Protocol.h"
 #include "service/Server.h"
 #include "support/FaultInject.h"
+#include "support/Random.h"
 
 #include <gtest/gtest.h>
 
@@ -116,6 +119,27 @@ std::string miniProgram(unsigned Salt) {
   return "class Main { def main() { var m = new Map(); m.put(\"" + K +
          "\", 1); var a = m.get(\"" + K + "\"); var b = m.get(\"" + K +
          "\"); } }";
+}
+
+const std::vector<uint32_t> S1Hashes = {1u, 0xFFFFFFFFu, 42u};
+const std::vector<uint32_t> S2Hashes = {7u};
+
+/// A two-program shard reply: two samples for the first program, none for
+/// the quarantined second.
+AnalyzedResult twoProgramResult() {
+  AnalyzedResult Result;
+  Result.Shard = 5;
+  Result.Graphs = 2;
+  Result.Samples.add(0x0102, 1.0f, S1Hashes);
+  Result.Samples.add(0x0201, 0.0f, S2Hashes);
+  Result.ProgramSamples = {2, 0};
+  Result.QReason = {"", "parse: boom"};
+  return Result;
+}
+
+std::vector<uint32_t> hashesOf(const SampleSet &Set, size_t I) {
+  std::span<const uint32_t> H = Set.hashes(I);
+  return {H.begin(), H.end()};
 }
 
 std::string analyzeRequest(const std::string &Id, const std::string &Prog) {
@@ -261,34 +285,130 @@ TEST(DistribWire, AnalyzeTaskAndResultRoundTrip) {
   EXPECT_EQ(TOut.Programs[0].Name, "a.mini");
   EXPECT_EQ(TOut.Programs[1].Source, "class B {}");
 
-  AnalyzedResult Result;
-  Result.Shard = 5;
-  Result.Graphs = 2;
-  TrainingSample S1;
-  S1.Features.PosKey = 0x0102;
-  S1.Features.Hashes = {1u, 0xFFFFFFFFu, 42u};
-  S1.Label = 1.0f;
-  TrainingSample S2;
-  S2.Features.PosKey = 0x0201;
-  S2.Features.Hashes = {7u};
-  S2.Label = 0.0f;
-  Result.Samples = {{S1, S2}, {}};
-  Result.QReason = {"", "parse: boom"};
-
-  Frame = encodeAnalyzedResult(Result);
+  Frame = encodeAnalyzedResult(twoProgramResult());
   AnalyzedResult ROut;
   ASSERT_TRUE(decodeAnalyzedResult(Frame, ROut, &Err)) << Err;
   EXPECT_EQ(ROut.Shard, 5u);
   EXPECT_EQ(ROut.Graphs, 2u);
+  ASSERT_EQ(ROut.ProgramSamples.size(), 2u);
+  ASSERT_EQ(ROut.ProgramSamples[0], 2u);
+  EXPECT_EQ(ROut.ProgramSamples[1], 0u);
   ASSERT_EQ(ROut.Samples.size(), 2u);
-  ASSERT_EQ(ROut.Samples[0].size(), 2u);
-  EXPECT_TRUE(ROut.Samples[1].empty());
-  EXPECT_EQ(ROut.Samples[0][0].Features.PosKey, 0x0102);
-  EXPECT_EQ(ROut.Samples[0][0].Features.Hashes, S1.Features.Hashes);
-  EXPECT_EQ(ROut.Samples[0][0].Label, 1.0f);
-  EXPECT_EQ(ROut.Samples[0][1].Features.Hashes, S2.Features.Hashes);
+  EXPECT_EQ(ROut.Samples.posKey(0), 0x0102);
+  EXPECT_EQ(hashesOf(ROut.Samples, 0), S1Hashes);
+  EXPECT_EQ(ROut.Samples.label(0), 1.0f);
+  EXPECT_EQ(hashesOf(ROut.Samples, 1), S2Hashes);
   ASSERT_EQ(ROut.QReason.size(), 2u);
   EXPECT_EQ(ROut.QReason[1], "parse: boom");
+}
+
+TEST(DistribWire, AnalyzedFrameBytesArePinned) {
+  // The flat sample layout is an in-memory change only: the frame a worker
+  // sends is byte-for-byte the per-sample encoding, so mixed-version fleets
+  // and recorded frames keep decoding.
+  static const char Pinned[] =
+      "\x55\x53\x50\x42\x01\x00\x00\x00\x01\x04\x64\x6d\x73\x67\x00"
+      "\x31\x53\x1c\xba\x54\x38\xe2\xfc\x24\x04\x05\x02\x02\x00\x02"
+      "\x02\x01\x00\x00\x80\x3f\x03\x01\x00\x00\x00\xff\xff\xff\xff"
+      "\x2a\x00\x00\x00\x01\x02\x00\x00\x00\x00\x01\x07\x00\x00\x00"
+      "\x0b\x70\x61\x72\x73\x65\x3a\x20\x62\x6f\x6f\x6d\x00";
+  EXPECT_EQ(encodeAnalyzedResult(twoProgramResult()),
+            std::string(Pinned, sizeof(Pinned) - 1));
+}
+
+TEST(DistribWireFuzz, AnalyzedFrameMutationsFailCleanly) {
+  // A realistic shard reply: several programs, some without samples.
+  Rng Rand(0xA11A);
+  AnalyzedResult Result;
+  Result.Shard = 3;
+  Result.Graphs = 6;
+  for (int P = 0; P < 8; ++P) {
+    uint64_t Samples = P % 3 == 1 ? 0 : 1 + Rand.below(12);
+    for (uint64_t I = 0; I < Samples; ++I) {
+      std::vector<uint32_t> Hashes(1 + Rand.below(10));
+      for (uint32_t &H : Hashes)
+        H = static_cast<uint32_t>(Rand.next());
+      Result.Samples.add(static_cast<uint16_t>(Rand.below(36)),
+                         static_cast<float>(I % 2), Hashes);
+    }
+    Result.ProgramSamples.push_back(Samples);
+    Result.QReason.push_back(P == 4 ? "analysis:steps" : "");
+  }
+  const std::string Frame = encodeAnalyzedResult(Result);
+  std::string Err;
+  AnalyzedResult Out;
+  ASSERT_TRUE(decodeAnalyzedResult(Frame, Out, &Err)) << Err;
+
+  auto ExpectRejected = [&](const std::string &Bad, const std::string &What) {
+    std::string E;
+    AnalyzedResult O;
+    EXPECT_FALSE(decodeAnalyzedResult(Bad, O, &E)) << What;
+    EXPECT_FALSE(E.empty()) << What << ": no error message";
+  };
+  for (int Case = 0; Case < 300; ++Case) {
+    std::string Bad = Frame;
+    size_t At = Rand.below(Bad.size());
+    Bad[At] = static_cast<char>(Bad[At] ^ (1u << Rand.below(8)));
+    ExpectRejected(Bad, "bit flip at " + std::to_string(At));
+  }
+  for (size_t Len = 0; Len < Frame.size(); ++Len)
+    ExpectRejected(Frame.substr(0, Len), "truncated to " + std::to_string(Len));
+  for (size_t Extra : {1u, 7u, 64u})
+    ExpectRejected(Frame + std::string(Extra, '\x01'),
+                   "extended by " + std::to_string(Extra));
+}
+
+TEST(DistribWireFuzz, AnalyzedCountLiesInsideAValidContainer) {
+  // Each payload sits in a well-formed, correctly checksummed container, so
+  // only the decoder's own bounds stand between a lying count and an
+  // allocation sized by it. Each count must fit in the bytes that remain.
+  auto FrameOf = [](std::initializer_list<uint64_t> Varints,
+                    const std::string &Tail = "") {
+    BinaryWriter W;
+    W.writeU8(static_cast<uint8_t>(MsgType::Analyzed));
+    for (uint64_t V : Varints)
+      W.writeVarint(V);
+    std::string Bytes = W.take() + Tail;
+    ArtifactWriter Art;
+    Art.addSection("dmsg", std::move(Bytes));
+    return Art.finish();
+  };
+  // One sample: PosKey 0, label 1.0f, one hash.
+  const std::string OneSample =
+      std::string("\x00\x00\x00\x00\x80\x3f\x01", 7) +
+      std::string("\x2a\x00\x00\x00", 4);
+  struct Lie {
+    const char *What;
+    std::string Frame;
+  };
+  std::vector<Lie> Lies = {
+      // shard, graphs, programs, then per program: reason, samples, ...
+      {"2^28-1 samples, none sent", FrameOf({0, 0, 1, 0, (1u << 28) - 1})},
+      {"2^24 samples, none sent", FrameOf({0, 0, 1, 0, 1u << 24})},
+      {"2^24 programs, none sent", FrameOf({0, 0, 1u << 24})},
+      {"one more program than sent", FrameOf({0, 0, 2, 0, 1}, OneSample)},
+      {"one more sample than sent", FrameOf({0, 0, 1, 0, 2}, OneSample)},
+      {"2^20 hashes, one sent",
+       FrameOf({0, 0, 1, 0, 1},
+               std::string("\x00\x00\x00\x00\x80\x3f\x80\x80\x40", 9) +
+                   std::string("\x2a\x00\x00\x00", 4))},
+      {"over the program limit", FrameOf({0, 0, (1u << 24) + 1})},
+      {"trailing bytes", FrameOf({0, 0, 1, 0, 1}, OneSample + "x")},
+  };
+  for (const Lie &L : Lies) {
+    std::string Err;
+    AnalyzedResult Out;
+    EXPECT_FALSE(decodeAnalyzedResult(L.Frame, Out, &Err)) << L.What;
+    EXPECT_FALSE(Err.empty()) << L.What;
+  }
+  // The honest version of the same container decodes.
+  std::string Err;
+  AnalyzedResult Out;
+  ASSERT_TRUE(decodeAnalyzedResult(FrameOf({0, 0, 1, 0, 1}, OneSample), Out,
+                                   &Err))
+      << Err;
+  EXPECT_EQ(Out.Samples.size(), 1u);
+  EXPECT_EQ(hashesOf(Out.Samples, 0), std::vector<uint32_t>{42});
 }
 
 TEST(DistribWire, ExtractTaskAndResultRoundTrip) {
@@ -365,6 +485,32 @@ TEST(DistribTrain, FileListByteIdenticalAt1_2_4Workers) {
     expectSameBytes(Dir + "/single.uspb", Out,
                     ("file-list, " + std::to_string(W) + " workers").c_str());
   }
+}
+
+TEST(DistribTrain, WorkCountersMatchInProcess) {
+  // The deterministic --stats counters of a distributed run equal the
+  // in-process run's: the coordinator trains on the same samples, so the
+  // same number of feature hashes (ROADMAP 1(a) counters).
+  std::string Dir = scratchDir("counters");
+  ASSERT_EQ(runCli("gen --profile java -n 12 -o " + Dir + "/corpus --seed 4")
+                .ExitCode, 0);
+  auto Counter = [](const std::string &Output, const std::string &Key) {
+    size_t At = Output.find("\"" + Key + "\": ");
+    EXPECT_NE(At, std::string::npos) << Key << " missing in " << Output;
+    return At == std::string::npos
+               ? std::string()
+               : Output.substr(At, Output.find(',', At) - At);
+  };
+  RunResult Single = runCli("train " + Dir + "/corpus/*.mini -o " + Dir +
+                            "/single.uspb --seed 7 --stats");
+  ASSERT_EQ(Single.ExitCode, 0) << Single.Output;
+  RunResult Dist = runCli("train " + Dir + "/corpus/*.mini -o " + Dir +
+                          "/dist.uspb --seed 7 --stats --distributed 2");
+  ASSERT_EQ(Dist.ExitCode, 0) << Dist.Output;
+  EXPECT_NE(Counter(Single.Output, "feature_hashes"), "\"feature_hashes\": 0");
+  for (const char *Key : {"training_samples", "feature_hashes", "graphs",
+                          "matches", "receiver_pairs", "candidates"})
+    EXPECT_EQ(Counter(Single.Output, Key), Counter(Dist.Output, Key));
 }
 
 TEST(DistribTrain, JournalFullAndWarmByteIdentical) {
@@ -888,11 +1034,10 @@ TEST(DistribSelfHeal, RejoinReplaysWarmKeysBeforeTakingTraffic) {
     ++ServedByA;
   }
   ASSERT_EQ(ServedByA, 3u);
-  // The salted programs are structurally identical, so the replica's
-  // fingerprint-keyed cache holds ONE entry for all three (the warm set
-  // still remembers all three request lines — replay count proves it).
+  // The salted programs are structurally identical but differ in a string
+  // literal, so the replica's cache holds one entry per program.
   std::string HotKeys = cacheKeysOf(Dir + "/ra.sock");
-  EXPECT_NE(HotKeys.find("\"count\":1"), std::string::npos) << HotKeys;
+  EXPECT_NE(HotKeys.find("\"count\":3"), std::string::npos) << HotKeys;
 
   // Replica 0 dies; a forward notices and marks it down.
   RA.reset();

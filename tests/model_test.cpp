@@ -4,10 +4,15 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "corpus/Generator.h"
+#include "corpus/Profiles.h"
 #include "ir/Lowering.h"
 #include "model/EdgeModel.h"
 
 #include <gtest/gtest.h>
+
+#include <cstring>
+#include <map>
 
 using namespace uspec;
 
@@ -28,6 +33,18 @@ struct ModelFixture {
     return EventGraph::build(Result);
   }
 };
+
+/// ftr(e1, e2) as one value: the model selector plus its hashes.
+struct Extracted {
+  uint16_t PosKey = 0;
+  std::vector<uint32_t> Hashes;
+};
+
+Extracted extract(const EventGraph &G, EventId E1, EventId E2, bool Prune) {
+  Extracted X;
+  X.PosKey = extractFeatures(G, eventLabels(G), E1, E2, Prune, X.Hashes);
+  return X;
+}
 
 } // namespace
 
@@ -63,8 +80,8 @@ TEST(Features, DeterministicExtraction) {
     class Main { def main() { db.getFile("x").getName(); } }
   )");
   ASSERT_GE(G.numEvents(), 2u);
-  EdgeFeatures A = extractFeatures(G, 0, 1, false);
-  EdgeFeatures B = extractFeatures(G, 0, 1, false);
+  Extracted A = extract(G, 0, 1, false);
+  Extracted B = extract(G, 0, 1, false);
   EXPECT_EQ(A.PosKey, B.PosKey);
   EXPECT_EQ(A.Hashes, B.Hashes);
 }
@@ -89,8 +106,8 @@ TEST(Features, PruningRemovesTheLink) {
   ASSERT_NE(To, InvalidEvent);
   ASSERT_TRUE(G.hasEdge(From, To));
 
-  EdgeFeatures Full = extractFeatures(G, From, To, /*PruneLink=*/false);
-  EdgeFeatures Pruned = extractFeatures(G, From, To, /*PruneLink=*/true);
+  Extracted Full = extract(G, From, To, /*Prune=*/false);
+  Extracted Pruned = extract(G, From, To, /*Prune=*/true);
   EXPECT_LT(Pruned.Hashes.size(), Full.Hashes.size())
       << "pruning must drop the direct-link path features";
 }
@@ -114,8 +131,8 @@ TEST(Features, DifferentMethodsYieldDifferentFeatures) {
       Rets.push_back(E);
   }
   ASSERT_EQ(Rets.size(), 2u);
-  EdgeFeatures A = extractFeatures(G, Rets[0], Rets[0], false);
-  EdgeFeatures B = extractFeatures(G, Rets[1], Rets[1], false);
+  Extracted A = extract(G, Rets[0], Rets[0], false);
+  Extracted B = extract(G, Rets[1], Rets[1], false);
   EXPECT_NE(A.Hashes, B.Hashes);
 }
 
@@ -172,11 +189,11 @@ TEST(TrainingData, BalancedLabels) {
     }
   )");
   Rng Rand(42);
-  std::vector<TrainingSample> Samples;
+  SampleSet Samples;
   collectTrainingSamples(G, Rand, Samples);
   size_t Pos = 0, Neg = 0;
-  for (const TrainingSample &S : Samples)
-    (S.Label > 0.5 ? Pos : Neg)++;
+  for (size_t I = 0; I < Samples.size(); ++I)
+    (Samples.label(I) > 0.5 ? Pos : Neg)++;
   EXPECT_GT(Pos, 0u);
   EXPECT_GT(Neg, 0u);
   // Negatives are subsampled to roughly match positives.
@@ -193,11 +210,11 @@ TEST(TrainingData, PositivesMatchEdgeCount) {
   for (EventId E = 0; E < G.numEvents(); ++E)
     Edges += G.children(E).size();
   Rng Rand(1);
-  std::vector<TrainingSample> Samples;
+  SampleSet Samples;
   collectTrainingSamples(G, Rand, Samples);
   size_t Pos = 0;
-  for (const TrainingSample &S : Samples)
-    Pos += S.Label > 0.5;
+  for (size_t I = 0; I < Samples.size(); ++I)
+    Pos += Samples.label(I) > 0.5;
   EXPECT_EQ(Pos, Edges);
 }
 
@@ -240,7 +257,7 @@ TEST(EdgeModel, AssignsHighProbabilityToFamiliarMissingEdges) {
   }
 
   Rng Rand(7);
-  std::vector<TrainingSample> Samples;
+  SampleSet Samples;
   for (const EventGraph &G : Graphs)
     collectTrainingSamples(G, Rand, Samples);
   EdgeModel Model;
@@ -275,7 +292,8 @@ TEST(EdgeModel, AssignsHighProbabilityToFamiliarMissingEdges) {
   ASSERT_FALSE(Query.hasEdge(GetFileRet, GetNameRecv))
       << "the edge must be absent in the API-unaware graph";
 
-  double PFamiliar = Model.edgeProbability(Query, GetFileRet, GetNameRecv);
+  double PFamiliar =
+      Model.edgeProbability(Query, eventLabels(Query), GetFileRet, GetNameRecv);
   EXPECT_GT(PFamiliar, 0.6) << "familiar interaction should look like an edge";
 
   // Contrast: getFile.ret -> launch.0 was seen as a NON-edge in training.
@@ -301,15 +319,252 @@ TEST(EdgeModel, AssignsHighProbabilityToFamiliarMissingEdges) {
   }
   ASSERT_NE(CGetFileRet, InvalidEvent);
   ASSERT_NE(LaunchRecv, InvalidEvent);
-  double PUnfamiliar = Model.edgeProbability(Contrast, CGetFileRet, LaunchRecv);
+  double PUnfamiliar = Model.edgeProbability(Contrast, eventLabels(Contrast),
+                                             CGetFileRet, LaunchRecv);
   EXPECT_LT(PUnfamiliar, PFamiliar)
       << "an interaction pattern never observed must score lower";
 }
 
 TEST(EdgeModel, UnseenPosKeyFallsBackToHalf) {
   EdgeModel Model;
-  EdgeFeatures F;
+  Extracted F;
   F.PosKey = 35;
   F.Hashes = {1, 2, 3};
-  EXPECT_DOUBLE_EQ(Model.predict(F), 0.5);
+  EXPECT_DOUBLE_EQ(Model.predict(F.PosKey, F.Hashes), 0.5);
+}
+
+//===----------------------------------------------------------------------===//
+// The flat training set
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// Event graphs of a small generated Java corpus, kept with their analyses.
+struct CorpusGraphs {
+  StringInterner Strings;
+  std::vector<std::unique_ptr<AnalysisResult>> Analyses;
+  std::vector<EventGraph> Graphs;
+
+  CorpusGraphs(size_t Programs, uint64_t Seed) {
+    GeneratorConfig Cfg;
+    Cfg.NumPrograms = Programs;
+    Cfg.Seed = Seed;
+    GeneratedCorpus Corpus = generateCorpus(javaProfile(), Cfg, Strings);
+    for (const IRProgram &P : Corpus.Programs) {
+      Analyses.push_back(std::make_unique<AnalysisResult>(
+          analyzeProgram(P, Strings, AnalysisOptions())));
+      Graphs.push_back(EventGraph::build(*Analyses.back()));
+    }
+  }
+
+  SampleSet samples(uint64_t Seed) const {
+    SampleSet Out;
+    for (size_t I = 0; I < Graphs.size(); ++I) {
+      Rng Rand(hashValues(Seed, I));
+      collectTrainingSamples(Graphs[I], Rand, Out);
+    }
+    return Out;
+  }
+};
+
+/// One sample as EdgeModel::train held it before the training set was
+/// flattened: a struct owning its own hash vector.
+struct OracleSample {
+  uint16_t PosKey = 0;
+  std::vector<uint32_t> Hashes;
+  float Label = 0;
+};
+
+std::vector<OracleSample> oracleSamples(const SampleSet &Set) {
+  std::vector<OracleSample> Out;
+  for (size_t I = 0; I < Set.size(); ++I) {
+    std::span<const uint32_t> H = Set.hashes(I);
+    Out.push_back({Set.posKey(I), {H.begin(), H.end()}, Set.label(I)});
+  }
+  return Out;
+}
+
+/// The per-sample SGD loop train() ran over std::vector<TrainingSample>:
+/// every epoch shuffles the sample structs themselves and looks each model
+/// up in the bank. The flat train() must reproduce its weights bit for bit.
+EdgeModel oracleTrain(const EdgeModel &Start,
+                      std::vector<OracleSample> Samples) {
+  EdgeModelConfig Config = Start.config();
+  std::map<uint16_t, LogisticRegression> Models = Start.models();
+  Rng Rand(Config.Seed);
+  double LR = Config.LearningRate;
+  for (unsigned Epoch = 0; Epoch < Config.Epochs; ++Epoch) {
+    Rand.shuffle(Samples);
+    for (const OracleSample &S : Samples) {
+      auto It = Models.find(S.PosKey);
+      if (It == Models.end())
+        It = Models.emplace(S.PosKey, LogisticRegression(Config.DimBits))
+                 .first;
+      It->second.update(S.Hashes, S.Label, LR, Config.L2);
+    }
+    LR *= 0.7;
+  }
+  return EdgeModel::restore(Config, std::move(Models));
+}
+
+/// Bit equality of two banks: same keys, same bias and weight bits.
+void expectBitEqual(const EdgeModel &A, const EdgeModel &B) {
+  ASSERT_EQ(A.numModels(), B.numModels());
+  auto It = B.models().begin();
+  for (const auto &[Key, M] : A.models()) {
+    ASSERT_EQ(Key, It->first);
+    float BiasA = M.bias(), BiasB = It->second.bias();
+    EXPECT_EQ(std::memcmp(&BiasA, &BiasB, sizeof(float)), 0)
+        << "bias of model " << Key;
+    ASSERT_EQ(M.weights().size(), It->second.weights().size());
+    EXPECT_EQ(std::memcmp(M.weights().data(), It->second.weights().data(),
+                          M.weights().size() * sizeof(float)),
+              0)
+        << "weights of model " << Key;
+    ++It;
+  }
+}
+
+} // namespace
+
+TEST(SampleSet, RowsAppendAndConcatenateInOrder) {
+  SampleSet A;
+  A.add(3, 1.0f, std::vector<uint32_t>{1, 2, 3});
+  A.add(4, 0.0f, std::vector<uint32_t>{});
+  SampleSet B;
+  B.pool().push_back(9);
+  B.closeRow(5, 1.0f);
+
+  std::vector<SampleSet> Parts;
+  Parts.push_back(A);
+  Parts.push_back(SampleSet());
+  Parts.push_back(B);
+  SampleSet All = SampleSet::concat(std::move(Parts));
+  ASSERT_EQ(All.size(), 3u);
+  EXPECT_EQ(All.numHashes(), 4u);
+  EXPECT_EQ(All.posKey(0), 3);
+  EXPECT_EQ(All.posKey(2), 5);
+  EXPECT_EQ(All.label(1), 0.0f);
+  EXPECT_EQ(std::vector<uint32_t>(All.hashes(0).begin(), All.hashes(0).end()),
+            (std::vector<uint32_t>{1, 2, 3}));
+  EXPECT_TRUE(All.hashes(1).empty());
+  EXPECT_EQ(All.hashes(2)[0], 9u);
+}
+
+TEST(SampleSet, CollectedRowsEqualExtractFeatures) {
+  // collectTrainingSamples writes each row in place into the shared pool;
+  // every row must equal a standalone extraction of the same pair. The pairs
+  // are replayed here: positives are the edges in order, negatives the
+  // same-context non-edges the same Rng draws pick.
+  CorpusGraphs C(30, 11);
+  size_t Checked = 0;
+  for (size_t I = 0; I < C.Graphs.size(); ++I) {
+    const EventGraph &G = C.Graphs[I];
+    SampleSet Set;
+    Set.add(7, 1.0f, std::vector<uint32_t>{42}); // rows append after this
+    Rng Rand(I), Replay(I);
+    collectTrainingSamples(G, Rand, Set);
+
+    size_t N = G.numEvents();
+    if (N < 2) {
+      EXPECT_EQ(Set.size(), 1u);
+      continue;
+    }
+    std::vector<std::pair<EventId, EventId>> Pairs;
+    for (EventId E1 = 0; E1 < N; ++E1)
+      for (EventId E2 : G.children(E1))
+        Pairs.push_back({E1, E2});
+    size_t Positives = Pairs.size(), MaxAttempts = Positives * 20 + 64;
+    for (size_t Attempts = 0;
+         Pairs.size() < 2 * Positives && Attempts < MaxAttempts; ++Attempts) {
+      EventId E1 = static_cast<EventId>(Replay.below(N));
+      EventId E2 = static_cast<EventId>(Replay.below(N));
+      if (E1 == E2 || G.event(E1).Ctx != G.event(E2).Ctx ||
+          G.hasEdge(E1, E2) || G.hasEdge(E2, E1))
+        continue;
+      Pairs.push_back({E1, E2});
+    }
+    ASSERT_EQ(Set.size(), Pairs.size() + 1) << "graph " << I;
+    for (size_t R = 0; R < Pairs.size(); ++R) {
+      bool Positive = R < Positives;
+      Extracted X = extract(G, Pairs[R].first, Pairs[R].second, Positive);
+      std::span<const uint32_t> Row = Set.hashes(R + 1);
+      EXPECT_EQ(Set.posKey(R + 1), X.PosKey) << "graph " << I << " row " << R;
+      EXPECT_EQ(Set.label(R + 1), Positive ? 1.0f : 0.0f);
+      EXPECT_EQ(std::vector<uint32_t>(Row.begin(), Row.end()), X.Hashes)
+          << "graph " << I << " row " << R;
+      ++Checked;
+    }
+  }
+  EXPECT_GT(Checked, 100u);
+}
+
+TEST(SampleSetTraining, ColdStartMatchesPerSampleOracle) {
+  CorpusGraphs C(40, 5);
+  SampleSet Set = C.samples(17);
+  ASSERT_GT(Set.size(), 200u);
+  EdgeModelConfig Cfg;
+  Cfg.DimBits = 12; // small tables: many colliding updates
+  EdgeModel Cold(Cfg);
+  EdgeModel Expected = oracleTrain(Cold, oracleSamples(Set));
+  Cold.train(Set);
+  expectBitEqual(Cold, Expected);
+  EXPECT_EQ(Cold.accuracy(Set), Expected.accuracy(Set));
+}
+
+TEST(SampleSetTraining, WarmStartMatchesPerSampleOracle) {
+  CorpusGraphs C(40, 6);
+  SampleSet Base = C.samples(1), Delta = C.samples(2);
+  EdgeModelConfig Cfg;
+  Cfg.DimBits = 12;
+  Cfg.Seed = 99;
+  EdgeModel Warm(Cfg);
+  Warm.train(Base);
+  ASSERT_GT(Warm.numModels(), 0u);
+  EdgeModel Expected = oracleTrain(Warm, oracleSamples(Delta));
+  Warm.train(Delta);
+  expectBitEqual(Warm, Expected);
+}
+
+TEST(SampleSetTraining, EmptySetLeavesTheBankUnchanged) {
+  CorpusGraphs C(10, 7);
+  EdgeModelConfig Cfg;
+  Cfg.DimBits = 10;
+  EdgeModel Cold(Cfg);
+  Cold.train(SampleSet());
+  EXPECT_EQ(Cold.numModels(), 0u);
+  EXPECT_EQ(Cold.accuracy(SampleSet()), 0.0);
+
+  EdgeModel Warm(Cfg);
+  Warm.train(C.samples(3));
+  EdgeModel Expected = oracleTrain(Warm, {});
+  Warm.train(SampleSet());
+  expectBitEqual(Warm, Expected);
+}
+
+TEST(SampleSetTraining, UnseenPosKeysGetFreshModels) {
+  // A warm bank over the real position pairs, continued on samples whose
+  // selectors it has never seen (including ones no PosBucket pair yields,
+  // as a wire peer could send): both loops must create the same models.
+  CorpusGraphs C(20, 8);
+  EdgeModelConfig Cfg;
+  Cfg.DimBits = 10;
+  EdgeModel Warm(Cfg);
+  Warm.train(C.samples(4));
+  size_t Before = Warm.numModels();
+
+  SampleSet Novel = C.samples(5);
+  Rng Rand(3);
+  for (uint16_t Key : {uint16_t(40), uint16_t(1000), uint16_t(65535)})
+    for (int I = 0; I < 20; ++I) {
+      std::vector<uint32_t> Hashes;
+      for (int J = 0; J < 6; ++J)
+        Hashes.push_back(static_cast<uint32_t>(Rand.next()));
+      Novel.add(Key, static_cast<float>(I % 2), Hashes);
+    }
+  EdgeModel Expected = oracleTrain(Warm, oracleSamples(Novel));
+  Warm.train(Novel);
+  EXPECT_EQ(Warm.numModels(), Before + 3);
+  expectBitEqual(Warm, Expected);
+  EXPECT_EQ(Warm.accuracy(Novel), Expected.accuracy(Novel));
 }

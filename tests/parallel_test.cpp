@@ -253,6 +253,7 @@ TEST(ParallelPipeline, FullLearnResultIsThreadCountInvariant) {
     EXPECT_EQ(One.Stats.ReceiverPairs, Other.Stats.ReceiverPairs);
     EXPECT_EQ(One.Stats.Matches, Other.Stats.Matches);
     EXPECT_EQ(One.Stats.TrainingSamples, Other.Stats.TrainingSamples);
+    EXPECT_EQ(One.Stats.FeatureHashes, Other.Stats.FeatureHashes);
     EXPECT_EQ(One.Stats.Candidates, Other.Stats.Candidates);
     EXPECT_EQ(One.Stats.Graphs, Other.Stats.Graphs);
   }
@@ -266,6 +267,7 @@ TEST(ParallelPipeline, PipelineStatsArePopulated) {
   EXPECT_GT(St.ReceiverPairs, 0u);
   EXPECT_GT(St.Matches, 0u);
   EXPECT_GT(St.TrainingSamples, 0u);
+  EXPECT_GT(St.FeatureHashes, St.TrainingSamples);
   EXPECT_GT(St.Candidates, 0u);
   EXPECT_GE(St.PeakCandidates, St.Candidates);
   EXPECT_GT(St.TotalSeconds, 0.0);
@@ -275,6 +277,9 @@ TEST(ParallelPipeline, PipelineStatsArePopulated) {
   EXPECT_NE(Json.find("\"phase_seconds\""), std::string::npos);
   EXPECT_NE(Json.find("\"receiver_pairs\""), std::string::npos);
   EXPECT_NE(Json.find("\"peak_candidates\""), std::string::npos);
+  EXPECT_NE(Json.find("\"feature_hashes\": " +
+                      std::to_string(St.FeatureHashes)),
+            std::string::npos);
   EXPECT_EQ(Json.front(), '{');
   EXPECT_EQ(Json.back(), '}');
 }

@@ -197,23 +197,24 @@ TEST_P(ModelProperties, PredictionsAreProbabilitiesAndBeatChance) {
     Graphs.push_back(EventGraph::build(*Keep.back()));
   }
   Rng Rand(Seed);
-  std::vector<TrainingSample> Samples;
+  SampleSet Samples;
   for (const EventGraph &G : Graphs)
     collectTrainingSamples(G, Rand, Samples);
   ASSERT_GT(Samples.size(), 100u);
 
   // Hold out every 5th sample.
-  std::vector<TrainingSample> Train, Test;
+  SampleSet Train, Test;
   for (size_t I = 0; I < Samples.size(); ++I)
-    (I % 5 == 0 ? Test : Train).push_back(Samples[I]);
+    (I % 5 == 0 ? Test : Train)
+        .add(Samples.posKey(I), Samples.label(I), Samples.hashes(I));
 
   EdgeModelConfig MCfg;
   MCfg.Seed = Seed;
   EdgeModel Model(MCfg);
   Model.train(Train);
 
-  for (const TrainingSample &Sample : Test) {
-    double Prob = Model.predict(Sample.Features);
+  for (size_t I = 0; I < Test.size(); ++I) {
+    double Prob = Model.predict(Test.posKey(I), Test.hashes(I));
     EXPECT_GE(Prob, 0.0);
     EXPECT_LE(Prob, 1.0);
   }

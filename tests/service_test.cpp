@@ -297,6 +297,46 @@ TEST(ServiceServer, CacheHitsAreByteExactAndCounted) {
   EXPECT_EQ(S.metrics().cacheMissCount(), 2u);
 }
 
+TEST(ServiceServer, RenamedProgramsGetTheirOwnAnalysis) {
+  // Two programs identical up to renaming have one structural fingerprint:
+  // it hashes per-request interner ids, assigned in first-occurrence order.
+  // The original's JSONObject get/put specs apply; the renamed one's API is
+  // unknown, so the two answers differ in their alias pairs.
+  const std::string Original =
+      "class Main { def main() { var o = new JSONObject(); var x = new Item(); "
+      "o.put(\"k\", x); var a = o.get(\"k\"); var b = o.get(\"k\"); } }";
+  const std::string Renamed =
+      "class Main { def main() { var o = new Registry(); var x = new Item(); "
+      "o.store(\"k\", x); var a = o.fetch(\"k\"); var b = o.fetch(\"k\"); } }";
+  std::string Err;
+  auto PO = parseProgram(Original, "", &Err);
+  auto PR = parseProgram(Renamed, "", &Err);
+  ASSERT_TRUE(PO && PR) << Err;
+  ASSERT_EQ(PO->Fingerprint, PR->Fingerprint);
+
+  ServiceSpecs Specs = learnSpecs(makeSources(12, 0xB17E));
+  auto Fresh = [&](const std::string &Program) {
+    ServerConfig Cfg;
+    Cfg.Workers = 1;
+    Server S(Cfg, Specs);
+    return S.handle(analyzeRequest(1, Program));
+  };
+  ASSERT_NE(Fresh(Original), Fresh(Renamed));
+
+  ServerConfig Cfg;
+  Cfg.Workers = 1;
+  Server S(Cfg, Specs);
+  EXPECT_EQ(S.handle(analyzeRequest(1, Original)), Fresh(Original));
+  EXPECT_EQ(S.handle(analyzeRequest(1, Renamed)), Fresh(Renamed));
+  EXPECT_EQ(S.metrics().cacheMissCount(), 2u);
+
+  // A whitespace/comment variant is still the same program to the cache.
+  std::string Variant = std::string("// reformatted\n") + Original;
+  EXPECT_EQ(S.handle(analyzeRequest(1, Variant)), Fresh(Original));
+  EXPECT_EQ(S.metrics().cacheHitCount(), 1u);
+  EXPECT_EQ(S.metrics().cacheMissCount(), 2u);
+}
+
 TEST(ServiceServer, QueryVerbsAnswer) {
   auto Sources = makeSources(20, 0x5E1);
   ServiceSpecs Specs = learnSpecs(Sources);
