@@ -285,9 +285,7 @@ struct DelayProxy {
     Path = std::move(SockPath);
     Backend = std::move(BackendPath);
     DelayMs = Ms;
-    distrib::Address Addr;
-    Addr.Path = Path;
-    ListenFd = distrib::wireListen(Addr);
+    ListenFd = distrib::wireListen(Path);
     if (ListenFd < 0)
       return false;
     Acceptor = std::thread([this] { acceptLoop(); });

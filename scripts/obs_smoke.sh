@@ -10,13 +10,12 @@
 #   2. kill -9 of a replica: the structured event log records the recovery
 #      in order — replica_down -> respawn -> warm_replay -> rejoin — with a
 #      gap-free seq, and `uspec obs top` still renders the fleet snapshot.
-#   3. `train --distributed 2` under USPEC_TRACE writes one shard per
-#      process (coordinator + workers) and stays byte-identical to an
-#      untraced single-process train.
+#   3. `train` under USPEC_TRACE writes its trace shard and stays
+#      byte-identical to the untraced train.
 #   4. `uspec obs stitch` merges the router, replica and training shards
 #      into one valid Chrome-trace document with >= 3 distinct pids,
-#      process_name metadata, and s/f flow events linking cross-process
-#      request spans.
+#      process_name metadata, and s/f flow events linking router forwards
+#      to replica request spans.
 #
 # Usage: scripts/obs_smoke.sh [path/to/uspec]
 #
@@ -129,25 +128,23 @@ wait "$ROUTER" || rc=$?
 }
 PIDS=()
 
-echo "== distributed train under USPEC_TRACE: per-process shards, bytes equal"
+echo "== train under USPEC_TRACE: one shard, bytes equal"
 USPEC_TRACE="$WORK/train.json" "$USPEC" train "$WORK/corpus"/*.mini \
-  -o "$WORK/dist.uspb" --seed 31 --distributed 2 2>/dev/null
-cmp -s "$WORK/model.uspb" "$WORK/dist.uspb" || {
-  echo "FAIL: traced distributed train differs from untraced baseline" >&2
+  -o "$WORK/traced.uspb" --seed 31 --threads 1 2>/dev/null
+cmp -s "$WORK/model.uspb" "$WORK/traced.uspb" || {
+  echo "FAIL: traced train differs from the untraced train" >&2
   fail=1
 }
-worker_shards=("$WORK"/train.json.*)
-[ -e "${worker_shards[0]}" ] || {
-  echo "FAIL: distributed train wrote no per-worker trace shards" >&2
+[ -s "$WORK/train.json" ] || {
+  echo "FAIL: traced train wrote no trace shard" >&2
   fail=1
 }
 
 echo "== obs stitch merges fleet + training shards"
 # replica2's shard died with the kill -9 (traces are written at exit);
-# stitch the router, the surviving replica, and the training processes.
+# stitch the router, the surviving replica, and the training process.
 "$USPEC" obs stitch "$WORK/merged.json" "$WORK/router.json" \
-  "$WORK/replica1.json" "$WORK/train.json" "${worker_shards[@]}" \
-  2>"$WORK/stitch.log"
+  "$WORK/replica1.json" "$WORK/train.json" 2>"$WORK/stitch.log"
 cat "$WORK/stitch.log"
 python3 - "$WORK/merged.json" <<'EOF' || fail=1
 import json, sys
@@ -161,9 +158,15 @@ finishes = [e for e in events if e.get("ph") == "f"]
 assert len(pids) >= 3, f"expected >= 3 processes, got {sorted(pids)}"
 assert len(metas) == len(pids), "every pid needs process_name metadata"
 assert starts and finishes, "stitched trace has no flow events"
-cross = {(s["id"]) for s in starts} & {(f["id"]) for f in finishes}
-assert cross, "no matched s/f flow pair"
-print(f"   {len(pids)} processes, {len(starts)} flow links: OK")
+role = {e["pid"]: e["args"]["name"] for e in metas}
+finish_pid = {f["id"]: f["pid"] for f in finishes}
+routed = [s for s in starts if s["id"] in finish_pid
+          and role[s["pid"]].startswith("uspec route")
+          and role[finish_pid[s["id"]]].startswith("uspec serve")]
+assert routed, "no router -> replica flow pair"
+assert any(n.startswith("uspec train") for n in role.values()), \
+    "the training shard has no process"
+print(f"   {len(pids)} processes, {len(routed)} router->replica flows: OK")
 EOF
 
 if [ "$fail" -eq 0 ]; then

@@ -29,6 +29,11 @@ constexpr uint64_t MaxDimBits = 30;
 constexpr uint64_t MaxManifestEntries = 1u << 24;
 constexpr uint64_t MaxLedgerConfidences = 1u << 28;
 
+/// The smallest encoding of one spec (kind byte, class and name varints,
+/// arity byte). With it every count that sizes a reserve is also bounded by
+/// the bytes that remain, so a count that lies fails before the reserve.
+constexpr uint64_t MinSpecBytes = 4;
+
 /// Finishes a section decode: the reader must have consumed every byte.
 template <typename T>
 std::optional<T> finish(BinaryReader &R, T Value, ArtifactError *Err) {
@@ -73,7 +78,7 @@ std::optional<SymbolTable> SymbolTable::decode(std::string_view Bytes,
                                                ArtifactError *Err) {
   BinaryReader R(Bytes, "strs");
   SymbolTable Table;
-  uint64_t Count = R.readCount(MaxStrings, "string");
+  uint64_t Count = R.readCount(MaxStrings, "string", /*MinBytesEach=*/1);
   Table.Syms.reserve(static_cast<size_t>(Count));
   for (uint64_t I = 0; R.ok() && I < Count; ++I) {
     std::string_view Str = R.readString();
@@ -283,7 +288,9 @@ uspec::decodeCandidates(std::string_view Bytes, const SymbolTable &Syms,
                         ArtifactError *Err) {
   BinaryReader R(Bytes, "cand");
   std::vector<ScoredCandidate> Candidates;
-  uint64_t Count = R.readCount(MaxCandidates, "candidate");
+  // A candidate: spec, f64 score, then three varints.
+  uint64_t Count =
+      R.readCount(MaxCandidates, "candidate", MinSpecBytes + 8 + 3);
   Candidates.reserve(static_cast<size_t>(Count));
   for (uint64_t I = 0; R.ok() && I < Count; ++I) {
     ScoredCandidate C;
@@ -319,13 +326,6 @@ std::string uspec::encodeManifest(const CorpusManifest &Manifest) {
     W.writeU64(E.Fingerprint);
   }
   W.writeVarint(Manifest.Generation);
-  // Distributed-training provenance trails the generation and is written
-  // only when present, keeping plain artifacts byte-identical to the
-  // pre-field encoding (a pinned golden checksum).
-  if (Manifest.DistWorkers != 0) {
-    W.writeVarint(Manifest.DistWorkers);
-    W.writeU64(Manifest.DistShardChecksum);
-  }
   return W.take();
 }
 
@@ -333,7 +333,9 @@ std::optional<CorpusManifest> uspec::decodeManifest(std::string_view Bytes,
                                                     ArtifactError *Err) {
   BinaryReader R(Bytes, "mani");
   CorpusManifest Manifest;
-  uint64_t Count = R.readCount(MaxManifestEntries, "manifest");
+  // An entry: name (length varint first), then the u64 fingerprint.
+  uint64_t Count =
+      R.readCount(MaxManifestEntries, "manifest", /*MinBytesEach=*/1 + 8);
   Manifest.Entries.reserve(static_cast<size_t>(Count));
   for (uint64_t I = 0; R.ok() && I < Count; ++I) {
     CorpusManifest::Entry E;
@@ -346,9 +348,12 @@ std::optional<CorpusManifest> uspec::decodeManifest(std::string_view Bytes,
   // absent bytes (an older artifact) decode as generation 0.
   if (R.ok() && R.remaining() > 0)
     Manifest.Generation = R.readVarint();
+  // Artifacts from the retired distributed trainer may carry two more
+  // trailing fields (worker count varint, shard-map checksum u64): read and
+  // drop them, so those artifacts still load.
   if (R.ok() && R.remaining() > 0) {
-    Manifest.DistWorkers = R.readVarint();
-    Manifest.DistShardChecksum = R.readU64();
+    R.readVarint();
+    R.readU64();
   }
   return finish(R, std::move(Manifest), Err);
 }
@@ -395,12 +400,16 @@ std::optional<CandidateLedger> uspec::decodeLedger(std::string_view Bytes,
                                                    ArtifactError *Err) {
   BinaryReader R(Bytes, "gams");
   CandidateLedger Ledger;
-  uint64_t Count = R.readCount(MaxCandidates, "ledger entry");
+  // An entry: spec, then three varints (confidence count, matches,
+  // programs).
+  uint64_t Count =
+      R.readCount(MaxCandidates, "ledger entry", MinSpecBytes + 3);
   Ledger.Entries.reserve(static_cast<size_t>(Count));
   for (uint64_t I = 0; R.ok() && I < Count; ++I) {
     CandidateLedger::Entry E;
     E.S = decodeSpec(R, Syms);
-    uint64_t NumConf = R.readCount(MaxLedgerConfidences, "confidence");
+    uint64_t NumConf =
+        R.readCount(MaxLedgerConfidences, "confidence", /*MinBytesEach=*/8);
     E.Confidences.reserve(static_cast<size_t>(NumConf));
     for (uint64_t C = 0; R.ok() && C < NumConf; ++C)
       E.Confidences.push_back(R.readF64());

@@ -98,17 +98,6 @@ void CandidateCollector::merge(CandidateCollector &&Other) {
   Other.Order.clear();
 }
 
-CandidateLedger CandidateLedger::fromCollector(const CandidateCollector &C) {
-  CandidateLedger Ledger;
-  Ledger.Entries.reserve(C.candidates().size());
-  for (const Spec &S : C.candidates()) {
-    const CandidateStats &Stats = C.stats().at(S);
-    Ledger.Entries.push_back(
-        Entry{S, Stats.Confidences, Stats.Matches, Stats.Programs});
-  }
-  return Ledger;
-}
-
 void CandidateLedger::extendWith(const CandidateCollector &Delta) {
   std::unordered_map<Spec, size_t, SpecHash> Index;
   Index.reserve(Entries.size());
@@ -130,29 +119,6 @@ void CandidateLedger::extendWith(const CandidateCollector &Delta) {
     E.Matches += Stats.Matches;
     E.Programs += Stats.Programs;
   }
-}
-
-void CandidateLedger::extendWith(CandidateLedger &&Other) {
-  std::unordered_map<Spec, size_t, SpecHash> Index;
-  Index.reserve(Entries.size());
-  for (size_t I = 0; I < Entries.size(); ++I)
-    Index.emplace(Entries[I].S, I);
-  for (Entry &Incoming : Other.Entries) {
-    auto It = Index.find(Incoming.S);
-    if (It == Index.end()) {
-      Index.emplace(Incoming.S, Entries.size());
-      Entries.push_back(std::move(Incoming));
-      continue;
-    }
-    Entry &E = Entries[It->second];
-    // Other covers strictly later graphs: its ΓS goes after ours, and its
-    // program-id range is disjoint from everything folded in so far.
-    E.Confidences.insert(E.Confidences.end(), Incoming.Confidences.begin(),
-                         Incoming.Confidences.end());
-    E.Matches += Incoming.Matches;
-    E.Programs += Incoming.Programs;
-  }
-  Other.Entries.clear();
 }
 
 bool CandidateCollector::addGraph(const EventGraph &G, uint32_t ProgramId,

@@ -132,22 +132,12 @@ struct CandidateLedger {
   };
   std::vector<Entry> Entries; ///< First-seen candidate order.
 
-  /// Snapshot of a fully merged collector.
-  static CandidateLedger fromCollector(const CandidateCollector &C);
-
   /// Folds a collector over strictly later graphs into the ledger with the
   /// same semantics as CandidateCollector::merge: known candidates keep
   /// their slots (confidences concatenate in graph order, matches and
   /// program counts sum), new ones append in \p Delta's first-seen order.
+  /// Extending an empty ledger snapshots \p Delta as it stands.
   void extendWith(const CandidateCollector &Delta);
-
-  /// Ledger-to-ledger fold with the same semantics, for evidence that
-  /// arrives already snapshotted (the distributed coordinator merges one
-  /// ledger per corpus shard, in shard order). \p Other must cover strictly
-  /// later graphs than everything folded in so far; program counts add
-  /// because the covered program-id ranges are disjoint. \p Other is
-  /// consumed.
-  void extendWith(CandidateLedger &&Other);
 };
 
 } // namespace uspec

@@ -19,8 +19,16 @@
 
 using namespace uspec;
 
-void uspec::trainOnSamples(std::vector<SampleSet> Parts, size_t BaseSamples,
-                           EdgeModel &Model, LearnResult &Result) {
+namespace {
+
+/// Phase 2b (§4): concatenates \p Parts in order (one sample set per
+/// program) into one training set, continues SGD on \p Model over it, and
+/// records the training counters and in-sample accuracy in \p Result
+/// (NumTrainingSamples = \p BaseSamples + the set's size). Every sample is
+/// released before it returns, so a phase lap taken right after covers the
+/// release too.
+void trainOnSamples(std::vector<SampleSet> Parts, size_t BaseSamples,
+                    EdgeModel &Model, LearnResult &Result) {
   TraceSpan PhaseSpan("learn.phase2_train");
   SampleSet Samples = SampleSet::concat(std::move(Parts));
   Result.NumTrainingSamples = BaseSamples + Samples.size();
@@ -32,38 +40,68 @@ void uspec::trainOnSamples(std::vector<SampleSet> Parts, size_t BaseSamples,
     PhaseSpan.arg("samples", std::to_string(Samples.size()));
 }
 
+} // namespace
+
 LearnResult USpecLearner::learn(const std::vector<IRProgram> &Corpus) {
-  assert(!Config.Analysis.ApiAware &&
-         "learning runs on the API-unaware analysis");
-  LearnResult Result;
-  Result.Model = EdgeModel(Config.Model);
-  size_t N = Corpus.size();
-
-  unsigned Workers = effectiveThreads(std::max<size_t>(1, N), Config.Threads);
-  Result.Stats.ThreadsUsed = Workers;
-  Result.Stats.Programs = N;
-  PhaseTimer Total, Phase;
-
   // Tracing is observational only: spans read clocks and buffer events but
   // never influence scheduling, seeds, or shard boundaries, so the learned
   // artifacts are bit-identical with tracing on or off (pinned by
   // TelemetryDeterminism tests).
   TraceSpan LearnSpan("learn");
   if (LearnSpan.active()) {
-    LearnSpan.arg("programs", std::to_string(N));
-    LearnSpan.arg("threads", std::to_string(Workers));
+    LearnSpan.arg("programs", std::to_string(Corpus.size()));
+    LearnSpan.arg("threads", std::to_string(effectiveThreads(
+                                 std::max<size_t>(1, Corpus.size()),
+                                 Config.Threads)));
   }
+  // A full run is an increment over nothing: a fresh ϕ, an empty ledger,
+  // and program ids, sample seeds and fault indices starting at 0.
+  WarmStart Cold;
+  Cold.Model = EdgeModel(Config.Model);
+  return runPhases(Corpus, std::move(Cold));
+}
+
+LearnResult USpecLearner::learnIncrement(const std::vector<IRProgram> &Delta,
+                                         WarmStart Prev) {
+  TraceSpan LearnSpan("learn.increment");
+  if (LearnSpan.active()) {
+    LearnSpan.arg("base_programs", std::to_string(Prev.BasePrograms));
+    LearnSpan.arg("delta_programs", std::to_string(Delta.size()));
+    LearnSpan.arg("threads", std::to_string(effectiveThreads(
+                                 std::max<size_t>(1, Delta.size()),
+                                 Config.Threads)));
+  }
+  return runPhases(Delta, std::move(Prev));
+}
+
+LearnResult USpecLearner::runPhases(const std::vector<IRProgram> &Programs,
+                                    WarmStart Prev) {
+  assert(!Config.Analysis.ApiAware &&
+         "learning runs on the API-unaware analysis");
+  LearnResult Result;
+  Result.Model = std::move(Prev.Model);
+  Result.Ledger = std::move(Prev.Ledger);
+  size_t N = Programs.size();
+  size_t Base = Prev.BasePrograms;
+
+  Result.Stats.ThreadsUsed =
+      effectiveThreads(std::max<size_t>(1, N), Config.Threads);
+  Result.Stats.Programs = N;
+  PhaseTimer Total, Phase;
 
   // Phase 1 (§3): analyze each program and build its event graph. Programs
   // are independent, so this fans out across threads (the paper runs its
-  // pipeline on a 28-core server, §7.2).
+  // pipeline on a 28-core server, §7.2). Seeds, program ids and fault
+  // indices are *global corpus positions* (Base + I): exactly what a full
+  // replay of the grown corpus uses for the same slots, so per-program
+  // sampling decisions agree between the incremental and replay pipelines.
   //
   // Per-program isolation (DESIGN.md §10): an analysis that throws or blows
   // its step budget quarantines that one program instead of aborting the
   // run. Quarantine is IN PLACE — the program keeps its slot with an empty
-  // graph and no samples — so sample seeds hashValues(Seed, I) and Phase-3
-  // shard boundaries are exactly those of the full corpus, keeping the
-  // result bit-identical at any thread count.
+  // graph and no samples — so sample seeds hashValues(Seed, Base + I) and
+  // Phase-3 shard boundaries are exactly those of the full corpus, keeping
+  // the result bit-identical at any thread count.
   std::vector<std::unique_ptr<AnalysisResult>> Analyses(N);
   std::vector<EventGraph> Graphs(N);
   std::vector<std::string> QReason(N);
@@ -75,190 +113,9 @@ LearnResult USpecLearner::learn(const std::vector<IRProgram> &Corpus) {
   parallelFor(N, Config.Threads, [&](size_t I) {
     TraceSpan ProgramSpan("learn.program");
     if (ProgramSpan.active()) {
-      ProgramSpan.arg("index", std::to_string(I));
-      if (!Corpus[I].Name.empty())
-        ProgramSpan.arg("name", Corpus[I].Name);
-    }
-    try {
-      if (faultFiresAt("learn.analyze", I))
-        throw FaultInjected("learn.analyze");
-      Budget B = Budget::steps(Config.ProgramStepBudget);
-      AnalysisOptions Opts = Config.Analysis;
-      if (Config.ProgramStepBudget != 0)
-        Opts.StepBudget = &B;
-      Analyses[I] =
-          std::make_unique<AnalysisResult>(analyzeProgram(Corpus[I], Strings, Opts));
-      if (Analyses[I]->Bounded) {
-        QReason[I] = std::string("analysis:") + B.reason();
-        if (QReason[I] == "analysis:") // injected exhaustion, not the budget
-          QReason[I] = "analysis:bounded";
-        Analyses[I] = std::make_unique<AnalysisResult>();
-        return;
-      }
-      Graphs[I] = EventGraph::build(*Analyses[I]);
-      Rng Rand(hashValues(Config.Seed, I));
-      collectTrainingSamples(Graphs[I], Rand, PerProgramSamples[I]);
-    } catch (const FaultInjected &F) {
-      QReason[I] = "fault:" + F.site();
-      Analyses[I] = std::make_unique<AnalysisResult>();
-      Graphs[I] = EventGraph();
-      PerProgramSamples[I] = SampleSet();
-    } catch (const std::exception &E) {
-      QReason[I] = std::string("error:") + E.what();
-      Analyses[I] = std::make_unique<AnalysisResult>();
-      Graphs[I] = EventGraph();
-      PerProgramSamples[I] = SampleSet();
-    }
-  });
-  for (const EventGraph &G : Graphs)
-    if (!G.callSites().empty())
-      ++Result.Stats.Graphs;
-  Result.Stats.AnalyzeSeconds = Phase.lap();
-  }
-
-  // Phase 2b: train the model on the concatenated samples.
-  trainOnSamples(std::move(PerProgramSamples), 0, Result.Model, Result);
-  Result.Stats.TrainSeconds = Phase.lap();
-
-  // Phase 3 (Alg. 1): candidate extraction and confidence collection,
-  // sharded. Each worker runs Alg. 1 over its own contiguous range of
-  // graphs into a private collector (ϕ queries are read-only), then the
-  // shards fold left-to-right into shard 0. The merge preserves first-seen
-  // candidate order and graph-order ΓS, so the merged table is bit-identical
-  // to a serial pass at any shard count.
-  unsigned NumShards = effectiveThreads(N, Config.Threads);
-  std::vector<CandidateCollector> Shards;
-  {
-  TraceSpan PhaseSpan("learn.phase3_extract");
-  Shards.reserve(std::max(1u, NumShards));
-  for (unsigned S = 0; S < std::max(1u, NumShards); ++S)
-    Shards.emplace_back(Result.Model, Config.DistanceBound,
-                        Config.ExperimentalPatterns);
-  parallelFor(NumShards, Config.Threads, [&](size_t S) {
-    auto [Lo, Hi] = shardRange(N, static_cast<unsigned>(S), NumShards);
-    for (size_t I = Lo; I < Hi; ++I) {
-      if (!QReason[I].empty())
-        continue; // quarantined in Phase 1; default graph has no analysis
-      if (Config.ProgramStepBudget == 0) {
-        Shards[S].addGraph(Graphs[I], static_cast<uint32_t>(I));
-        continue;
-      }
-      // Budgeted extraction is all-or-nothing per graph: stage into a
-      // scratch collector and merge only on completion, so a quarantined
-      // graph contributes nothing (deterministic at any shard count; merge
-      // is bit-identical to a direct addGraph, see PR 2 / parallel_test).
-      Budget B = Budget::steps(Config.ProgramStepBudget);
-      CandidateCollector Tmp(Result.Model, Config.DistanceBound,
-                             Config.ExperimentalPatterns);
-      if (Tmp.addGraph(Graphs[I], static_cast<uint32_t>(I), &B))
-        Shards[S].merge(std::move(Tmp));
-      else
-        QReason[I] = "extract:steps";
-    }
-  });
-  for (const CandidateCollector &Shard : Shards)
-    Result.Stats.PeakCandidates += Shard.candidates().size();
-  for (size_t S = 1; S < Shards.size(); ++S)
-    Shards[0].merge(std::move(Shards[S]));
-  }
-  const CandidateCollector &Collector = Shards[0];
-  Result.Stats.ReceiverPairs = Collector.numReceiverPairs();
-  Result.Stats.Matches = Collector.numMatches();
-  Result.Stats.Candidates = Collector.candidates().size();
-  Result.Stats.ExtractSeconds = Phase.lap();
-
-  // Phase 4 (§5.2): scoring, parallel over the merged candidate table. Each
-  // worker writes only its candidate's slot; the stable sort then sees the
-  // same sequence as a serial run.
-  const std::vector<Spec> &Order = Collector.candidates();
-  Result.Candidates.resize(Order.size());
-  {
-  TraceSpan PhaseSpan("learn.phase4_score");
-  if (PhaseSpan.active())
-    PhaseSpan.arg("candidates", std::to_string(Order.size()));
-  parallelFor(Order.size(), Config.Threads, [&](size_t I) {
-    const Spec &S = Order[I];
-    const CandidateStats &Stats = Collector.stats().at(S);
-    ScoredCandidate C;
-    C.S = S;
-    C.Score = scoreCandidate(Stats, Config.Scoring, Config.TopK);
-    if (Config.Scoring == ScoreKind::NameAware)
-      C.Score = blendWithNamingPrior(C.Score, namingPrior(S, Strings));
-    C.Matches = Stats.Matches;
-    C.Programs = Stats.Programs;
-    C.NumConfidences = Stats.Confidences.size();
-    Result.Candidates[I] = std::move(C);
-  });
-  std::stable_sort(Result.Candidates.begin(), Result.Candidates.end(),
-                   [](const ScoredCandidate &A, const ScoredCandidate &B) {
-                     if (A.Score != B.Score)
-                       return A.Score > B.Score;
-                     return A.Matches > B.Matches;
-                   });
-  Result.Stats.ScoreSeconds = Phase.lap();
-  }
-
-  // Phase 5 (§5.3–5.4): selection and consistency extension.
-  {
-  TraceSpan PhaseSpan("learn.phase5_select");
-  Result.Selected =
-      select(Result.Candidates, Config.Tau, Config.ExtendConsistency,
-             &Result.AddedByExtension);
-  Result.Stats.SelectSeconds = Phase.lap();
-  }
-
-  // The ledger snapshot carries the merged evidence into incremental runs
-  // (DESIGN.md §12); journal-trained artifacts persist it.
-  Result.Ledger = CandidateLedger::fromCollector(Collector);
-
-  // Quarantine report, in corpus order (deterministic at any thread count).
-  for (size_t I = 0; I < N; ++I)
-    if (!QReason[I].empty())
-      Result.Stats.Quarantined.push_back(
-          QuarantineRecord{I, Corpus[I].Name, QReason[I]});
-
-  Result.Stats.TotalSeconds = Total.lap();
-  return Result;
-}
-
-LearnResult USpecLearner::learnIncrement(const std::vector<IRProgram> &Delta,
-                                         WarmStart Prev) {
-  assert(!Config.Analysis.ApiAware &&
-         "learning runs on the API-unaware analysis");
-  LearnResult Result;
-  Result.Model = std::move(Prev.Model);
-  Result.Ledger = std::move(Prev.Ledger);
-  size_t N = Delta.size();
-  size_t Base = Prev.BasePrograms;
-
-  unsigned Workers = effectiveThreads(std::max<size_t>(1, N), Config.Threads);
-  Result.Stats.ThreadsUsed = Workers;
-  Result.Stats.Programs = N;
-  PhaseTimer Total, Phase;
-
-  TraceSpan LearnSpan("learn.increment");
-  if (LearnSpan.active()) {
-    LearnSpan.arg("base_programs", std::to_string(Base));
-    LearnSpan.arg("delta_programs", std::to_string(N));
-    LearnSpan.arg("threads", std::to_string(Workers));
-  }
-
-  // Phase 1 over the delta only. Seeds, program ids and fault indices are
-  // *global corpus positions* (Base + I): exactly what a full replay of the
-  // grown corpus uses for the same slots, so per-program sampling decisions
-  // agree between the incremental and replay pipelines.
-  std::vector<std::unique_ptr<AnalysisResult>> Analyses(N);
-  std::vector<EventGraph> Graphs(N);
-  std::vector<std::string> QReason(N);
-  std::vector<SampleSet> PerProgramSamples(N);
-  {
-  TraceSpan PhaseSpan("learn.phase1_analyze");
-  parallelFor(N, Config.Threads, [&](size_t I) {
-    TraceSpan ProgramSpan("learn.program");
-    if (ProgramSpan.active()) {
       ProgramSpan.arg("index", std::to_string(Base + I));
-      if (!Delta[I].Name.empty())
-        ProgramSpan.arg("name", Delta[I].Name);
+      if (!Programs[I].Name.empty())
+        ProgramSpan.arg("name", Programs[I].Name);
     }
     try {
       if (faultFiresAt("learn.analyze", Base + I))
@@ -268,10 +125,10 @@ LearnResult USpecLearner::learnIncrement(const std::vector<IRProgram> &Delta,
       if (Config.ProgramStepBudget != 0)
         Opts.StepBudget = &B;
       Analyses[I] = std::make_unique<AnalysisResult>(
-          analyzeProgram(Delta[I], Strings, Opts));
+          analyzeProgram(Programs[I], Strings, Opts));
       if (Analyses[I]->Bounded) {
         QReason[I] = std::string("analysis:") + B.reason();
-        if (QReason[I] == "analysis:")
+        if (QReason[I] == "analysis:") // injected exhaustion, not the budget
           QReason[I] = "analysis:bounded";
         Analyses[I] = std::make_unique<AnalysisResult>();
         return;
@@ -297,22 +154,27 @@ LearnResult USpecLearner::learnIncrement(const std::vector<IRProgram> &Delta,
   Result.Stats.AnalyzeSeconds = Phase.lap();
   }
 
-  // Phase 2b: warm-start SGD continuation. train() shuffles the delta
+  // Phase 2b: SGD over the concatenated samples. train() shuffles the
   // samples deterministically and never resets existing per-pair models, so
-  // the restored weights are the optimization's starting point. Accuracy is
-  // measured on the delta samples (the base samples are gone); the sample
-  // count reported is cumulative.
+  // a warm start's restored weights are the optimization's starting point.
+  // Accuracy is measured on this run's samples (a warm start's base samples
+  // are gone); the sample count reported is cumulative.
   trainOnSamples(std::move(PerProgramSamples), Prev.BaseTrainingSamples,
                  Result.Model, Result);
   Result.Stats.TrainSeconds = Phase.lap();
 
-  // Phase 3: sharded extraction over the delta graphs, merged left-to-right
-  // exactly as in learn(), then folded into the carried ledger — known
-  // candidates keep their slots, new ones append in first-seen order.
+  // Phase 3 (Alg. 1): candidate extraction and confidence collection,
+  // sharded. Each worker runs Alg. 1 over its own contiguous range of
+  // graphs into a private collector (ϕ queries are read-only), then the
+  // shards fold left-to-right into shard 0. The merge preserves first-seen
+  // candidate order and graph-order ΓS, so the merged table is bit-identical
+  // to a serial pass at any shard count. The merged table then folds into
+  // the carried ledger: known candidates keep their slots, new ones append
+  // in first-seen order (from an empty ledger that is the table itself).
   unsigned NumShards = effectiveThreads(N, Config.Threads);
-  std::vector<CandidateCollector> Shards;
   {
   TraceSpan PhaseSpan("learn.phase3_extract");
+  std::vector<CandidateCollector> Shards;
   Shards.reserve(std::max(1u, NumShards));
   for (unsigned S = 0; S < std::max(1u, NumShards); ++S)
     Shards.emplace_back(Result.Model, Config.DistanceBound,
@@ -321,11 +183,15 @@ LearnResult USpecLearner::learnIncrement(const std::vector<IRProgram> &Delta,
     auto [Lo, Hi] = shardRange(N, static_cast<unsigned>(S), NumShards);
     for (size_t I = Lo; I < Hi; ++I) {
       if (!QReason[I].empty())
-        continue;
+        continue; // quarantined in Phase 1; default graph has no analysis
       if (Config.ProgramStepBudget == 0) {
         Shards[S].addGraph(Graphs[I], static_cast<uint32_t>(Base + I));
         continue;
       }
+      // Budgeted extraction is all-or-nothing per graph: stage into a
+      // scratch collector and merge only on completion, so a quarantined
+      // graph contributes nothing (deterministic at any shard count; merge
+      // is bit-identical to a direct addGraph, see parallel_test).
       Budget B = Budget::steps(Config.ProgramStepBudget);
       CandidateCollector Tmp(Result.Model, Config.DistanceBound,
                              Config.ExperimentalPatterns);
@@ -340,21 +206,23 @@ LearnResult USpecLearner::learnIncrement(const std::vector<IRProgram> &Delta,
   for (size_t S = 1; S < Shards.size(); ++S)
     Shards[0].merge(std::move(Shards[S]));
   Result.Ledger.extendWith(Shards[0]);
-  }
   Result.Stats.ReceiverPairs = Shards[0].numReceiverPairs();
   Result.Stats.Matches = Shards[0].numMatches();
+  }
   Result.Stats.Candidates = Result.Ledger.Entries.size();
   Result.Stats.ExtractSeconds = Phase.lap();
 
-  // Phase 4: scoring over the *combined* ledger (base + delta evidence),
-  // parallel per candidate slot as in learn().
-  Result.Candidates.resize(Result.Ledger.Entries.size());
+  // Phase 4 (§5.2): scoring over the ledger, i.e. all evidence so far,
+  // parallel per candidate slot. Each worker writes only its candidate's
+  // slot; the stable sort then sees the same sequence as a serial run.
+  const std::vector<CandidateLedger::Entry> &Entries = Result.Ledger.Entries;
+  Result.Candidates.resize(Entries.size());
   {
   TraceSpan PhaseSpan("learn.phase4_score");
   if (PhaseSpan.active())
-    PhaseSpan.arg("candidates", std::to_string(Result.Ledger.Entries.size()));
-  parallelFor(Result.Ledger.Entries.size(), Config.Threads, [&](size_t I) {
-    const CandidateLedger::Entry &E = Result.Ledger.Entries[I];
+    PhaseSpan.arg("candidates", std::to_string(Entries.size()));
+  parallelFor(Entries.size(), Config.Threads, [&](size_t I) {
+    const CandidateLedger::Entry &E = Entries[I];
     ScoredCandidate C;
     C.S = E.S;
     C.Score = scoreCandidate(E.Confidences, E.Matches, E.Programs,
@@ -375,7 +243,7 @@ LearnResult USpecLearner::learnIncrement(const std::vector<IRProgram> &Delta,
   Result.Stats.ScoreSeconds = Phase.lap();
   }
 
-  // Phase 5: selection and consistency extension.
+  // Phase 5 (§5.3–5.4): selection and consistency extension.
   {
   TraceSpan PhaseSpan("learn.phase5_select");
   Result.Selected =
@@ -384,11 +252,12 @@ LearnResult USpecLearner::learnIncrement(const std::vector<IRProgram> &Delta,
   Result.Stats.SelectSeconds = Phase.lap();
   }
 
-  // Quarantine report, delta programs only, with global corpus indices.
+  // Quarantine report, in corpus order with global indices (deterministic
+  // at any thread count).
   for (size_t I = 0; I < N; ++I)
     if (!QReason[I].empty())
       Result.Stats.Quarantined.push_back(
-          QuarantineRecord{Base + I, Delta[I].Name, QReason[I]});
+          QuarantineRecord{Base + I, Programs[I].Name, QReason[I]});
 
   Result.Stats.TotalSeconds = Total.lap();
   return Result;

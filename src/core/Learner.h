@@ -131,24 +131,15 @@ struct LearnResult {
   PipelineStats Stats;
 };
 
-/// Phase 2b (§4), the one implementation shared by USpecLearner::learn,
-/// USpecLearner::learnIncrement and the distributed coordinator:
-/// concatenates \p Parts in order (per-program or per-shard sample sets) into
-/// one training set, continues SGD on \p Model over it, and records the
-/// training counters and in-sample accuracy in \p Result
-/// (NumTrainingSamples = \p BaseSamples + the set's size). Every sample is
-/// released before it returns, so a phase lap taken right after covers the
-/// release too.
-void trainOnSamples(std::vector<SampleSet> Parts, size_t BaseSamples,
-                    EdgeModel &Model, LearnResult &Result);
-
 /// The USpec pipeline.
 class USpecLearner {
 public:
   USpecLearner(StringInterner &Strings, LearnerConfig Config)
       : Strings(Strings), Config(std::move(Config)) {}
 
-  /// Runs the full pipeline over \p Corpus.
+  /// Runs the full pipeline over \p Corpus: learnIncrement from a cold
+  /// start (a fresh ϕ from Config.Model, an empty ledger, base 0), traced
+  /// as one `learn` span.
   LearnResult learn(const std::vector<IRProgram> &Corpus);
 
   /// Incremental continuation: runs the pipeline over \p Delta only —
@@ -190,6 +181,11 @@ public:
                 ArtifactError *Err = nullptr);
 
 private:
+  /// The one phase driver behind learn and learnIncrement: Phases 1–5 over
+  /// \p Programs, continuing from \p Prev.
+  LearnResult runPhases(const std::vector<IRProgram> &Programs,
+                        WarmStart Prev);
+
   StringInterner &Strings;
   LearnerConfig Config;
 };

@@ -858,14 +858,9 @@ bool sendAllBytes(int Fd, const char *Data, size_t Len) {
 
 int Router::serveUnixSocket(const std::string &Path,
                             const volatile int *StopFlag) {
-  std::string Err;
-  Address Addr;
-  Addr.Tcp = false;
-  Addr.Path = Path;
-  int ListenFd = wireListen(Addr, &Err);
-  if (ListenFd < 0) {
+  int ListenFd = wireListen(Path);
+  if (ListenFd < 0)
     return 1;
-  }
 
   std::mutex ConnMu;
   std::vector<int> ConnFds;
@@ -912,6 +907,16 @@ int Router::serveUnixSocket(const std::string &Path,
         if (N <= 0)
           break;
         Buffer.append(Chunk, static_cast<size_t>(N));
+        // The same line cap and answer as `serve`: a line that outgrows it
+        // can never frame correctly again, so answer once and hang up.
+        if (Buffer.find('\n') == std::string::npos &&
+            Buffer.size() > service::DefaultMaxRequestBytes) {
+          std::string Response =
+              service::oversizedLineResponse(service::DefaultMaxRequestBytes);
+          Response += '\n';
+          sendAllBytes(Client, Response.data(), Response.size());
+          break;
+        }
         size_t Pos;
         while ((Pos = Buffer.find('\n')) != std::string::npos) {
           std::string Line = Buffer.substr(0, Pos);

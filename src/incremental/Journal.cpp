@@ -80,7 +80,10 @@ bool incremental::decodeJournal(std::string_view Bytes, CorpusJournal &Out,
     R.fail("unsupported journal version " + std::to_string(Version));
 
   CorpusJournal J;
-  uint64_t Count = R.readCount(MaxJournalEntries, "journal entry");
+  // An entry takes at least 11 bytes: three one-byte varints (generation,
+  // name and source lengths) and the u64 checksum.
+  uint64_t Count =
+      R.readCount(MaxJournalEntries, "journal entry", /*MinBytesEach=*/11);
   J.Entries.reserve(static_cast<size_t>(Count));
   uint64_t PrevGen = 0;
   for (uint64_t I = 0; R.ok() && I < Count; ++I) {

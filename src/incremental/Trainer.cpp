@@ -165,8 +165,7 @@ incremental::trainFromJournal(const CorpusJournal &J,
                               const LearnerConfig &Config,
                               StringInterner &Strings,
                               std::string_view PrevArtifactBytes,
-                              bool ForceReplay, std::string *Err,
-                              const PipelineEngine *Engine) {
+                              bool ForceReplay, std::string *Err) {
   if (J.Entries.empty()) {
     if (Err)
       *Err = "journal is empty; ingest programs first";
@@ -215,12 +214,8 @@ incremental::trainFromJournal(const CorpusJournal &J,
       Span.arg("mode", std::string(trainModeName(Out.Mode)));
       Span.arg("programs", std::to_string(Corpus.size()));
     }
-    if (Engine && Engine->Full) {
-      Out.Result = Engine->Full(Corpus);
-    } else {
-      USpecLearner Learner(Strings, Config);
-      Out.Result = Learner.learn(Corpus);
-    }
+    USpecLearner Learner(Strings, Config);
+    Out.Result = Learner.learn(Corpus);
     appendManifestEntries(Out.Manifest, J, 0, Corpus);
     Out.ProgramsTrained = Corpus.size();
     return Out;
@@ -255,12 +250,8 @@ incremental::trainFromJournal(const CorpusJournal &J,
   Seed.BaseTrainingSamples = Prev->Result.NumTrainingSamples;
 
   Out.Mode = TrainMode::Warm;
-  if (Engine && Engine->Increment) {
-    Out.Result = Engine->Increment(Delta, std::move(Seed));
-  } else {
-    USpecLearner Learner(Strings, Config);
-    Out.Result = Learner.learnIncrement(Delta, std::move(Seed));
-  }
+  USpecLearner Learner(Strings, Config);
+  Out.Result = Learner.learnIncrement(Delta, std::move(Seed));
   Out.Manifest.Entries = Prev->Manifest.Entries;
   appendManifestEntries(Out.Manifest, J, Base, Delta);
   Out.ProgramsTrained = Delta.size();

@@ -805,11 +805,7 @@ int Server::serveUnixSocket(const std::string &Path,
       // again; answer once and drop the connection.
       if (Buffer.find('\n') == std::string::npos &&
           Buffer.size() > Config.MaxRequestBytes) {
-        sendAll(Fd, errorResponse("", "oversized",
-                                  "request line exceeds the " +
-                                      std::to_string(Config.MaxRequestBytes) +
-                                      "-byte limit") +
-                        "\n");
+        sendAll(Fd, oversizedLineResponse(Config.MaxRequestBytes) + "\n");
         break;
       }
       size_t Start = 0;

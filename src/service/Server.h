@@ -65,7 +65,7 @@ struct ServerConfig {
   size_t CacheCapacity = 256;
   unsigned CacheShards = 8;
   /// Request lines longer than this are answered `oversized` unparsed.
-  size_t MaxRequestBytes = 4 << 20;
+  size_t MaxRequestBytes = DefaultMaxRequestBytes;
   /// Default per-request deadline in ms (`serve --request-timeout`);
   /// 0 = none. A request's own `deadline_ms` takes precedence. Expired
   /// requests are answered with a structured `deadline_exceeded` error by

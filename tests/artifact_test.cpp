@@ -337,6 +337,104 @@ TEST(ArtifactIO, ManifestRoundTripAndMatching) {
   EXPECT_FALSE(Shorter.sameCorpus(M));
 }
 
+TEST(ArtifactIO, PlainManifestBytesArePinned) {
+  CorpusManifest M;
+  M.Entries.push_back({"a.mini", 0x1111});
+  M.Generation = 3;
+  static const char Pinned[] = "\x01\x06"
+                               "a.mini"
+                               "\x11\x11\x00\x00\x00\x00\x00\x00"
+                               "\x03";
+  EXPECT_EQ(encodeManifest(M), std::string(Pinned, sizeof(Pinned) - 1));
+}
+
+TEST(ArtifactIO, ManifestWithRetiredProvenanceFieldsStillDecodes) {
+  // The retired distributed trainer could append two fields after the
+  // generation: a worker-count varint and a shard-map checksum. Artifacts
+  // that carry them keep loading; the fields are read and dropped.
+  CorpusManifest M;
+  M.Entries.push_back({"a.mini", 0x1111});
+  M.Entries.push_back({"b.mini", 0x2222});
+  M.Generation = 5;
+  BinaryWriter Tail;
+  Tail.writeVarint(4);
+  Tail.writeU64(0x0123456789ABCDEFull);
+  std::string Bytes = encodeManifest(M) + Tail.take();
+
+  ArtifactError Err;
+  auto Loaded = decodeManifest(Bytes, &Err);
+  ASSERT_TRUE(Loaded.has_value()) << Err.str();
+  EXPECT_EQ(*Loaded, M);
+  EXPECT_EQ(Loaded->Generation, 5u);
+  // Re-encoding drops them: the result is a plain manifest.
+  EXPECT_EQ(encodeManifest(*Loaded), encodeManifest(M));
+  // Anything past the two fields is still an error.
+  EXPECT_FALSE(decodeManifest(Bytes + "x", &Err).has_value());
+}
+
+namespace {
+
+/// A varint claiming 2^24 elements (the manifest and candidate limits) and
+/// nothing after it: a 4-byte payload that must fail at the count, before
+/// the decoder reserves anything for 2^24 elements.
+const std::string CountLie("\x80\x80\x80\x08", 4);
+
+void expectFailsAtTheCount(const ArtifactError &Err, const char *What) {
+  EXPECT_NE(Err.Message.find(std::string(What) + " count 16777216 needs at "
+                                                 "least"),
+            std::string::npos)
+      << Err.str();
+  EXPECT_EQ(Err.Offset, 4u) << Err.str();
+}
+
+} // namespace
+
+TEST(ArtifactIO, ManifestCountLieFailsAtTheCount) {
+  ArtifactError Err;
+  EXPECT_FALSE(decodeManifest(CountLie, &Err).has_value());
+  expectFailsAtTheCount(Err, "manifest");
+}
+
+TEST(ArtifactIO, CandidateCountLieFailsAtTheCount) {
+  StringInterner S;
+  auto Table = SymbolTable::decode(SymbolTableBuilder(S).encode(), S);
+  ASSERT_TRUE(Table.has_value());
+  ArtifactError Err;
+  EXPECT_FALSE(decodeCandidates(CountLie, *Table, &Err).has_value());
+  expectFailsAtTheCount(Err, "candidate");
+}
+
+TEST(ArtifactIO, StringAndLedgerCountLiesFailAtTheCount) {
+  StringInterner S;
+  ArtifactError Err;
+  EXPECT_FALSE(SymbolTable::decode(CountLie, S, &Err).has_value());
+  expectFailsAtTheCount(Err, "string");
+
+  auto Table = SymbolTable::decode(SymbolTableBuilder(S).encode(), S);
+  ASSERT_TRUE(Table.has_value());
+  EXPECT_FALSE(decodeLedger(CountLie, *Table, &Err).has_value());
+  expectFailsAtTheCount(Err, "ledger entry");
+
+  // One honest entry whose confidence count then claims 2^24 doubles.
+  StringInterner S2;
+  CandidateLedger Ledger;
+  CandidateLedger::Entry E;
+  E.S = Spec::retSame(mid(S2, "Map", "get", 1));
+  Ledger.Entries.push_back(E);
+  SymbolTableBuilder Builder(S2);
+  std::string Honest = encodeLedger(Ledger, Builder);
+  auto Table2 = SymbolTable::decode(Builder.encode(), S2);
+  ASSERT_TRUE(Table2.has_value());
+  ASSERT_TRUE(decodeLedger(Honest, *Table2, &Err).has_value()) << Err.str();
+  // Honest = count, 4 spec bytes, confidence count 0, matches, programs.
+  ASSERT_EQ(Honest.size(), 8u);
+  std::string Lie = Honest.substr(0, 5) + CountLie + Honest.substr(6);
+  EXPECT_FALSE(decodeLedger(Lie, *Table2, &Err).has_value());
+  EXPECT_NE(Err.Message.find("confidence count 16777216 needs at least"),
+            std::string::npos)
+      << Err.str();
+}
+
 //===----------------------------------------------------------------------===//
 // Checkpointed pipeline: train → save → load → select(τ) ≡ learn
 //===----------------------------------------------------------------------===//

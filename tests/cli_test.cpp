@@ -54,11 +54,20 @@ std::string writeTinyProgram() {
 } // namespace
 
 TEST(Cli, UnknownSubcommandNamesTokenAndExits2) {
-  RunResult R = runCli("frobnicate");
-  EXPECT_EQ(R.ExitCode, 2);
-  EXPECT_NE(R.Output.find("unknown subcommand 'frobnicate'"),
-            std::string::npos)
-      << R.Output;
+  struct Case {
+    const char *Args;
+    const char *Message;
+  } Cases[] = {
+      {"frobnicate", "unknown subcommand 'frobnicate'"},
+      // The distributed-training worker was removed with its feature.
+      {"worker --connect x", "unknown subcommand 'worker'"},
+  };
+  for (const Case &C : Cases) {
+    RunResult R = runCli(C.Args);
+    EXPECT_EQ(R.ExitCode, 2) << C.Args << ": " << R.Output;
+    EXPECT_NE(R.Output.find(C.Message), std::string::npos)
+        << C.Args << ": " << R.Output;
+  }
 }
 
 TEST(Cli, UnknownFlagsNameTokenAndExit2) {
@@ -69,6 +78,11 @@ TEST(Cli, UnknownFlagsNameTokenAndExit2) {
       {"gen --bogus", "'--bogus'"},
       {"learn a.mini --frob", "'--frob'"},
       {"train a.mini --frob", "'--frob'"},
+      // Flags of the removed distributed trainer.
+      {"train a.mini -o r.uspb --distributed 2", "'--distributed'"},
+      {"train a.mini -o r.uspb --listen x", "'--listen'"},
+      {"train a.mini -o r.uspb --worker-threads 2", "'--worker-threads'"},
+      {"train a.mini -o r.uspb --provenance", "'--provenance'"},
       {"select run.uspb --nope", "'--nope'"},
       {"analyze a.mini --wat", "'--wat'"},
       {"serve --listen", "'--listen'"},

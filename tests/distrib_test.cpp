@@ -1,46 +1,44 @@
-//===- distrib_test.cpp - Distributed training + routed serving ----------===//
+//===- distrib_test.cpp - Consistent-hash routed serving ------------------===//
 //
 // Part of the USpec reproduction (PLDI 2019). MIT license.
 //
-// Pins the DESIGN.md §14 contracts:
+// Pins the DESIGN.md §14–15 contracts of `uspec route`:
 //
-//   - Wire codecs round-trip every message type, and frames survive a real
-//     socket (length-prefixed, binary-safe).
-//   - `train --distributed N` is byte-identical to single-process `train`
-//     at any worker count, for both file-list and --journal (full and warm)
-//     runs — the flagship determinism claim.
-//   - Worker death (injected SIGKILL via USPEC_FAULT) converges to the same
-//     bytes through reassignment/demotion.
 //   - The consistent-hash router keeps ownership stable when a replica is
 //     removed from the ring, fails over deterministically when one is
 //     marked down, and broadcast reload swaps every replica's model with
 //     no stale cache bleed-through.
+//   - A routed answer is byte-identical to the replica's direct answer,
+//     including the `oversized` answer to an unframed line past the cap.
+//   - Self-healing: supervision and respawn, ring rejoin, hedging and the
+//     warm-cache handoff.
 //
-// CLI-driven suites use the real `uspec` binary (USPEC_CLI_PATH, injected
-// by CMake); router suites run distrib::Router and service::Server
-// in-process on Unix sockets under testing::TempDir().
+// Router suites run distrib::Router and service::Server in-process on Unix
+// sockets under testing::TempDir(); the respawn case drives the real
+// `uspec` binary (USPEC_CLI_PATH, injected by CMake).
 //
 //===----------------------------------------------------------------------===//
 
-#include "artifact/Binary.h"
-#include "artifact/Container.h"
 #include "distrib/Router.h"
 #include "distrib/Wire.h"
 #include "service/Protocol.h"
 #include "service/Server.h"
 #include "support/FaultInject.h"
-#include "support/Random.h"
 
 #include <gtest/gtest.h>
 
+#include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <memory>
 #include <sstream>
 #include <string>
 #include <sys/socket.h>
+#include <sys/time.h>
+#include <sys/un.h>
 #include <sys/wait.h>
 #include <thread>
 #include <unistd.h>
@@ -75,10 +73,6 @@ RunResult runShell(const std::string &Command) {
   return R;
 }
 
-RunResult runCli(const std::string &ArgString) {
-  return runShell(std::string(USPEC_CLI_PATH) + " " + ArgString);
-}
-
 std::string readFile(const std::string &Path) {
   std::ifstream In(Path, std::ios::binary);
   std::ostringstream Out;
@@ -102,16 +96,6 @@ std::string scratchDir(const std::string &Name) {
   return Dir;
 }
 
-/// Byte-level artifact comparison without dumping binary on failure.
-void expectSameBytes(const std::string &PathA, const std::string &PathB,
-                     const char *What) {
-  std::string A = readFile(PathA), B = readFile(PathB);
-  ASSERT_FALSE(A.empty()) << PathA << " is empty/missing (" << What << ")";
-  EXPECT_EQ(A.size(), B.size()) << What;
-  EXPECT_TRUE(A == B) << What << ": " << PathA << " and " << PathB
-                      << " differ";
-}
-
 /// A small MiniLang program whose text varies with \p Salt — used to find
 /// programs landing on specific ring owners.
 std::string miniProgram(unsigned Salt) {
@@ -119,27 +103,6 @@ std::string miniProgram(unsigned Salt) {
   return "class Main { def main() { var m = new Map(); m.put(\"" + K +
          "\", 1); var a = m.get(\"" + K + "\"); var b = m.get(\"" + K +
          "\"); } }";
-}
-
-const std::vector<uint32_t> S1Hashes = {1u, 0xFFFFFFFFu, 42u};
-const std::vector<uint32_t> S2Hashes = {7u};
-
-/// A two-program shard reply: two samples for the first program, none for
-/// the quarantined second.
-AnalyzedResult twoProgramResult() {
-  AnalyzedResult Result;
-  Result.Shard = 5;
-  Result.Graphs = 2;
-  Result.Samples.add(0x0102, 1.0f, S1Hashes);
-  Result.Samples.add(0x0201, 0.0f, S2Hashes);
-  Result.ProgramSamples = {2, 0};
-  Result.QReason = {"", "parse: boom"};
-  return Result;
-}
-
-std::vector<uint32_t> hashesOf(const SampleSet &Set, size_t I) {
-  std::span<const uint32_t> H = Set.hashes(I);
-  return {H.begin(), H.end()};
 }
 
 std::string analyzeRequest(const std::string &Id, const std::string &Prog) {
@@ -157,474 +120,6 @@ std::string analyzeRequest(const std::string &Id, const std::string &Prog) {
 }
 
 } // namespace
-
-//===----------------------------------------------------------------------===//
-// DistribWire: addresses, frames, message codecs
-//===----------------------------------------------------------------------===//
-
-TEST(DistribWire, ParseAddressForms) {
-  std::string Err;
-  auto A = parseAddress("unix:/tmp/x.sock", &Err);
-  ASSERT_TRUE(A) << Err;
-  EXPECT_FALSE(A->Tcp);
-  EXPECT_EQ(A->Path, "/tmp/x.sock");
-  EXPECT_EQ(A->str(), "unix:/tmp/x.sock");
-
-  auto Bare = parseAddress("/tmp/y.sock", &Err);
-  ASSERT_TRUE(Bare) << Err;
-  EXPECT_FALSE(Bare->Tcp);
-  EXPECT_EQ(Bare->Path, "/tmp/y.sock");
-
-  auto T = parseAddress("tcp:127.0.0.1:7070", &Err);
-  ASSERT_TRUE(T) << Err;
-  EXPECT_TRUE(T->Tcp);
-  EXPECT_EQ(T->Path, "127.0.0.1");
-  EXPECT_EQ(T->Port, 7070);
-  EXPECT_EQ(T->str(), "tcp:127.0.0.1:7070");
-
-  // A bare token is a (relative) Unix socket path, matching serve --socket.
-  auto Rel = parseAddress("nonsense", &Err);
-  ASSERT_TRUE(Rel) << Err;
-  EXPECT_FALSE(Rel->Tcp);
-
-  EXPECT_FALSE(parseAddress("tcp:hostonly", &Err));
-  EXPECT_FALSE(parseAddress("tcp:h:99999", &Err));
-  EXPECT_FALSE(parseAddress("", &Err));
-}
-
-TEST(DistribWire, FramesSurviveASocketBinarySafe) {
-  int Fds[2];
-  ASSERT_EQ(socketpair(AF_UNIX, SOCK_STREAM, 0, Fds), 0);
-
-  // Arbitrary bytes, embedded NULs included: the frame layer is oblivious
-  // to payload contents.
-  std::string Payload = "abc";
-  Payload.push_back('\0');
-  Payload += "def\xff\x01";
-  std::string Err;
-  ASSERT_TRUE(sendFrame(Fds[0], Payload, &Err)) << Err;
-  std::string Got;
-  ASSERT_TRUE(recvFrame(Fds[1], Got, &Err)) << Err;
-  EXPECT_EQ(Got, Payload);
-
-  // A second frame queued behind the first is framed independently.
-  ASSERT_TRUE(sendFrame(Fds[0], "second", &Err)) << Err;
-  ASSERT_TRUE(sendFrame(Fds[0], "", &Err)) << Err;
-  ASSERT_TRUE(recvFrame(Fds[1], Got, &Err)) << Err;
-  EXPECT_EQ(Got, "second");
-  ASSERT_TRUE(recvFrame(Fds[1], Got, &Err)) << Err;
-  EXPECT_EQ(Got, "");
-
-  // Peer close = clean EOF, not garbage.
-  close(Fds[0]);
-  EXPECT_FALSE(recvFrame(Fds[1], Got, &Err));
-  close(Fds[1]);
-
-  // Garbage bytes are not a USPB container.
-  EXPECT_FALSE(peekType(Payload, &Err));
-}
-
-TEST(DistribWire, ControlMessagesRoundTrip) {
-  std::string Frame = encodeControl(MsgType::Hello, "pid 1234");
-  auto Type = peekType(Frame);
-  ASSERT_TRUE(Type);
-  EXPECT_EQ(*Type, MsgType::Hello);
-
-  MsgType T;
-  std::string Text, Err;
-  ASSERT_TRUE(decodeControl(Frame, T, Text, &Err)) << Err;
-  EXPECT_EQ(T, MsgType::Hello);
-  EXPECT_EQ(Text, "pid 1234");
-
-  Frame = encodeControl(MsgType::Error, "shard 3 exploded");
-  ASSERT_TRUE(decodeControl(Frame, T, Text, &Err)) << Err;
-  EXPECT_EQ(T, MsgType::Error);
-  EXPECT_EQ(Text, "shard 3 exploded");
-}
-
-TEST(DistribWire, InitRoundTripsConfigAndInternerSnapshot) {
-  InitMsg Msg;
-  Msg.Config.Seed = 0xDEADBEEF12345678ull;
-  Msg.Config.DistanceBound = 7;
-  Msg.Config.ProgramStepBudget = 100000;
-  Msg.Config.Threads = 3;
-  Msg.Config.ExperimentalPatterns = true;
-  Msg.Symbols = {"Map", "get", "", "put", "a string with spaces"};
-  Msg.WorkerId = 42;
-
-  std::string Frame = encodeInit(Msg);
-  auto Type = peekType(Frame);
-  ASSERT_TRUE(Type);
-  EXPECT_EQ(*Type, MsgType::Init);
-
-  InitMsg Out;
-  std::string Err;
-  ASSERT_TRUE(decodeInit(Frame, Out, &Err)) << Err;
-  EXPECT_EQ(Out.Config.Seed, Msg.Config.Seed);
-  EXPECT_EQ(Out.Config.DistanceBound, Msg.Config.DistanceBound);
-  EXPECT_EQ(Out.Config.ProgramStepBudget, Msg.Config.ProgramStepBudget);
-  EXPECT_EQ(Out.Config.Threads, Msg.Config.Threads);
-  EXPECT_EQ(Out.Config.ExperimentalPatterns, Msg.Config.ExperimentalPatterns);
-  EXPECT_EQ(Out.Symbols, Msg.Symbols);
-  EXPECT_EQ(Out.WorkerId, Msg.WorkerId);
-}
-
-TEST(DistribWire, AnalyzeTaskAndResultRoundTrip) {
-  AnalyzeTask Task;
-  Task.Shard = 5;
-  Task.Base = 17;
-  Task.Programs = {{"a.mini", "class A {}"}, {"b.mini", "class B {}"}};
-
-  std::string Frame = encodeAnalyzeTask(Task);
-  AnalyzeTask TOut;
-  std::string Err;
-  ASSERT_TRUE(decodeAnalyzeTask(Frame, TOut, &Err)) << Err;
-  EXPECT_EQ(TOut.Shard, 5u);
-  EXPECT_EQ(TOut.Base, 17u);
-  ASSERT_EQ(TOut.Programs.size(), 2u);
-  EXPECT_EQ(TOut.Programs[0].Name, "a.mini");
-  EXPECT_EQ(TOut.Programs[1].Source, "class B {}");
-
-  Frame = encodeAnalyzedResult(twoProgramResult());
-  AnalyzedResult ROut;
-  ASSERT_TRUE(decodeAnalyzedResult(Frame, ROut, &Err)) << Err;
-  EXPECT_EQ(ROut.Shard, 5u);
-  EXPECT_EQ(ROut.Graphs, 2u);
-  ASSERT_EQ(ROut.ProgramSamples.size(), 2u);
-  ASSERT_EQ(ROut.ProgramSamples[0], 2u);
-  EXPECT_EQ(ROut.ProgramSamples[1], 0u);
-  ASSERT_EQ(ROut.Samples.size(), 2u);
-  EXPECT_EQ(ROut.Samples.posKey(0), 0x0102);
-  EXPECT_EQ(hashesOf(ROut.Samples, 0), S1Hashes);
-  EXPECT_EQ(ROut.Samples.label(0), 1.0f);
-  EXPECT_EQ(hashesOf(ROut.Samples, 1), S2Hashes);
-  ASSERT_EQ(ROut.QReason.size(), 2u);
-  EXPECT_EQ(ROut.QReason[1], "parse: boom");
-}
-
-TEST(DistribWire, AnalyzedFrameBytesArePinned) {
-  // The flat sample layout is an in-memory change only: the frame a worker
-  // sends is byte-for-byte the per-sample encoding, so mixed-version fleets
-  // and recorded frames keep decoding.
-  static const char Pinned[] =
-      "\x55\x53\x50\x42\x01\x00\x00\x00\x01\x04\x64\x6d\x73\x67\x00"
-      "\x31\x53\x1c\xba\x54\x38\xe2\xfc\x24\x04\x05\x02\x02\x00\x02"
-      "\x02\x01\x00\x00\x80\x3f\x03\x01\x00\x00\x00\xff\xff\xff\xff"
-      "\x2a\x00\x00\x00\x01\x02\x00\x00\x00\x00\x01\x07\x00\x00\x00"
-      "\x0b\x70\x61\x72\x73\x65\x3a\x20\x62\x6f\x6f\x6d\x00";
-  EXPECT_EQ(encodeAnalyzedResult(twoProgramResult()),
-            std::string(Pinned, sizeof(Pinned) - 1));
-}
-
-TEST(DistribWireFuzz, AnalyzedFrameMutationsFailCleanly) {
-  // A realistic shard reply: several programs, some without samples.
-  Rng Rand(0xA11A);
-  AnalyzedResult Result;
-  Result.Shard = 3;
-  Result.Graphs = 6;
-  for (int P = 0; P < 8; ++P) {
-    uint64_t Samples = P % 3 == 1 ? 0 : 1 + Rand.below(12);
-    for (uint64_t I = 0; I < Samples; ++I) {
-      std::vector<uint32_t> Hashes(1 + Rand.below(10));
-      for (uint32_t &H : Hashes)
-        H = static_cast<uint32_t>(Rand.next());
-      Result.Samples.add(static_cast<uint16_t>(Rand.below(36)),
-                         static_cast<float>(I % 2), Hashes);
-    }
-    Result.ProgramSamples.push_back(Samples);
-    Result.QReason.push_back(P == 4 ? "analysis:steps" : "");
-  }
-  const std::string Frame = encodeAnalyzedResult(Result);
-  std::string Err;
-  AnalyzedResult Out;
-  ASSERT_TRUE(decodeAnalyzedResult(Frame, Out, &Err)) << Err;
-
-  auto ExpectRejected = [&](const std::string &Bad, const std::string &What) {
-    std::string E;
-    AnalyzedResult O;
-    EXPECT_FALSE(decodeAnalyzedResult(Bad, O, &E)) << What;
-    EXPECT_FALSE(E.empty()) << What << ": no error message";
-  };
-  for (int Case = 0; Case < 300; ++Case) {
-    std::string Bad = Frame;
-    size_t At = Rand.below(Bad.size());
-    Bad[At] = static_cast<char>(Bad[At] ^ (1u << Rand.below(8)));
-    ExpectRejected(Bad, "bit flip at " + std::to_string(At));
-  }
-  for (size_t Len = 0; Len < Frame.size(); ++Len)
-    ExpectRejected(Frame.substr(0, Len), "truncated to " + std::to_string(Len));
-  for (size_t Extra : {1u, 7u, 64u})
-    ExpectRejected(Frame + std::string(Extra, '\x01'),
-                   "extended by " + std::to_string(Extra));
-}
-
-TEST(DistribWireFuzz, AnalyzedCountLiesInsideAValidContainer) {
-  // Each payload sits in a well-formed, correctly checksummed container, so
-  // only the decoder's own bounds stand between a lying count and an
-  // allocation sized by it. Each count must fit in the bytes that remain.
-  auto FrameOf = [](std::initializer_list<uint64_t> Varints,
-                    const std::string &Tail = "") {
-    BinaryWriter W;
-    W.writeU8(static_cast<uint8_t>(MsgType::Analyzed));
-    for (uint64_t V : Varints)
-      W.writeVarint(V);
-    std::string Bytes = W.take() + Tail;
-    ArtifactWriter Art;
-    Art.addSection("dmsg", std::move(Bytes));
-    return Art.finish();
-  };
-  // One sample: PosKey 0, label 1.0f, one hash.
-  const std::string OneSample =
-      std::string("\x00\x00\x00\x00\x80\x3f\x01", 7) +
-      std::string("\x2a\x00\x00\x00", 4);
-  struct Lie {
-    const char *What;
-    std::string Frame;
-  };
-  std::vector<Lie> Lies = {
-      // shard, graphs, programs, then per program: reason, samples, ...
-      {"2^28-1 samples, none sent", FrameOf({0, 0, 1, 0, (1u << 28) - 1})},
-      {"2^24 samples, none sent", FrameOf({0, 0, 1, 0, 1u << 24})},
-      {"2^24 programs, none sent", FrameOf({0, 0, 1u << 24})},
-      {"one more program than sent", FrameOf({0, 0, 2, 0, 1}, OneSample)},
-      {"one more sample than sent", FrameOf({0, 0, 1, 0, 2}, OneSample)},
-      {"2^20 hashes, one sent",
-       FrameOf({0, 0, 1, 0, 1},
-               std::string("\x00\x00\x00\x00\x80\x3f\x80\x80\x40", 9) +
-                   std::string("\x2a\x00\x00\x00", 4))},
-      {"over the program limit", FrameOf({0, 0, (1u << 24) + 1})},
-      {"trailing bytes", FrameOf({0, 0, 1, 0, 1}, OneSample + "x")},
-  };
-  for (const Lie &L : Lies) {
-    std::string Err;
-    AnalyzedResult Out;
-    EXPECT_FALSE(decodeAnalyzedResult(L.Frame, Out, &Err)) << L.What;
-    EXPECT_FALSE(Err.empty()) << L.What;
-  }
-  // The honest version of the same container decodes.
-  std::string Err;
-  AnalyzedResult Out;
-  ASSERT_TRUE(decodeAnalyzedResult(FrameOf({0, 0, 1, 0, 1}, OneSample), Out,
-                                   &Err))
-      << Err;
-  EXPECT_EQ(Out.Samples.size(), 1u);
-  EXPECT_EQ(hashesOf(Out.Samples, 0), std::vector<uint32_t>{42});
-}
-
-TEST(DistribWire, ExtractTaskAndResultRoundTrip) {
-  ExtractTask Task;
-  Task.Shard = 9;
-  Task.Base = 3;
-  // Empty Programs = "use your cached shard state".
-  std::string Frame = encodeExtractTask(Task);
-  ExtractTask TOut;
-  std::string Err;
-  ASSERT_TRUE(decodeExtractTask(Frame, TOut, &Err)) << Err;
-  EXPECT_EQ(TOut.Shard, 9u);
-  EXPECT_EQ(TOut.Base, 3u);
-  EXPECT_TRUE(TOut.Programs.empty());
-
-  StringInterner Strings;
-  ExtractedResult Result;
-  Result.Shard = 9;
-  Result.QUpdates = {{2, "extract:steps"}};
-  Result.ReceiverPairs = 100;
-  Result.Matches = 40;
-  Result.PeakCandidates = 12;
-
-  Frame = encodeExtractedResult(Result, Strings);
-  StringInterner Fresh;
-  ExtractedResult ROut;
-  ASSERT_TRUE(decodeExtractedResult(Frame, ROut, Fresh, &Err)) << Err;
-  EXPECT_EQ(ROut.Shard, 9u);
-  ASSERT_EQ(ROut.QUpdates.size(), 1u);
-  EXPECT_EQ(ROut.QUpdates[0].first, 2u);
-  EXPECT_EQ(ROut.QUpdates[0].second, "extract:steps");
-  EXPECT_EQ(ROut.ReceiverPairs, 100u);
-  EXPECT_EQ(ROut.Matches, 40u);
-  EXPECT_EQ(ROut.PeakCandidates, 12u);
-  EXPECT_TRUE(ROut.Ledger.Entries.empty());
-}
-
-TEST(DistribWire, ModelMessageRoundTrip) {
-  EdgeModelConfig Cfg;
-  Cfg.DimBits = 10;
-  Cfg.Epochs = 2;
-  EdgeModel Model(Cfg);
-  std::string Frame = encodeModelMsg(Model);
-  auto Type = peekType(Frame);
-  ASSERT_TRUE(Type);
-  EXPECT_EQ(*Type, MsgType::Model);
-  EdgeModel Out;
-  std::string Err;
-  ASSERT_TRUE(decodeModelMsg(Frame, Out, &Err)) << Err;
-  EXPECT_EQ(encodeModelMsg(Out), Frame);
-}
-
-//===----------------------------------------------------------------------===//
-// DistribTrain: byte-identity against single-process training (CLI)
-//===----------------------------------------------------------------------===//
-
-TEST(DistribTrain, FileListByteIdenticalAt1_2_4Workers) {
-  std::string Dir = scratchDir("filelist");
-  RunResult Gen =
-      runCli("gen --profile java -n 12 -o " + Dir + "/corpus --seed 3");
-  ASSERT_EQ(Gen.ExitCode, 0) << Gen.Output;
-
-  RunResult Single = runCli("train " + Dir + "/corpus/*.mini -o " + Dir +
-                            "/single.uspb --seed 7");
-  ASSERT_EQ(Single.ExitCode, 0) << Single.Output;
-
-  for (unsigned W : {1u, 2u, 4u}) {
-    std::string Out = Dir + "/dist" + std::to_string(W) + ".uspb";
-    RunResult Dist = runCli("train " + Dir + "/corpus/*.mini -o " + Out +
-                            " --seed 7 --distributed " + std::to_string(W));
-    ASSERT_EQ(Dist.ExitCode, 0) << Dist.Output;
-    EXPECT_NE(Dist.Output.find("distributed:"), std::string::npos)
-        << Dist.Output;
-    expectSameBytes(Dir + "/single.uspb", Out,
-                    ("file-list, " + std::to_string(W) + " workers").c_str());
-  }
-}
-
-TEST(DistribTrain, WorkCountersMatchInProcess) {
-  // The deterministic --stats counters of a distributed run equal the
-  // in-process run's: the coordinator trains on the same samples, so the
-  // same number of feature hashes (ROADMAP 1(a) counters).
-  std::string Dir = scratchDir("counters");
-  ASSERT_EQ(runCli("gen --profile java -n 12 -o " + Dir + "/corpus --seed 4")
-                .ExitCode, 0);
-  auto Counter = [](const std::string &Output, const std::string &Key) {
-    size_t At = Output.find("\"" + Key + "\": ");
-    EXPECT_NE(At, std::string::npos) << Key << " missing in " << Output;
-    return At == std::string::npos
-               ? std::string()
-               : Output.substr(At, Output.find(',', At) - At);
-  };
-  RunResult Single = runCli("train " + Dir + "/corpus/*.mini -o " + Dir +
-                            "/single.uspb --seed 7 --stats");
-  ASSERT_EQ(Single.ExitCode, 0) << Single.Output;
-  RunResult Dist = runCli("train " + Dir + "/corpus/*.mini -o " + Dir +
-                          "/dist.uspb --seed 7 --stats --distributed 2");
-  ASSERT_EQ(Dist.ExitCode, 0) << Dist.Output;
-  EXPECT_NE(Counter(Single.Output, "feature_hashes"), "\"feature_hashes\": 0");
-  for (const char *Key : {"training_samples", "feature_hashes", "graphs",
-                          "matches", "receiver_pairs", "candidates"})
-    EXPECT_EQ(Counter(Single.Output, Key), Counter(Dist.Output, Key));
-}
-
-TEST(DistribTrain, JournalFullAndWarmByteIdentical) {
-  std::string Dir = scratchDir("journal");
-  ASSERT_EQ(runCli("gen --profile java -n 10 -o " + Dir + "/c1 --seed 5")
-                .ExitCode, 0);
-  ASSERT_EQ(runCli("ingest " + Dir + "/c1/*.mini -j " + Dir + "/c.uspj")
-                .ExitCode, 0);
-
-  // Full journal run, single vs 2 workers.
-  RunResult Single = runCli("train --journal " + Dir + "/c.uspj -o " + Dir +
-                            "/single.uspb --seed 11");
-  ASSERT_EQ(Single.ExitCode, 0) << Single.Output;
-  RunResult Dist = runCli("train --journal " + Dir + "/c.uspj -o " + Dir +
-                          "/dist.uspb --seed 11 --distributed 2");
-  ASSERT_EQ(Dist.ExitCode, 0) << Dist.Output;
-  expectSameBytes(Dir + "/single.uspb", Dir + "/dist.uspb", "journal full");
-
-  // Grow the journal; both sides warm-start from their (identical) priors.
-  ASSERT_EQ(runCli("gen --profile python -n 4 -o " + Dir + "/c2 --seed 6")
-                .ExitCode, 0);
-  ASSERT_EQ(runCli("ingest " + Dir + "/c2/*.mini -j " + Dir + "/c.uspj")
-                .ExitCode, 0);
-  Single = runCli("train --journal " + Dir + "/c.uspj -o " + Dir +
-                  "/single.uspb --seed 11");
-  ASSERT_EQ(Single.ExitCode, 0) << Single.Output;
-  EXPECT_NE(Single.Output.find("warm"), std::string::npos) << Single.Output;
-  Dist = runCli("train --journal " + Dir + "/c.uspj -o " + Dir +
-                "/dist.uspb --seed 11 --distributed 3");
-  ASSERT_EQ(Dist.ExitCode, 0) << Dist.Output;
-  EXPECT_NE(Dist.Output.find("warm"), std::string::npos) << Dist.Output;
-  expectSameBytes(Dir + "/single.uspb", Dir + "/dist.uspb", "journal warm");
-}
-
-TEST(DistribTrain, ProvenanceIsOptInAndPlainArtifactsUnchanged) {
-  std::string Dir = scratchDir("provenance");
-  ASSERT_EQ(runCli("gen --profile java -n 8 -o " + Dir + "/corpus --seed 9")
-                .ExitCode, 0);
-  ASSERT_EQ(runCli("train " + Dir + "/corpus/*.mini -o " + Dir +
-                   "/single.uspb --seed 2").ExitCode, 0);
-
-  // Without --provenance the distributed artifact is byte-identical.
-  ASSERT_EQ(runCli("train " + Dir + "/corpus/*.mini -o " + Dir +
-                   "/plain.uspb --seed 2 --distributed 2").ExitCode, 0);
-  expectSameBytes(Dir + "/single.uspb", Dir + "/plain.uspb",
-                  "no-provenance distributed");
-  RunResult InfoPlain = runCli("info " + Dir + "/plain.uspb");
-  ASSERT_EQ(InfoPlain.ExitCode, 0) << InfoPlain.Output;
-  EXPECT_EQ(InfoPlain.Output.find("distributed training:"),
-            std::string::npos) << InfoPlain.Output;
-
-  // With --provenance the manifest records worker count + shard map, and
-  // `uspec info` surfaces it.
-  ASSERT_EQ(runCli("train " + Dir + "/corpus/*.mini -o " + Dir +
-                   "/prov.uspb --seed 2 --distributed 2 --provenance")
-                .ExitCode, 0);
-  EXPECT_NE(readFile(Dir + "/prov.uspb"), readFile(Dir + "/single.uspb"));
-  RunResult Info = runCli("info " + Dir + "/prov.uspb");
-  ASSERT_EQ(Info.ExitCode, 0) << Info.Output;
-  EXPECT_NE(Info.Output.find("distributed training: 2 worker(s)"),
-            std::string::npos) << Info.Output;
-}
-
-//===----------------------------------------------------------------------===//
-// DistribFault: injected worker death converges to identical bytes
-//===----------------------------------------------------------------------===//
-
-namespace {
-
-/// Trains the fault-free baseline once per suite run.
-std::string faultBaseline(const std::string &Dir) {
-  EXPECT_EQ(runCli("gen --profile java -n 10 -o " + Dir + "/corpus --seed 4")
-                .ExitCode, 0);
-  RunResult R = runCli("train " + Dir + "/corpus/*.mini -o " + Dir +
-                       "/single.uspb --seed 13");
-  EXPECT_EQ(R.ExitCode, 0) << R.Output;
-  return Dir + "/single.uspb";
-}
-
-} // namespace
-
-TEST(DistribFault, WorkerKilledMidAnalyzeConvergesByteIdentical) {
-  std::string Dir = scratchDir("fault_analyze");
-  std::string Baseline = faultBaseline(Dir);
-  RunResult R = runShell("USPEC_FAULT=distrib.worker.analyze:0:kill " +
-                         std::string(USPEC_CLI_PATH) + " train " + Dir +
-                         "/corpus/*.mini -o " + Dir +
-                         "/dist.uspb --seed 13 --distributed 2");
-  ASSERT_EQ(R.ExitCode, 0) << R.Output;
-  EXPECT_NE(R.Output.find("died"), std::string::npos) << R.Output;
-  expectSameBytes(Baseline, Dir + "/dist.uspb", "kill mid-analyze");
-}
-
-TEST(DistribFault, WorkerKilledMidExtractConvergesByteIdentical) {
-  std::string Dir = scratchDir("fault_extract");
-  std::string Baseline = faultBaseline(Dir);
-  RunResult R = runShell("USPEC_FAULT=distrib.worker.extract:0:kill " +
-                         std::string(USPEC_CLI_PATH) + " train " + Dir +
-                         "/corpus/*.mini -o " + Dir +
-                         "/dist.uspb --seed 13 --distributed 2");
-  ASSERT_EQ(R.ExitCode, 0) << R.Output;
-  expectSameBytes(Baseline, Dir + "/dist.uspb", "kill mid-extract");
-}
-
-TEST(DistribFault, SpawnFailureDegradesButStaysByteIdentical) {
-  std::string Dir = scratchDir("fault_spawn");
-  std::string Baseline = faultBaseline(Dir);
-  RunResult R = runShell("USPEC_FAULT=distrib.spawn:0:throw " +
-                         std::string(USPEC_CLI_PATH) + " train " + Dir +
-                         "/corpus/*.mini -o " + Dir +
-                         "/dist.uspb --seed 13 --distributed 2");
-  ASSERT_EQ(R.ExitCode, 0) << R.Output;
-  expectSameBytes(Baseline, Dir + "/dist.uspb", "spawn fault");
-}
 
 //===----------------------------------------------------------------------===//
 // DistribRouter: ring math (pure, in-process)
@@ -892,6 +387,97 @@ TEST(DistribRouter, DeadReplicaFailsOverAndRecovers) {
   std::string Stats = R.handleLine("{\"id\":\"s\",\"verb\":\"stats\"}");
   EXPECT_NE(Stats.find("\"down\":[1]"), std::string::npos) << Stats;
   EXPECT_NE(Stats.find("\"ok\":false"), std::string::npos) << Stats;
+}
+
+namespace {
+
+/// What one client connection to \p SockPath gets back for \p Bytes sent
+/// without a newline: everything read until the peer hangs up or the 5 s
+/// receive timeout runs out (a peer that keeps buffering never answers).
+struct UnframedReply {
+  std::string Bytes;
+  bool Closed = false; ///< The peer hung up (as opposed to a timeout).
+};
+
+UnframedReply sendUnframed(const std::string &SockPath,
+                           const std::string &Bytes) {
+  UnframedReply Reply;
+  int Fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  if (Fd < 0) {
+    ADD_FAILURE() << "socket: " << std::strerror(errno);
+    return Reply;
+  }
+  timeval Timeout{5, 0};
+  ::setsockopt(Fd, SOL_SOCKET, SO_RCVTIMEO, &Timeout, sizeof(Timeout));
+  ::setsockopt(Fd, SOL_SOCKET, SO_SNDTIMEO, &Timeout, sizeof(Timeout));
+  sockaddr_un Addr{};
+  Addr.sun_family = AF_UNIX;
+  std::memcpy(Addr.sun_path, SockPath.c_str(), SockPath.size() + 1);
+  if (::connect(Fd, reinterpret_cast<sockaddr *>(&Addr), sizeof(Addr)) < 0) {
+    ADD_FAILURE() << "connect " << SockPath << ": " << std::strerror(errno);
+    ::close(Fd);
+    return Reply;
+  }
+  for (size_t Sent = 0; Sent < Bytes.size();) {
+    ssize_t N = ::send(Fd, Bytes.data() + Sent, Bytes.size() - Sent,
+                       MSG_NOSIGNAL);
+    if (N < 0 && errno == EINTR)
+      continue;
+    if (N <= 0)
+      break; // the peer may hang up before taking every byte
+    Sent += static_cast<size_t>(N);
+  }
+  char Buf[4096];
+  for (;;) {
+    ssize_t N = ::recv(Fd, Buf, sizeof(Buf), 0);
+    if (N < 0 && errno == EINTR)
+      continue;
+    if (N > 0) {
+      Reply.Bytes.append(Buf, static_cast<size_t>(N));
+      continue;
+    }
+    Reply.Closed = N == 0 || errno == ECONNRESET;
+    break;
+  }
+  ::close(Fd);
+  return Reply;
+}
+
+} // namespace
+
+// A request line that outgrows the cap without a newline can never frame
+// again. `serve` answers `oversized` once and hangs up; `route` must answer
+// the same bytes under the same cap instead of buffering without bound.
+TEST(DistribRouter, UnframedOversizedLineGetsTheReplicaAnswer) {
+  std::string Dir = scratchDir("router_oversized");
+  std::string SpecPath = Dir + "/specs.txt";
+  writeFile(SpecPath, "RetSame(Map.get/1)\n");
+  TestReplica RA;
+  ASSERT_TRUE(RA.start(Dir + "/ra.sock", SpecPath));
+
+  RouterConfig Cfg = ringConfig({RA.Path});
+  Cfg.AcceptPollMs = 20;
+  Router R(Cfg);
+  std::string RouterPath = Dir + "/router.sock";
+  std::thread Serve([&] { R.serveUnixSocket(RouterPath, nullptr); });
+  for (int I = 0; I < 200 && access(RouterPath.c_str(), F_OK) != 0; ++I)
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+
+  const std::string Line(service::DefaultMaxRequestBytes + 16, 'x');
+  UnframedReply Direct = sendUnframed(RA.Path, Line);
+  UnframedReply Routed = sendUnframed(RouterPath, Line);
+  EXPECT_NE(Direct.Bytes.find("\"kind\":\"oversized\""), std::string::npos)
+      << Direct.Bytes;
+  EXPECT_TRUE(Direct.Closed);
+  EXPECT_EQ(Routed.Bytes, Direct.Bytes);
+  EXPECT_TRUE(Routed.Closed) << "route kept the connection open";
+
+  // A routed shutdown stops the router loop (and drains the replica).
+  std::string Resp, Err;
+  EXPECT_TRUE(clientRoundTrip(RouterPath, "{\"verb\":\"shutdown\"}", Resp,
+                              &Err))
+      << Err;
+  Serve.join();
 }
 
 //===----------------------------------------------------------------------===//

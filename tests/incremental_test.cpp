@@ -156,6 +156,47 @@ TEST(IncrementalJournal, DetectsCorruption) {
       std::string_view(Bytes).substr(0, Bytes.size() - 3), Out));
 }
 
+TEST(IncrementalJournal, CountLieFailsAtTheCount) {
+  // Magic, version 1, then a varint claiming 2^24 entries and nothing
+  // else. Every entry takes at least 11 bytes, so the count fails before
+  // the decoder reserves room for 2^24 entries.
+  const std::string Lie("USPJ\x01\x00\x80\x80\x80\x08", 10);
+  CorpusJournal Out;
+  ArtifactError Err;
+  EXPECT_FALSE(decodeJournal(Lie, Out, &Err));
+  EXPECT_NE(Err.Message.find("journal entry count 16777216 needs at least"),
+            std::string::npos)
+      << Err.str();
+  EXPECT_EQ(Err.Offset, 10u) << Err.str();
+}
+
+TEST(IncrementalJournal, MutationsFailCleanly) {
+  std::vector<std::string> Sources = makeSources(4, /*Seed=*/11);
+  const std::string Bytes = encodeJournal(makeJournal(Sources, 4, 2));
+  CorpusJournal Out;
+  ArtifactError Err;
+  ASSERT_TRUE(decodeJournal(Bytes, Out, &Err)) << Err.str();
+
+  auto ExpectRejected = [](const std::string &Bad, const std::string &What) {
+    CorpusJournal O;
+    ArtifactError E;
+    EXPECT_FALSE(decodeJournal(Bad, O, &E)) << What;
+    EXPECT_FALSE(E.Message.empty()) << What << ": no error message";
+  };
+  Rng Rand(0x10A4);
+  for (int Case = 0; Case < 300; ++Case) {
+    std::string Bad = Bytes;
+    size_t At = Rand.below(Bad.size());
+    Bad[At] = static_cast<char>(Bad[At] ^ (1u << Rand.below(8)));
+    ExpectRejected(Bad, "bit flip at " + std::to_string(At));
+  }
+  for (size_t Len = 0; Len < Bytes.size(); ++Len)
+    ExpectRejected(Bytes.substr(0, Len), "truncated to " + std::to_string(Len));
+  for (size_t Extra : {1u, 7u, 64u})
+    ExpectRejected(Bytes + std::string(Extra, '\x01'),
+                   "extended by " + std::to_string(Extra));
+}
+
 TEST(IncrementalJournal, ChainChecksumIsPrefixStable) {
   std::vector<std::string> Sources = makeSources(6, /*Seed=*/9);
   CorpusJournal Short = makeJournal(Sources, 4);

@@ -395,6 +395,23 @@ double numField(const service::JsonValue &E, const char *Key) {
   return V ? V->NumberValue : 0;
 }
 
+/// The five phase spans nest inside \p Root (same thread, contained
+/// interval; 0.01us slack for the microsecond rounding).
+void expectPhasesNestedIn(const service::JsonValue &Doc,
+                          const service::JsonValue &Root) {
+  for (const char *Phase :
+       {"learn.phase1_analyze", "learn.phase2_train", "learn.phase3_extract",
+        "learn.phase4_score", "learn.phase5_select"}) {
+    const service::JsonValue *E = findEvent(Doc, Phase);
+    ASSERT_NE(E, nullptr) << Phase;
+    EXPECT_EQ(numField(*E, "tid"), numField(Root, "tid")) << Phase;
+    EXPECT_GE(numField(*E, "ts") + 0.01, numField(Root, "ts")) << Phase;
+    EXPECT_LE(numField(*E, "ts") + numField(*E, "dur"),
+              numField(Root, "ts") + numField(Root, "dur") + 0.01)
+        << Phase;
+  }
+}
+
 } // namespace
 
 TEST(TelemetryTrace, LearnTraceIsWellFormedAndNested) {
@@ -416,21 +433,10 @@ TEST(TelemetryTrace, LearnTraceIsWellFormedAndNested) {
     EXPECT_GE(numField(E, "dur"), 0.0);
   }
 
-  // The phase spans nest inside the top-level learn span (same thread,
-  // contained interval; 0.01us slack for the microsecond rounding).
+  // The phase spans nest inside the top-level learn span.
   const service::JsonValue *Learn = findEvent(Doc, "learn");
   ASSERT_NE(Learn, nullptr);
-  for (const char *Phase :
-       {"learn.phase1_analyze", "learn.phase2_train", "learn.phase3_extract",
-        "learn.phase4_score", "learn.phase5_select"}) {
-    const service::JsonValue *E = findEvent(Doc, Phase);
-    ASSERT_NE(E, nullptr) << Phase;
-    EXPECT_EQ(numField(*E, "tid"), numField(*Learn, "tid")) << Phase;
-    EXPECT_GE(numField(*E, "ts") + 0.01, numField(*Learn, "ts")) << Phase;
-    EXPECT_LE(numField(*E, "ts") + numField(*E, "dur"),
-              numField(*Learn, "ts") + numField(*Learn, "dur") + 0.01)
-        << Phase;
-  }
+  expectPhasesNestedIn(Doc, *Learn);
 
   // Per-program spans exist and carry their index argument.
   const service::JsonValue *Program = findEvent(Doc, "learn.program");
@@ -438,6 +444,65 @@ TEST(TelemetryTrace, LearnTraceIsWellFormedAndNested) {
   const service::JsonValue *Args = Program->find("args");
   ASSERT_NE(Args, nullptr);
   EXPECT_NE(Args->find("index"), nullptr);
+}
+
+TEST(TelemetryTrace, WarmIncrementTraceIsRootedAndNested) {
+  // A warm learnIncrement runs the same phase driver as learn but under a
+  // `learn.increment` root (perfbench's learn.increment_s reads it).
+  StringInterner Strings;
+  std::vector<IRProgram> Corpus = makeCorpus(12, /*Seed=*/17, Strings);
+  std::vector<IRProgram> Delta;
+  for (size_t I = 8; I < Corpus.size(); ++I)
+    Delta.push_back(std::move(Corpus[I]));
+  Corpus.resize(8);
+  LearnerConfig Cfg;
+  Cfg.Threads = 2;
+  USpecLearner Learner(Strings, Cfg);
+  LearnResult Base = Learner.learn(Corpus);
+  WarmStart Prev;
+  Prev.Model = std::move(Base.Model);
+  Prev.Ledger = std::move(Base.Ledger);
+  Prev.BasePrograms = Corpus.size();
+  Prev.BaseTrainingSamples = Base.NumTrainingSamples;
+
+  trace::start();
+  Learner.learnIncrement(Delta, std::move(Prev));
+  service::JsonValue Doc;
+  {
+    std::string Json = trace::stop();
+    std::string Err;
+    ASSERT_TRUE(service::parseJson(Json, Doc, &Err)) << Err;
+  }
+  EXPECT_EQ(findEvent(Doc, "learn"), nullptr);
+  const service::JsonValue *Root = findEvent(Doc, "learn.increment");
+  ASSERT_NE(Root, nullptr);
+  const service::JsonValue *RootArgs = Root->find("args");
+  ASSERT_NE(RootArgs, nullptr);
+  const service::JsonValue *BaseArg = RootArgs->find("base_programs");
+  ASSERT_NE(BaseArg, nullptr);
+  EXPECT_EQ(BaseArg->StringValue, "8");
+
+  // The root is not nested in any other span of its thread.
+  for (const service::JsonValue &E : Doc.find("traceEvents")->Items) {
+    if (&E == Root || numField(E, "tid") != numField(*Root, "tid"))
+      continue;
+    bool Encloses =
+        numField(E, "ts") <= numField(*Root, "ts") + 0.01 &&
+        numField(E, "ts") + numField(E, "dur") + 0.01 >=
+            numField(*Root, "ts") + numField(*Root, "dur");
+    EXPECT_FALSE(Encloses) << E.find("name")->StringValue;
+  }
+  expectPhasesNestedIn(Doc, *Root);
+
+  // Per-program spans carry global corpus indices: the delta starts at 8.
+  for (const service::JsonValue &E : Doc.find("traceEvents")->Items) {
+    const service::JsonValue *N = E.find("name");
+    if (!N || N->StringValue != "learn.program")
+      continue;
+    const service::JsonValue *Index = E.find("args")->find("index");
+    ASSERT_NE(Index, nullptr);
+    EXPECT_GE(std::stoul(Index->StringValue), 8u);
+  }
 }
 
 TEST(TelemetryTrace, ThreadFanOutShowsInTids) {
