@@ -14,27 +14,37 @@ using namespace uspec;
 
 namespace {
 
-uint64_t hashInstrList(const InstrList &Body, uint64_t Seed) {
+/// Hashes range \p R of \p Method. The sequence is the one artifact
+/// manifests persist: each instruction's fields, then the 0x11 marker and,
+/// for an If or While, its then or body range; an If then adds 0x22 and its
+/// else range. A While's condition range is hashed once, where it sits
+/// before the While, never again as part of the loop.
+uint64_t hashRange(const IRMethod &Method, IndexRange R, uint64_t Seed) {
   uint64_t H = Seed;
-  for (const Instr &I : Body) {
+  Method.forEach(R, [&](const Instr &I) {
     H = hashCombine(H, static_cast<uint64_t>(I.TheKind));
     H = hashCombine(H, I.Name.id());
     H = hashCombine(H, I.StrValue.id());
     H = hashCombine(H, static_cast<uint64_t>(I.LitKind));
-    H = hashCombine(H, static_cast<uint64_t>(I.IntValue));
-    H = hashCombine(H, I.Args.size());
+    H = hashCombine(H, static_cast<uint64_t>(I.intValue()));
+    H = hashCombine(H, I.numArgs());
     H = hashCombine(H, static_cast<uint64_t>(I.CondOp));
     // Slots are positional (deterministic lowering), so including them keeps
     // genuinely different data flow apart without depending on names.
     H = hashCombine(H, I.Dst);
     H = hashCombine(H, I.Src);
     H = hashCombine(H, I.Base);
-    for (VarId Arg : I.Args)
-      H = hashCombine(H, Arg);
-    H = hashInstrList(I.Inner1, hashCombine(H, 0x11));
-    if (I.TheKind == Instr::Kind::If)
-      H = hashInstrList(I.Inner2, hashCombine(H, 0x22));
-  }
+    if (I.TheKind == Instr::Kind::Call)
+      for (VarId Arg : Method.args(I))
+        H = hashCombine(H, Arg);
+    H = hashCombine(H, 0x11);
+    if (I.TheKind == Instr::Kind::If) {
+      H = hashRange(Method, I.thenRange(), H);
+      H = hashRange(Method, I.elseRange(), hashCombine(H, 0x22));
+    } else if (I.TheKind == Instr::Kind::While) {
+      H = hashRange(Method, I.bodyRange(), H);
+    }
+  });
   return H;
 }
 
@@ -49,7 +59,7 @@ uint64_t uspec::programFingerprint(const IRProgram &Program) {
     for (const IRMethod &Method : Class.Methods) {
       H = hashCombine(H, Method.Name.id());
       H = hashCombine(H, Method.NumParams);
-      H = hashInstrList(Method.Body, H);
+      H = hashRange(Method, Method.body(), H);
     }
   }
   return H;

@@ -8,6 +8,7 @@
 
 #include "distrib/Wire.h"
 #include "service/Protocol.h"
+#include "support/ConnectionThreads.h"
 #include "support/EventLog.h"
 #include "support/FaultInject.h"
 #include "support/Hashing.h"
@@ -864,7 +865,7 @@ int Router::serveUnixSocket(const std::string &Path,
 
   std::mutex ConnMu;
   std::vector<int> ConnFds;
-  std::vector<std::thread> Threads;
+  ConnectionThreads Threads;
 
   auto Stopped = [&] {
     return (StopFlag && *StopFlag) ||
@@ -889,6 +890,7 @@ int Router::serveUnixSocket(const std::string &Path,
 
   while (!Stopped()) {
     int Client = wireAccept(ListenFd, static_cast<int>(Config.AcceptPollMs));
+    Threads.reapFinished();
     if (Client == -1)
       continue; // poll timeout: re-check the stop flags
     if (Client < 0)
@@ -897,7 +899,7 @@ int Router::serveUnixSocket(const std::string &Path,
       std::lock_guard<std::mutex> Lock(ConnMu);
       ConnFds.push_back(Client);
     }
-    Threads.emplace_back([this, Client, &ConnMu, &ConnFds] {
+    Threads.spawn([this, Client, &ConnMu, &ConnFds] {
       std::string Buffer;
       char Chunk[65536];
       for (;;) {
@@ -949,8 +951,7 @@ int Router::serveUnixSocket(const std::string &Path,
     for (int Fd : ConnFds)
       ::shutdown(Fd, SHUT_RD);
   }
-  for (std::thread &T : Threads)
-    T.join();
+  Threads.joinAll();
   ::close(ListenFd);
   ::unlink(Path.c_str());
   return 0;

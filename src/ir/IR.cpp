@@ -6,28 +6,37 @@
 
 #include "ir/IR.h"
 
+#include <algorithm>
 #include <sstream>
 
 using namespace uspec;
 
+std::string uspec::slotName(const IRProgram &Program, const IRMethod &Method,
+                           VarId Slot) {
+  if (Slot == InvalidVar)
+    return "_";
+  if (Slot >= Method.NumVars)
+    return "v" + std::to_string(Slot);
+  auto It = std::lower_bound(
+      Method.SlotNames.begin(), Method.SlotNames.end(), Slot,
+      [](const SlotName &N, VarId S) { return N.Slot < S; });
+  if (It != Method.SlotNames.end() && It->Slot == Slot)
+    return Program.SlotNameChars.substr(It->Begin, It->Size);
+  return "%t" + std::to_string(Slot);
+}
+
 namespace {
 
-void disassembleList(const InstrList &Body, const IRMethod &Method,
-                     const StringInterner &Strings, int Indent,
-                     std::ostringstream &Out) {
+void disassembleRange(const IRProgram &Program, const IRMethod &Method,
+                      IndexRange Range, const StringInterner &Strings,
+                      int Indent, std::ostringstream &Out) {
   auto Pad = [&Out](int N) {
     for (int I = 0; I < N; ++I)
       Out << "  ";
   };
-  auto VarName = [&Method](VarId Var) -> std::string {
-    if (Var == InvalidVar)
-      return "_";
-    if (Var < Method.VarNames.size())
-      return Method.VarNames[Var];
-    return "v" + std::to_string(Var);
-  };
+  auto VarName = [&](VarId Var) { return slotName(Program, Method, Var); };
 
-  for (const Instr &I : Body) {
+  Method.forEach(Range, [&](const Instr &I) {
     Pad(Indent);
     switch (I.TheKind) {
     case Instr::Kind::Alloc:
@@ -60,29 +69,33 @@ void disassembleList(const InstrList &Body, const IRMethod &Method,
       Out << VarName(I.Base) << "." << Strings.str(I.Name) << " = "
           << VarName(I.Src) << "\n";
       break;
-    case Instr::Kind::Call:
+    case Instr::Kind::Call: {
       if (I.Dst != InvalidVar)
         Out << VarName(I.Dst) << " = ";
       Out << VarName(I.Base) << "." << Strings.str(I.Name) << "(";
-      for (size_t A = 0; A < I.Args.size(); ++A) {
-        if (A)
-          Out << ", ";
-        Out << VarName(I.Args[A]);
+      const char *Sep = "";
+      for (VarId Arg : Method.args(I)) {
+        Out << Sep << VarName(Arg);
+        Sep = ", ";
       }
       Out << ") @" << I.SiteId << "\n";
       break;
+    }
     case Instr::Kind::If:
       Out << "if " << VarName(I.CondLhs) << " guard#" << I.GuardId << "\n";
-      disassembleList(I.Inner1, Method, Strings, Indent + 1, Out);
-      if (!I.Inner2.empty()) {
+      disassembleRange(Program, Method, I.thenRange(), Strings, Indent + 1,
+                       Out);
+      if (!I.elseRange().empty()) {
         Pad(Indent);
         Out << "else\n";
-        disassembleList(I.Inner2, Method, Strings, Indent + 1, Out);
+        disassembleRange(Program, Method, I.elseRange(), Strings, Indent + 1,
+                         Out);
       }
       break;
     case Instr::Kind::While:
       Out << "while " << VarName(I.CondLhs) << " guard#" << I.GuardId << "\n";
-      disassembleList(I.Inner1, Method, Strings, Indent + 1, Out);
+      disassembleRange(Program, Method, I.bodyRange(), Strings, Indent + 1,
+                       Out);
       break;
     case Instr::Kind::Return:
       Out << "return";
@@ -91,7 +104,7 @@ void disassembleList(const InstrList &Body, const IRMethod &Method,
       Out << "\n";
       break;
     }
-  }
+  });
 }
 
 } // namespace
@@ -104,7 +117,7 @@ std::string uspec::disassemble(const IRProgram &Program,
     for (const IRMethod &Method : Class.Methods) {
       Out << " def " << Strings.str(Method.Name) << "/" << Method.NumParams
           << " {\n";
-      disassembleList(Method.Body, Method, Strings, 2, Out);
+      disassembleRange(Program, Method, Method.body(), Strings, 2, Out);
       Out << " }\n";
     }
     Out << "}\n";

@@ -8,13 +8,15 @@
 
 #include "lang/Parser.h"
 
-#include <unordered_map>
+#include <cassert>
+#include <charconv>
 
 using namespace uspec;
 
 namespace {
 
-/// Per-module lowering state.
+/// Per-module lowering state. The per-method buffers are members reused
+/// from method to method; each lowered method gets exact-size copies.
 class LoweringContext {
 public:
   LoweringContext(const Module &M, StringInterner &Strings,
@@ -24,16 +26,19 @@ public:
   std::optional<IRProgram> run() {
     IRProgram Program;
     Program.Name = M.Name;
+    Out = &Program;
+    Program.Classes.reserve(M.Classes.size());
     for (const ClassDecl &Class : M.Classes) {
       IRClass IC;
       IC.Name = Strings.intern(Class.Name);
-      for (const std::string &Field : Class.Fields)
+      IC.Fields.reserve(Class.Fields.size());
+      for (std::string_view Field : Class.Fields)
         IC.Fields.push_back(Strings.intern(Field));
+      IC.Methods.reserve(Class.Methods.size());
       for (const MethodDecl &Method : Class.Methods) {
-        auto Lowered = lowerMethod(Method);
-        if (!Lowered)
+        IC.Methods.emplace_back();
+        if (!lowerMethod(Method, IC.Methods.back()))
           return std::nullopt;
-        IC.Methods.push_back(std::move(*Lowered));
       }
       Program.Classes.push_back(std::move(IC));
     }
@@ -48,69 +53,93 @@ private:
   // Method-level state
   //===--------------------------------------------------------------------===//
 
-  struct MethodState {
-    IRMethod Method;
-    /// Scope stack: innermost last. Maps source name -> slot.
-    std::vector<std::unordered_map<std::string, VarId>> Scopes;
-    bool HadError = false;
+  /// One visible name. The scope table is flat: innermost last, with
+  /// BlockStarts marking where each open block's names begin.
+  struct ScopeEntry {
+    std::string_view Name;
+    VarId Slot;
   };
 
-  std::optional<IRMethod> lowerMethod(const MethodDecl &Decl) {
-    MethodState State;
-    State.Method.Name = Strings.intern(Decl.Name);
-    State.Method.NumParams = static_cast<uint32_t>(Decl.Params.size());
-    State.Scopes.emplace_back();
+  bool lowerMethod(const MethodDecl &Decl, IRMethod &Method) {
+    Code.clear();
+    ArgPool.clear();
+    Externals.clear();
+    Names.clear();
+    Scope.clear();
+    BlockStarts.clear();
+    ExternalScope.clear();
+    NumVars = 0;
+    HadError = false;
 
-    // Slot 0 is `this`.
-    State.Method.VarNames.push_back("this");
-    for (const std::string &Param : Decl.Params) {
-      VarId Slot = static_cast<VarId>(State.Method.VarNames.size());
-      State.Method.VarNames.push_back(Param);
-      if (!State.Scopes.back().emplace(Param, Slot).second) {
-        Diags.error(Decl.Line, 0, "duplicate parameter '" + Param + "'");
-        State.HadError = true;
+    Method.Name = Strings.intern(Decl.Name);
+    Method.NumParams = static_cast<uint32_t>(Decl.Params.size());
+
+    // Slot 0 is `this`; the parameters' block encloses the body's.
+    namedSlot("this");
+    BlockStarts.push_back(0);
+    for (std::string_view Param : Decl.Params) {
+      VarId Slot = namedSlot(Param);
+      if (findInInnermostBlock(Param)) {
+        Diags.error(Decl.Line, 0,
+                    "duplicate parameter '" + std::string(Param) + "'");
+        HadError = true;
+        continue;
       }
+      Scope.push_back({Param, Slot});
     }
 
-    lowerBlock(State, Decl.Body, State.Method.Body);
-    State.Method.NumVars = static_cast<uint32_t>(State.Method.VarNames.size());
-    if (State.HadError)
-      return std::nullopt;
-    return std::move(State.Method);
+    lowerBlock(Decl.Body);
+    Method.NumVars = NumVars;
+    if (HadError)
+      return false;
+    Method.Code.assign(Code.begin(), Code.end());
+    Method.ArgPool.assign(ArgPool.begin(), ArgPool.end());
+    Method.Externals.assign(Externals.begin(), Externals.end());
+    Method.SlotNames.assign(Names.begin(), Names.end());
+    return true;
   }
 
-  VarId newTemp(MethodState &State) {
-    VarId Slot = static_cast<VarId>(State.Method.VarNames.size());
-    State.Method.VarNames.push_back("%t" +
-                                    std::to_string(State.Method.VarNames.size()));
+  VarId newTemp() { return NumVars++; }
+
+  /// A new slot named \p Name in the slot-name side table.
+  VarId namedSlot(std::string_view Name) {
+    VarId Slot = NumVars++;
+    Names.push_back({Slot, static_cast<uint32_t>(Out->SlotNameChars.size()),
+                     static_cast<uint32_t>(Name.size())});
+    Out->SlotNameChars.append(Name);
     return Slot;
   }
 
-  VarId declareLocal(MethodState &State, const std::string &Name, int Line) {
-    if (State.Scopes.back().count(Name)) {
-      Diags.error(Line, 0, "redeclaration of '" + Name + "'");
-      State.HadError = true;
-      return State.Scopes.back()[Name];
+  const ScopeEntry *findInInnermostBlock(std::string_view Name) const {
+    for (size_t I = BlockStarts.back(); I < Scope.size(); ++I)
+      if (Scope[I].Name == Name)
+        return &Scope[I];
+    return nullptr;
+  }
+
+  VarId declareLocal(std::string_view Name, int Line) {
+    if (const ScopeEntry *Existing = findInInnermostBlock(Name)) {
+      Diags.error(Line, 0, "redeclaration of '" + std::string(Name) + "'");
+      HadError = true;
+      return Existing->Slot;
     }
-    VarId Slot = static_cast<VarId>(State.Method.VarNames.size());
-    State.Method.VarNames.push_back(Name);
-    State.Scopes.back().emplace(Name, Slot);
+    VarId Slot = namedSlot(Name);
+    Scope.push_back({Name, Slot});
     return Slot;
   }
 
-  VarId lookup(MethodState &State, const std::string &Name, int Line) {
-    (void)Line;
-    for (auto It = State.Scopes.rbegin(); It != State.Scopes.rend(); ++It) {
-      auto Found = It->find(Name);
-      if (Found != It->end())
-        return Found->second;
-    }
-    // Free name: an external global holding an unknown API object. Register
-    // it method-wide (in the outermost scope) so repeated uses share a slot.
-    VarId Slot = static_cast<VarId>(State.Method.VarNames.size());
-    State.Method.VarNames.push_back(Name);
-    State.Scopes.front().emplace(Name, Slot);
-    State.Method.Externals.emplace_back(Slot, Strings.intern(Name));
+  VarId lookup(std::string_view Name) {
+    for (size_t I = Scope.size(); I-- > 0;)
+      if (Scope[I].Name == Name)
+        return Scope[I].Slot;
+    for (const ScopeEntry &E : ExternalScope)
+      if (E.Name == Name)
+        return E.Slot;
+    // Free name: an external global holding an unknown API object. It is
+    // registered method-wide so repeated uses share a slot.
+    VarId Slot = namedSlot(Name);
+    ExternalScope.push_back({Name, Slot});
+    Externals.emplace_back(Slot, Strings.intern(Name));
     return Slot;
   }
 
@@ -119,105 +148,144 @@ private:
       MaxLine = static_cast<uint32_t>(Line);
   }
 
+  VarId emit(const Instr &I) {
+    Code.push_back(I);
+    return I.Dst;
+  }
+
   //===--------------------------------------------------------------------===//
   // Expression lowering
   //===--------------------------------------------------------------------===//
 
-  /// Lowers \p E into \p Out, returning the slot holding its value.
-  VarId lowerExpr(MethodState &State, const Expr &E, InstrList &Out) {
+  /// Lowers \p E, returning the slot holding its value. A receiver chain
+  /// `a.b().c` is walked down without recursion and lowered innermost link
+  /// first, so the recursion depth follows argument nesting only.
+  VarId lowerExpr(const Expr &E) {
+    size_t Mark = Chain.size();
+    const Expr *Cur = &E;
+    for (;;) {
+      if (const auto *Read = dyn_cast<FieldReadExpr>(Cur)) {
+        Chain.push_back(Cur);
+        Cur = Read->Base;
+      } else if (const auto *Call = dyn_cast<CallExpr>(Cur);
+                 Call && Call->Receiver) {
+        Chain.push_back(Cur);
+        Cur = Call->Receiver;
+      } else {
+        break;
+      }
+    }
+    VarId Value = lowerLeaf(*Cur);
+    while (Chain.size() > Mark) {
+      const Expr *Link = Chain.back();
+      Chain.pop_back();
+      noteLine(Link->getLine());
+      if (const auto *Read = dyn_cast<FieldReadExpr>(Link)) {
+        Instr I;
+        I.TheKind = Instr::Kind::LoadField;
+        I.Dst = newTemp();
+        I.Base = Value;
+        I.Name = Strings.intern(Read->Field);
+        Value = emit(I);
+      } else {
+        Value = lowerCall(*cast<CallExpr>(Link), Value);
+      }
+    }
+    return Value;
+  }
+
+  /// Lowers an expression that is not a link of a receiver chain.
+  VarId lowerLeaf(const Expr &E) {
     noteLine(E.getLine());
     switch (E.getKind()) {
     case Expr::Kind::New:
-      return lowerNew(State, *cast<NewExpr>(&E), Out);
+      return lowerNew(*cast<NewExpr>(&E));
     case Expr::Kind::StringLit: {
-      const auto &Lit = *cast<StringLitExpr>(&E);
       Instr I;
       I.TheKind = Instr::Kind::Literal;
-      I.Line = E.getLine();
-      I.Dst = newTemp(State);
+      I.Dst = newTemp();
       I.LitKind = LiteralKind::String;
-      I.StrValue = Strings.intern(Lit.Value);
+      I.StrValue = Strings.intern(cast<StringLitExpr>(&E)->Value);
       I.SiteId = NextSiteId++;
-      Out.push_back(std::move(I));
-      return Out.back().Dst;
+      return emit(I);
     }
     case Expr::Kind::IntLit: {
-      const auto &Lit = *cast<IntLitExpr>(&E);
+      int64_t Value = cast<IntLitExpr>(&E)->Value;
+      char Digits[24];
+      auto Result = std::to_chars(Digits, Digits + sizeof(Digits), Value);
       Instr I;
       I.TheKind = Instr::Kind::Literal;
-      I.Line = E.getLine();
-      I.Dst = newTemp(State);
+      I.Dst = newTemp();
       I.LitKind = LiteralKind::Int;
-      I.StrValue = Strings.intern(std::to_string(Lit.Value));
-      I.IntValue = Lit.Value;
+      I.StrValue = Strings.intern(
+          std::string_view(Digits, static_cast<size_t>(Result.ptr - Digits)));
+      I.IntValue = Value;
       I.SiteId = NextSiteId++;
-      Out.push_back(std::move(I));
-      return Out.back().Dst;
+      return emit(I);
     }
     case Expr::Kind::Null: {
       Instr I;
       I.TheKind = Instr::Kind::Literal;
-      I.Line = E.getLine();
-      I.Dst = newTemp(State);
+      I.Dst = newTemp();
       I.LitKind = LiteralKind::Null;
       I.SiteId = NextSiteId++;
-      Out.push_back(std::move(I));
-      return Out.back().Dst;
+      return emit(I);
     }
     case Expr::Kind::This:
       return 0;
     case Expr::Kind::VarRef:
-      return lookup(State, cast<VarRefExpr>(&E)->Name, E.getLine());
-    case Expr::Kind::FieldRead: {
-      const auto &Read = *cast<FieldReadExpr>(&E);
-      VarId Base = lowerExpr(State, *Read.Base, Out);
-      Instr I;
-      I.TheKind = Instr::Kind::LoadField;
-      I.Line = E.getLine();
-      I.Dst = newTemp(State);
-      I.Base = Base;
-      I.Name = Strings.intern(Read.Field);
-      Out.push_back(std::move(I));
-      return Out.back().Dst;
+      return lookup(cast<VarRefExpr>(&E)->Name);
+    case Expr::Kind::Call: // implicit `this` receiver
+      return lowerCall(*cast<CallExpr>(&E), 0);
+    case Expr::Kind::FieldRead:
+      break; // a chain link: lowerExpr handles it
     }
-    case Expr::Kind::Call: {
-      const auto &Call = *cast<CallExpr>(&E);
-      VarId Recv = Call.Receiver ? lowerExpr(State, *Call.Receiver, Out)
-                                 : 0 /* implicit this */;
-      std::vector<VarId> Args;
-      Args.reserve(Call.Args.size());
-      for (const ExprPtr &Arg : Call.Args)
-        Args.push_back(lowerExpr(State, *Arg, Out));
-      Instr I;
-      I.TheKind = Instr::Kind::Call;
-      I.Line = E.getLine();
-      I.Dst = newTemp(State);
-      I.Base = Recv;
-      I.Name = Strings.intern(Call.Method);
-      I.Args = std::move(Args);
-      I.SiteId = NextSiteId++;
-      I.GuardId = CurrentGuard;
-      Out.push_back(std::move(I));
-      return Out.back().Dst;
-    }
-    }
-    return InvalidVar; // unreachable: all kinds covered
+    assert(false && "chain links are lowered by lowerExpr");
+    return InvalidVar;
   }
 
-  VarId lowerNew(MethodState &State, const NewExpr &New, InstrList &Out) {
-    std::vector<VarId> Args;
-    Args.reserve(New.Args.size());
-    for (const ExprPtr &Arg : New.Args)
-      Args.push_back(lowerExpr(State, *Arg, Out));
+  /// Lowers \p Args onto the argument stack, returning where they begin.
+  size_t lowerArgs(const ExprList &Args) {
+    size_t Mark = ArgStack.size();
+    for (const Expr *Arg : Args) {
+      VarId Value = lowerExpr(*Arg);
+      ArgStack.push_back(Value);
+    }
+    return Mark;
+  }
+
+  /// Moves ArgStack[Mark..] into the method's argument pool.
+  IndexRange takeArgs(size_t Mark) {
+    IndexRange R;
+    R.Begin = static_cast<uint32_t>(ArgPool.size());
+    ArgPool.insert(ArgPool.end(), ArgStack.begin() + Mark, ArgStack.end());
+    R.End = static_cast<uint32_t>(ArgPool.size());
+    ArgStack.resize(Mark);
+    return R;
+  }
+
+  VarId lowerCall(const CallExpr &Call, VarId Recv) {
+    size_t Mark = lowerArgs(Call.Args);
+    Instr I;
+    I.TheKind = Instr::Kind::Call;
+    I.Dst = newTemp();
+    I.Base = Recv;
+    I.Name = Strings.intern(Call.Method);
+    I.Args = takeArgs(Mark);
+    I.SiteId = NextSiteId++;
+    I.GuardId = CurrentGuard;
+    return emit(I);
+  }
+
+  VarId lowerNew(const NewExpr &New) {
+    size_t Mark = lowerArgs(New.Args);
 
     Instr I;
     I.TheKind = Instr::Kind::Alloc;
-    I.Line = New.getLine();
-    I.Dst = newTemp(State);
+    I.Dst = newTemp();
     I.Name = Strings.intern(New.ClassName);
     I.SiteId = NextSiteId++;
-    Out.push_back(std::move(I));
-    VarId Obj = Out.back().Dst;
+    VarId Obj = emit(I);
 
     // If this instantiates a program-defined class with an `init` method,
     // lower the constructor call; otherwise arguments are dropped (API-class
@@ -226,15 +294,15 @@ private:
     if (Class && Class->findMethod("init")) {
       Instr CallInit;
       CallInit.TheKind = Instr::Kind::Call;
-      CallInit.Line = New.getLine();
       CallInit.Dst = InvalidVar;
       CallInit.Base = Obj;
       CallInit.Name = Strings.intern("init");
-      CallInit.Args = std::move(Args);
+      CallInit.Args = takeArgs(Mark);
       CallInit.SiteId = NextSiteId++;
       CallInit.GuardId = CurrentGuard;
-      Out.push_back(std::move(CallInit));
+      emit(CallInit);
     }
+    ArgStack.resize(Mark);
     return Obj;
   }
 
@@ -242,9 +310,8 @@ private:
   // Statement lowering
   //===--------------------------------------------------------------------===//
 
-  void lowerCondition(MethodState &State, const Condition &Cond, Instr &Target,
-                      InstrList &Out) {
-    Target.CondLhs = lowerExpr(State, *Cond.Lhs, Out);
+  void lowerCondition(const Condition &Cond, Instr &Target) {
+    Target.CondLhs = lowerExpr(*Cond.Lhs);
     switch (Cond.Op) {
     case CmpOp::None:
       Target.CondOp = IRCmpOp::None;
@@ -263,112 +330,112 @@ private:
       break;
     }
     if (Cond.Rhs)
-      Target.CondRhs = lowerExpr(State, *Cond.Rhs, Out);
+      Target.CondRhs = lowerExpr(*Cond.Rhs);
   }
 
-  void lowerBlock(MethodState &State, const Block &B, InstrList &Out) {
-    State.Scopes.emplace_back();
-    for (const StmtPtr &S : B)
-      lowerStmt(State, *S, Out);
-    State.Scopes.pop_back();
+  /// Lowers \p B as a region appended to Code; returns its range.
+  IndexRange lowerBlock(const Block &B) {
+    IndexRange R;
+    R.Begin = static_cast<uint32_t>(Code.size());
+    BlockStarts.push_back(static_cast<uint32_t>(Scope.size()));
+    for (const Stmt *S : B)
+      lowerStmt(*S);
+    Scope.resize(BlockStarts.back());
+    BlockStarts.pop_back();
+    R.End = static_cast<uint32_t>(Code.size());
+    return R;
   }
 
-  void lowerStmt(MethodState &State, const Stmt &S, InstrList &Out) {
+  void lowerStmt(const Stmt &S) {
     noteLine(S.getLine());
     switch (S.getKind()) {
     case Stmt::Kind::VarDecl: {
       const auto &Decl = *cast<VarDeclStmt>(&S);
       VarId Init = InvalidVar;
       if (Decl.Init)
-        Init = lowerExpr(State, *Decl.Init, Out);
-      VarId Slot = declareLocal(State, Decl.Name, S.getLine());
+        Init = lowerExpr(*Decl.Init);
+      VarId Slot = declareLocal(Decl.Name, S.getLine());
       if (Init != InvalidVar) {
         Instr I;
         I.TheKind = Instr::Kind::Copy;
-        I.Line = S.getLine();
         I.Dst = Slot;
         I.Src = Init;
-        Out.push_back(std::move(I));
+        emit(I);
       }
       return;
     }
     case Stmt::Kind::Assign: {
       const auto &Assign = *cast<AssignStmt>(&S);
-      if (const auto *Var = dyn_cast<VarRefExpr>(Assign.Target.get())) {
-        VarId Value = lowerExpr(State, *Assign.Value, Out);
-        VarId Slot = lookup(State, Var->Name, S.getLine());
+      if (const auto *Var = dyn_cast<VarRefExpr>(Assign.Target)) {
+        VarId Value = lowerExpr(*Assign.Value);
         Instr I;
         I.TheKind = Instr::Kind::Copy;
-        I.Line = S.getLine();
-        I.Dst = Slot;
+        I.Dst = lookup(Var->Name);
         I.Src = Value;
-        Out.push_back(std::move(I));
+        emit(I);
         return;
       }
-      const auto &Field = *cast<FieldReadExpr>(Assign.Target.get());
-      VarId Base = lowerExpr(State, *Field.Base, Out);
-      VarId Value = lowerExpr(State, *Assign.Value, Out);
+      const auto &Field = *cast<FieldReadExpr>(Assign.Target);
+      VarId Base = lowerExpr(*Field.Base);
+      VarId Value = lowerExpr(*Assign.Value);
       Instr I;
       I.TheKind = Instr::Kind::StoreField;
-      I.Line = S.getLine();
       I.Base = Base;
       I.Name = Strings.intern(Field.Field);
       I.Src = Value;
-      Out.push_back(std::move(I));
+      emit(I);
       return;
     }
-    case Stmt::Kind::ExprStmt: {
-      VarId Result = lowerExpr(State, *cast<ExprStmt>(&S)->E, Out);
-      // Mark unused call results: keep Dst, analyses don't care.
-      (void)Result;
+    case Stmt::Kind::ExprStmt:
+      // The call's result slot stays allocated; analyses ignore it.
+      lowerExpr(*cast<ExprStmt>(&S)->E);
       return;
-    }
     case Stmt::Kind::If: {
       const auto &If = *cast<IfStmt>(&S);
       Instr I;
       I.TheKind = Instr::Kind::If;
-      I.Line = S.getLine();
-      lowerCondition(State, If.Cond, I, Out);
+      lowerCondition(If.Cond, I);
       uint32_t Guard = NextGuardId++;
       I.GuardId = Guard;
       uint32_t SavedGuard = CurrentGuard;
       CurrentGuard = Guard;
-      lowerBlock(State, If.Then, I.Inner1);
-      lowerBlock(State, If.Else, I.Inner2);
+      size_t At = Code.size();
+      emit(I);
+      IndexRange Then = lowerBlock(If.Then);
+      IndexRange Else = lowerBlock(If.Else);
       CurrentGuard = SavedGuard;
-      Out.push_back(std::move(I));
+      Code[At].Regions[0] = Then;
+      Code[At].Regions[1] = Else;
       return;
     }
     case Stmt::Kind::While: {
       const auto &While = *cast<WhileStmt>(&S);
+      // The condition's instructions precede the While in the enclosing
+      // range (one evaluation, the analysis' single unrolling); the While
+      // records them as its condition range for the interpreter to re-run.
+      uint32_t CondBegin = static_cast<uint32_t>(Code.size());
       Instr I;
       I.TheKind = Instr::Kind::While;
-      I.Line = S.getLine();
-      // The condition is evaluated once before the loop (for the analysis'
-      // single unrolling); a copy of its instructions is kept on the loop so
-      // the interpreter can re-evaluate it per iteration.
-      InstrList CondInstrs;
-      lowerCondition(State, While.Cond, I, CondInstrs);
-      I.Inner2 = CondInstrs;
-      for (Instr &C : CondInstrs)
-        Out.push_back(std::move(C));
+      lowerCondition(While.Cond, I);
       uint32_t Guard = NextGuardId++;
       I.GuardId = Guard;
       uint32_t SavedGuard = CurrentGuard;
       CurrentGuard = Guard;
-      lowerBlock(State, While.Body, I.Inner1);
+      uint32_t At = static_cast<uint32_t>(Code.size());
+      emit(I);
+      IndexRange Body = lowerBlock(While.Body);
       CurrentGuard = SavedGuard;
-      Out.push_back(std::move(I));
+      Code[At].Regions[0] = Body;
+      Code[At].Regions[1] = IndexRange{CondBegin, At};
       return;
     }
     case Stmt::Kind::Return: {
       const auto &Ret = *cast<ReturnStmt>(&S);
       Instr I;
       I.TheKind = Instr::Kind::Return;
-      I.Line = S.getLine();
       if (Ret.Value)
-        I.Src = lowerExpr(State, *Ret.Value, Out);
-      Out.push_back(std::move(I));
+        I.Src = lowerExpr(*Ret.Value);
+      emit(I);
       return;
     }
     }
@@ -377,10 +444,26 @@ private:
   const Module &M;
   StringInterner &Strings;
   DiagnosticSink &Diags;
+  IRProgram *Out = nullptr;
   uint32_t NextSiteId = 1;
   uint32_t NextGuardId = 1;
   uint32_t CurrentGuard = 0;
   uint32_t MaxLine = 0;
+
+  // The method being lowered.
+  std::vector<Instr> Code;
+  std::vector<VarId> ArgPool;
+  std::vector<std::pair<VarId, Symbol>> Externals;
+  std::vector<SlotName> Names;
+  std::vector<ScopeEntry> Scope;
+  std::vector<uint32_t> BlockStarts;
+  std::vector<ScopeEntry> ExternalScope;
+  uint32_t NumVars = 0;
+  bool HadError = false;
+  /// Receiver-chain links and argument values under construction,
+  /// innermost on top.
+  std::vector<const Expr *> Chain;
+  std::vector<VarId> ArgStack;
 };
 
 } // namespace

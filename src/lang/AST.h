@@ -6,8 +6,10 @@
 ///
 /// \file
 /// AST node definitions for MiniLang. The hierarchy uses LLVM-style kind
-/// discriminators (no RTTI). Nodes are uniquely owned by their parents; a
-/// Module owns everything transitively.
+/// discriminators (no RTTI). Every node, child list and name lives in a
+/// pool the Module owns: nodes are trivially destructible, children are
+/// plain pointers, and freeing a Module frees a few slabs instead of
+/// walking the tree.
 ///
 /// MiniLang in one example:
 /// \code
@@ -27,13 +29,36 @@
 #ifndef USPEC_LANG_AST_H
 #define USPEC_LANG_AST_H
 
+#include "support/Arena.h"
+
 #include <cassert>
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <vector>
+#include <string_view>
 
 namespace uspec {
+
+/// A fixed-size array in a Module's pool: a pointer and a length, trivially
+/// copyable. The parser fills it once; nothing resizes it afterwards.
+template <typename T> class PoolArray {
+public:
+  PoolArray() = default;
+  PoolArray(const T *Data, uint32_t Size) : Data(Data), Size(Size) {}
+
+  const T *begin() const { return Data; }
+  const T *end() const { return Data + Size; }
+  size_t size() const { return Size; }
+  bool empty() const { return Size == 0; }
+  const T &operator[](size_t I) const {
+    assert(I < Size && "PoolArray index out of range");
+    return Data[I];
+  }
+
+private:
+  const T *Data = nullptr;
+  uint32_t Size = 0;
+};
 
 //===----------------------------------------------------------------------===//
 // Expressions
@@ -53,12 +78,12 @@ public:
     Call,      ///< e.m(args) or m(args) with implicit this
   };
 
-  virtual ~Expr() = default;
-
   Kind getKind() const { return TheKind; }
   int getLine() const { return Line; }
 
 protected:
+  // No virtual destructor: nodes live in the Module's pool and are never
+  // destroyed one by one.
   Expr(Kind TheKind, int Line) : TheKind(TheKind), Line(Line) {}
 
 private:
@@ -66,33 +91,32 @@ private:
   int Line;
 };
 
-using ExprPtr = std::unique_ptr<Expr>;
+using ExprList = PoolArray<const Expr *>;
 
 /// Allocation expression `new C(args)`. For program-defined classes, the
 /// arguments are passed to the class's `init` method if one exists.
 class NewExpr : public Expr {
 public:
-  NewExpr(std::string ClassName, std::vector<ExprPtr> Args, int Line)
-      : Expr(Kind::New, Line), ClassName(std::move(ClassName)),
-        Args(std::move(Args)) {}
+  NewExpr(std::string_view ClassName, ExprList Args, int Line)
+      : Expr(Kind::New, Line), ClassName(ClassName), Args(Args) {}
 
   static bool classof(const Expr *E) { return E->getKind() == Kind::New; }
 
-  std::string ClassName;
-  std::vector<ExprPtr> Args;
+  std::string_view ClassName;
+  ExprList Args;
 };
 
 /// String literal.
 class StringLitExpr : public Expr {
 public:
-  StringLitExpr(std::string Value, int Line)
-      : Expr(Kind::StringLit, Line), Value(std::move(Value)) {}
+  StringLitExpr(std::string_view Value, int Line)
+      : Expr(Kind::StringLit, Line), Value(Value) {}
 
   static bool classof(const Expr *E) {
     return E->getKind() == Kind::StringLit;
   }
 
-  std::string Value;
+  std::string_view Value; ///< Decoded (escapes resolved).
 };
 
 /// Integer literal.
@@ -124,43 +148,42 @@ public:
 /// A reference to a local variable or parameter.
 class VarRefExpr : public Expr {
 public:
-  VarRefExpr(std::string Name, int Line)
-      : Expr(Kind::VarRef, Line), Name(std::move(Name)) {}
+  VarRefExpr(std::string_view Name, int Line)
+      : Expr(Kind::VarRef, Line), Name(Name) {}
 
   static bool classof(const Expr *E) { return E->getKind() == Kind::VarRef; }
 
-  std::string Name;
+  std::string_view Name;
 };
 
 /// Field read `Base.Field` (without a following call).
 class FieldReadExpr : public Expr {
 public:
-  FieldReadExpr(ExprPtr Base, std::string Field, int Line)
-      : Expr(Kind::FieldRead, Line), Base(std::move(Base)),
-        Field(std::move(Field)) {}
+  FieldReadExpr(const Expr *Base, std::string_view Field, int Line)
+      : Expr(Kind::FieldRead, Line), Base(Base), Field(Field) {}
 
   static bool classof(const Expr *E) {
     return E->getKind() == Kind::FieldRead;
   }
 
-  ExprPtr Base;
-  std::string Field;
+  const Expr *Base;
+  std::string_view Field;
 };
 
 /// Method call `Receiver.Method(Args)`. A null Receiver denotes an implicit
 /// `this` call (`m(args)` inside a method body).
 class CallExpr : public Expr {
 public:
-  CallExpr(ExprPtr Receiver, std::string Method, std::vector<ExprPtr> Args,
+  CallExpr(const Expr *Receiver, std::string_view Method, ExprList Args,
            int Line)
-      : Expr(Kind::Call, Line), Receiver(std::move(Receiver)),
-        Method(std::move(Method)), Args(std::move(Args)) {}
+      : Expr(Kind::Call, Line), Receiver(Receiver), Method(Method),
+        Args(Args) {}
 
   static bool classof(const Expr *E) { return E->getKind() == Kind::Call; }
 
-  ExprPtr Receiver; // may be null: implicit this
-  std::string Method;
-  std::vector<ExprPtr> Args;
+  const Expr *Receiver; // may be null: implicit this
+  std::string_view Method;
+  ExprList Args;
 };
 
 //===----------------------------------------------------------------------===//
@@ -172,9 +195,9 @@ enum class CmpOp : uint8_t { None, Eq, Ne, Lt, Gt };
 
 /// Branch/loop condition: `Lhs` alone (truthiness) or `Lhs op Rhs`.
 struct Condition {
-  ExprPtr Lhs;
+  const Expr *Lhs = nullptr;
   CmpOp Op = CmpOp::None;
-  ExprPtr Rhs; // null when Op == None
+  const Expr *Rhs = nullptr; // null when Op == None
 };
 
 //===----------------------------------------------------------------------===//
@@ -193,12 +216,11 @@ public:
     Return,
   };
 
-  virtual ~Stmt() = default;
-
   Kind getKind() const { return TheKind; }
   int getLine() const { return Line; }
 
 protected:
+  // Pool-allocated like Expr: no virtual destructor.
   Stmt(Kind TheKind, int Line) : TheKind(TheKind), Line(Line) {}
 
 private:
@@ -206,51 +228,47 @@ private:
   int Line;
 };
 
-using StmtPtr = std::unique_ptr<Stmt>;
-using Block = std::vector<StmtPtr>;
+using Block = PoolArray<const Stmt *>;
 
 /// `var x;` or `var x = init;`
 class VarDeclStmt : public Stmt {
 public:
-  VarDeclStmt(std::string Name, ExprPtr Init, int Line)
-      : Stmt(Kind::VarDecl, Line), Name(std::move(Name)),
-        Init(std::move(Init)) {}
+  VarDeclStmt(std::string_view Name, const Expr *Init, int Line)
+      : Stmt(Kind::VarDecl, Line), Name(Name), Init(Init) {}
 
   static bool classof(const Stmt *S) { return S->getKind() == Kind::VarDecl; }
 
-  std::string Name;
-  ExprPtr Init; // may be null
+  std::string_view Name;
+  const Expr *Init; // may be null
 };
 
 /// `lvalue = expr;` where lvalue is a VarRef or FieldRead.
 class AssignStmt : public Stmt {
 public:
-  AssignStmt(ExprPtr Target, ExprPtr Value, int Line)
-      : Stmt(Kind::Assign, Line), Target(std::move(Target)),
-        Value(std::move(Value)) {}
+  AssignStmt(const Expr *Target, const Expr *Value, int Line)
+      : Stmt(Kind::Assign, Line), Target(Target), Value(Value) {}
 
   static bool classof(const Stmt *S) { return S->getKind() == Kind::Assign; }
 
-  ExprPtr Target;
-  ExprPtr Value;
+  const Expr *Target;
+  const Expr *Value;
 };
 
 /// A bare expression evaluated for effect (typically a call).
 class ExprStmt : public Stmt {
 public:
-  ExprStmt(ExprPtr E, int Line) : Stmt(Kind::ExprStmt, Line), E(std::move(E)) {}
+  ExprStmt(const Expr *E, int Line) : Stmt(Kind::ExprStmt, Line), E(E) {}
 
   static bool classof(const Stmt *S) { return S->getKind() == Kind::ExprStmt; }
 
-  ExprPtr E;
+  const Expr *E;
 };
 
 /// `if (cond) { ... } else { ... }`
 class IfStmt : public Stmt {
 public:
   IfStmt(Condition Cond, Block Then, Block Else, int Line)
-      : Stmt(Kind::If, Line), Cond(std::move(Cond)), Then(std::move(Then)),
-        Else(std::move(Else)) {}
+      : Stmt(Kind::If, Line), Cond(Cond), Then(Then), Else(Else) {}
 
   static bool classof(const Stmt *S) { return S->getKind() == Kind::If; }
 
@@ -263,7 +281,7 @@ public:
 class WhileStmt : public Stmt {
 public:
   WhileStmt(Condition Cond, Block Body, int Line)
-      : Stmt(Kind::While, Line), Cond(std::move(Cond)), Body(std::move(Body)) {}
+      : Stmt(Kind::While, Line), Cond(Cond), Body(Body) {}
 
   static bool classof(const Stmt *S) { return S->getKind() == Kind::While; }
 
@@ -274,12 +292,12 @@ public:
 /// `return;` or `return expr;`
 class ReturnStmt : public Stmt {
 public:
-  ReturnStmt(ExprPtr Value, int Line)
-      : Stmt(Kind::Return, Line), Value(std::move(Value)) {}
+  ReturnStmt(const Expr *Value, int Line)
+      : Stmt(Kind::Return, Line), Value(Value) {}
 
   static bool classof(const Stmt *S) { return S->getKind() == Kind::Return; }
 
-  ExprPtr Value; // may be null
+  const Expr *Value; // may be null
 };
 
 //===----------------------------------------------------------------------===//
@@ -288,21 +306,21 @@ public:
 
 /// `def name(params) { body }`
 struct MethodDecl {
-  std::string Name;
-  std::vector<std::string> Params;
+  std::string_view Name;
+  PoolArray<std::string_view> Params;
   Block Body;
   int Line = 0;
 };
 
 /// `class Name { var f; def m() {...} ... }`
 struct ClassDecl {
-  std::string Name;
-  std::vector<std::string> Fields;
-  std::vector<MethodDecl> Methods;
+  std::string_view Name;
+  PoolArray<std::string_view> Fields;
+  PoolArray<MethodDecl> Methods;
   int Line = 0;
 
   /// Returns the method named \p Name or null.
-  const MethodDecl *findMethod(const std::string &MethodName) const {
+  const MethodDecl *findMethod(std::string_view MethodName) const {
     for (const MethodDecl &M : Methods)
       if (M.Name == MethodName)
         return &M;
@@ -310,13 +328,16 @@ struct ClassDecl {
   }
 };
 
-/// A parsed source file.
+/// A parsed source file. Owns the pool every node, list and name of the
+/// module lives in; the pool's slabs stay put when the Module moves, so the
+/// views and pointers into it stay valid.
 struct Module {
   std::string Name; // source identifier, e.g. file name
-  std::vector<ClassDecl> Classes;
+  PoolArray<ClassDecl> Classes;
+  std::unique_ptr<Arena> Pool;
 
   /// Returns the class named \p ClassName or null.
-  const ClassDecl *findClass(const std::string &ClassName) const {
+  const ClassDecl *findClass(std::string_view ClassName) const {
     for (const ClassDecl &C : Classes)
       if (C.Name == ClassName)
         return &C;

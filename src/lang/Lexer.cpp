@@ -6,8 +6,7 @@
 
 #include "lang/Lexer.h"
 
-#include <cctype>
-#include <unordered_map>
+#include <array>
 
 using namespace uspec;
 
@@ -71,173 +70,225 @@ const char *uspec::tokenKindName(TokenKind Kind) {
   return "unknown";
 }
 
+namespace {
+
+bool isDigit(char C) { return C >= '0' && C <= '9'; }
+
+/// Identifier characters: ASCII letters, digits and '_' (what the C
+/// locale's isalnum accepts, plus '_'), as a table so the hot loop does one
+/// load per byte.
+constexpr auto IdentChars = [] {
+  std::array<bool, 256> Table{};
+  for (int C = 0; C < 256; ++C)
+    Table[C] = (C >= 'a' && C <= 'z') || (C >= 'A' && C <= 'Z') ||
+               (C >= '0' && C <= '9') || C == '_';
+  return Table;
+}();
+
+bool isIdentChar(char C) { return IdentChars[static_cast<unsigned char>(C)]; }
+
+/// Keyword kind of \p Text, or Identifier: a switch on the length, then
+/// one comparison per candidate.
+TokenKind keywordKind(std::string_view Text) {
+  switch (Text.size()) {
+  case 2:
+    if (Text == "if")
+      return TokenKind::KwIf;
+    break;
+  case 3:
+    if (Text == "def")
+      return TokenKind::KwDef;
+    if (Text == "var")
+      return TokenKind::KwVar;
+    if (Text == "new")
+      return TokenKind::KwNew;
+    break;
+  case 4:
+    if (Text == "else")
+      return TokenKind::KwElse;
+    if (Text == "null")
+      return TokenKind::KwNull;
+    if (Text == "this")
+      return TokenKind::KwThis;
+    break;
+  case 5:
+    if (Text == "class")
+      return TokenKind::KwClass;
+    if (Text == "while")
+      return TokenKind::KwWhile;
+    break;
+  case 6:
+    if (Text == "return")
+      return TokenKind::KwReturn;
+    break;
+  default:
+    break;
+  }
+  return TokenKind::Identifier;
+}
+
+} // namespace
+
 Lexer::Lexer(std::string_view Source, DiagnosticSink &Diags)
     : Source(Source), Diags(Diags) {}
 
-char Lexer::advance() {
-  char C = Source[Pos++];
-  if (C == '\n') {
-    ++Line;
-    Column = 1;
-  } else {
-    ++Column;
-  }
-  return C;
-}
-
-void Lexer::skipTrivia() {
-  while (Pos < Source.size()) {
-    char C = peek();
-    if (C == ' ' || C == '\t' || C == '\r' || C == '\n') {
-      advance();
-      continue;
-    }
-    if (C == '/' && peekAhead() == '/') {
-      while (Pos < Source.size() && peek() != '\n')
-        advance();
-      continue;
-    }
-    break;
-  }
-}
-
-Token Lexer::makeToken(TokenKind Kind, std::string Text, int TokLine,
-                       int TokColumn) {
+Token Lexer::make(TokenKind Kind, size_t Begin, int TokColumn) const {
   Token Tok;
   Tok.Kind = Kind;
-  Tok.Text = std::move(Text);
-  Tok.Line = TokLine;
+  Tok.Line = Line;
   Tok.Column = TokColumn;
+  Tok.Text = Source.substr(Begin, Pos - Begin);
   return Tok;
 }
 
-Token Lexer::lexIdentifierOrKeyword(int TokLine, int TokColumn) {
-  static const std::unordered_map<std::string_view, TokenKind> Keywords = {
-      {"class", TokenKind::KwClass}, {"def", TokenKind::KwDef},
-      {"var", TokenKind::KwVar},     {"new", TokenKind::KwNew},
-      {"if", TokenKind::KwIf},       {"else", TokenKind::KwElse},
-      {"while", TokenKind::KwWhile}, {"return", TokenKind::KwReturn},
-      {"null", TokenKind::KwNull},   {"this", TokenKind::KwThis},
+Token Lexer::lexString(size_t Begin, int TokColumn, TokenStream &Out) {
+  const int TokLine = Line;
+  const size_t ContentBegin = Begin + 1;
+  Pos = ContentBegin;
+  // Escape-free literals (nearly all) view the source; the first escape
+  // switches to decoding into storage the stream owns.
+  std::string *Decoded = nullptr;
+  auto Finish = [&](TokenKind Kind) {
+    Token Tok;
+    Tok.Kind = Kind;
+    Tok.Line = TokLine;
+    Tok.Column = TokColumn;
+    Tok.Text = Decoded ? std::string_view(*Decoded)
+                       : Source.substr(ContentBegin, Pos - ContentBegin);
+    return Tok;
   };
-  std::string Text;
-  while (Pos < Source.size() &&
-         (std::isalnum(static_cast<unsigned char>(peek())) || peek() == '_'))
-    Text += advance();
-  auto It = Keywords.find(Text);
-  if (It != Keywords.end())
-    return makeToken(It->second, std::move(Text), TokLine, TokColumn);
-  return makeToken(TokenKind::Identifier, std::move(Text), TokLine, TokColumn);
-}
-
-Token Lexer::lexString(int TokLine, int TokColumn) {
-  advance(); // opening quote
-  std::string Text;
-  while (Pos < Source.size() && peek() != '"') {
-    char C = advance();
+  while (Pos < Source.size() && Source[Pos] != '"') {
+    char C = Source[Pos++];
     if (C == '\\' && Pos < Source.size()) {
-      char Escaped = advance();
+      if (!Decoded) {
+        Out.Decoded.push_back(std::make_unique<std::string>(
+            Source.substr(ContentBegin, Pos - 1 - ContentBegin)));
+        Decoded = Out.Decoded.back().get();
+      }
+      char Escaped = Source[Pos++];
       switch (Escaped) {
       case 'n':
-        Text += '\n';
+        *Decoded += '\n';
         break;
       case 't':
-        Text += '\t';
+        *Decoded += '\t';
         break;
-      case '"':
-        Text += '"';
+      case '\n':
+        ++Line;
+        LineStart = Pos;
+        *Decoded += '\n';
         break;
-      case '\\':
-        Text += '\\';
-        break;
-      default:
-        Text += Escaped;
+      default: // '"', '\\' and any other character stand for themselves
+        *Decoded += Escaped;
         break;
       }
       continue;
     }
     if (C == '\n') {
+      Token Tok = Finish(TokenKind::Error);
+      ++Line;
+      LineStart = Pos;
       Diags.error(TokLine, TokColumn, "unterminated string literal");
-      return makeToken(TokenKind::Error, Text, TokLine, TokColumn);
+      return Tok;
     }
-    Text += C;
+    if (Decoded)
+      *Decoded += C;
   }
   if (Pos >= Source.size()) {
     Diags.error(TokLine, TokColumn, "unterminated string literal");
-    return makeToken(TokenKind::Error, Text, TokLine, TokColumn);
+    return Finish(TokenKind::Error);
   }
-  advance(); // closing quote
-  return makeToken(TokenKind::StringLiteral, std::move(Text), TokLine,
-                   TokColumn);
+  Token Tok = Finish(TokenKind::StringLiteral);
+  ++Pos; // closing quote
+  return Tok;
 }
 
-Token Lexer::lexNumber(int TokLine, int TokColumn) {
-  std::string Text;
-  while (Pos < Source.size() &&
-         std::isdigit(static_cast<unsigned char>(peek())))
-    Text += advance();
-  return makeToken(TokenKind::IntLiteral, std::move(Text), TokLine, TokColumn);
-}
+Token Lexer::next(TokenStream &Out) {
+  // Trivia: whitespace and `//` comments.
+  while (Pos < Source.size()) {
+    char C = Source[Pos];
+    if (C == ' ' || C == '\t' || C == '\r') {
+      ++Pos;
+    } else if (C == '\n') {
+      ++Pos;
+      ++Line;
+      LineStart = Pos;
+    } else if (C == '/' && Pos + 1 < Source.size() && Source[Pos + 1] == '/') {
+      while (Pos < Source.size() && Source[Pos] != '\n')
+        ++Pos;
+    } else {
+      break;
+    }
+  }
 
-Token Lexer::next() {
-  skipTrivia();
-  int TokLine = Line, TokColumn = Column;
+  const size_t Begin = Pos;
+  const int TokColumn = column(Pos);
   if (Pos >= Source.size())
-    return makeToken(TokenKind::EndOfFile, "", TokLine, TokColumn);
+    return make(TokenKind::EndOfFile, Begin, TokColumn);
 
-  char C = peek();
-  if (std::isalpha(static_cast<unsigned char>(C)) || C == '_')
-    return lexIdentifierOrKeyword(TokLine, TokColumn);
+  char C = Source[Pos];
+  if (isIdentChar(C) && !isDigit(C)) {
+    while (Pos < Source.size() && isIdentChar(Source[Pos]))
+      ++Pos;
+    return make(keywordKind(Source.substr(Begin, Pos - Begin)), Begin,
+                TokColumn);
+  }
   if (C == '"')
-    return lexString(TokLine, TokColumn);
-  if (std::isdigit(static_cast<unsigned char>(C)))
-    return lexNumber(TokLine, TokColumn);
+    return lexString(Begin, TokColumn, Out);
+  if (isDigit(C)) {
+    while (Pos < Source.size() && isDigit(Source[Pos]))
+      ++Pos;
+    return make(TokenKind::IntLiteral, Begin, TokColumn);
+  }
 
-  advance();
+  ++Pos;
   switch (C) {
   case '{':
-    return makeToken(TokenKind::LBrace, "{", TokLine, TokColumn);
+    return make(TokenKind::LBrace, Begin, TokColumn);
   case '}':
-    return makeToken(TokenKind::RBrace, "}", TokLine, TokColumn);
+    return make(TokenKind::RBrace, Begin, TokColumn);
   case '(':
-    return makeToken(TokenKind::LParen, "(", TokLine, TokColumn);
+    return make(TokenKind::LParen, Begin, TokColumn);
   case ')':
-    return makeToken(TokenKind::RParen, ")", TokLine, TokColumn);
+    return make(TokenKind::RParen, Begin, TokColumn);
   case ',':
-    return makeToken(TokenKind::Comma, ",", TokLine, TokColumn);
+    return make(TokenKind::Comma, Begin, TokColumn);
   case ';':
-    return makeToken(TokenKind::Semicolon, ";", TokLine, TokColumn);
+    return make(TokenKind::Semicolon, Begin, TokColumn);
   case '.':
-    return makeToken(TokenKind::Dot, ".", TokLine, TokColumn);
+    return make(TokenKind::Dot, Begin, TokColumn);
   case '<':
-    return makeToken(TokenKind::Less, "<", TokLine, TokColumn);
+    return make(TokenKind::Less, Begin, TokColumn);
   case '>':
-    return makeToken(TokenKind::Greater, ">", TokLine, TokColumn);
+    return make(TokenKind::Greater, Begin, TokColumn);
   case '=':
-    if (peek() == '=') {
-      advance();
-      return makeToken(TokenKind::EqualEqual, "==", TokLine, TokColumn);
+    if (Pos < Source.size() && Source[Pos] == '=') {
+      ++Pos;
+      return make(TokenKind::EqualEqual, Begin, TokColumn);
     }
-    return makeToken(TokenKind::Assign, "=", TokLine, TokColumn);
+    return make(TokenKind::Assign, Begin, TokColumn);
   case '!':
-    if (peek() == '=') {
-      advance();
-      return makeToken(TokenKind::NotEqual, "!=", TokLine, TokColumn);
+    if (Pos < Source.size() && Source[Pos] == '=') {
+      ++Pos;
+      return make(TokenKind::NotEqual, Begin, TokColumn);
     }
     break;
   default:
     break;
   }
-  Diags.error(TokLine, TokColumn,
+  Diags.error(Line, TokColumn,
               std::string("unexpected character '") + C + "'");
-  return makeToken(TokenKind::Error, std::string(1, C), TokLine, TokColumn);
+  return make(TokenKind::Error, Begin, TokColumn);
 }
 
-std::vector<Token> Lexer::lexAll() {
-  std::vector<Token> Tokens;
+TokenStream Lexer::lexAll() {
+  TokenStream Out;
+  // MiniLang averages about three source bytes per token.
+  Out.Tokens.reserve(Source.size() / 2 + 2);
   while (true) {
-    Tokens.push_back(next());
-    if (Tokens.back().is(TokenKind::EndOfFile))
+    Out.Tokens.push_back(next(Out));
+    if (Out.Tokens.back().is(TokenKind::EndOfFile))
       break;
   }
-  return Tokens;
+  return Out;
 }

@@ -6,11 +6,60 @@
 
 #include "lang/Parser.h"
 
-#include "lang/Lexer.h"
-
-#include <cstdlib>
+#include <cstring>
+#include <functional>
+#include <limits>
+#include <memory>
+#include <new>
+#include <type_traits>
 
 using namespace uspec;
+
+namespace {
+
+/// The value of a run of decimal digits, saturating at INT64_MAX on
+/// overflow as strtoll does.
+int64_t parseDecimal(std::string_view Digits) {
+  constexpr uint64_t Max = std::numeric_limits<int64_t>::max();
+  uint64_t Value = 0;
+  for (char C : Digits) {
+    uint64_t Digit = static_cast<uint64_t>(C - '0');
+    if (Value > (Max - Digit) / 10)
+      return static_cast<int64_t>(Max);
+    Value = Value * 10 + Digit;
+  }
+  return static_cast<int64_t>(Value);
+}
+
+} // namespace
+
+template <typename T, typename... ArgTs> T *Parser::make(ArgTs &&...Args) {
+  static_assert(std::is_trivially_destructible_v<T>,
+                "the pool never runs destructors");
+  return new (Pool.allocate(sizeof(T), alignof(T)))
+      T(std::forward<ArgTs>(Args)...);
+}
+
+template <typename T>
+PoolArray<T> Parser::commit(std::vector<T> &Stack, size_t Mark) {
+  size_t N = Stack.size() - Mark;
+  if (N == 0)
+    return {};
+  T *Data = Pool.allocArray<T>(N);
+  std::uninitialized_copy(Stack.begin() + Mark, Stack.end(), Data);
+  Stack.resize(Mark);
+  return PoolArray<T>(Data, static_cast<uint32_t>(N));
+}
+
+std::string_view Parser::own(std::string_view Text) {
+  std::less_equal<const char *> LessEq;
+  if (LessEq(Source.data(), Text.data()) &&
+      LessEq(Text.data() + Text.size(), Source.data() + Source.size()))
+    return Text;
+  char *Copy = Pool.allocArray<char>(Text.size());
+  std::memcpy(Copy, Text.data(), Text.size());
+  return {Copy, Text.size()};
+}
 
 bool Parser::match(TokenKind Kind) {
   if (!check(Kind))
@@ -33,102 +82,141 @@ void Parser::synchronizeToClassBoundary() {
     ++Pos;
 }
 
+void Parser::nestingError(const Token &At, const char *What,
+                          const char *Unit) {
+  Diags.error(At.Line, At.Column,
+              std::string(What) + " " + std::to_string(MaxNestingDepth) +
+                  " " + Unit);
+}
+
 std::optional<Module> Parser::parse(std::string_view Source,
                                     std::string ModuleName,
                                     DiagnosticSink &Diags) {
-  Lexer Lex(Source, Diags);
-  Parser P(Lex.lexAll(), Diags);
-  return P.parseModule(std::move(ModuleName));
-}
-
-std::optional<Module> Parser::parseModule(std::string ModuleName) {
   Module M;
   M.Name = std::move(ModuleName);
-  while (!check(TokenKind::EndOfFile)) {
-    auto Class = parseClass();
-    if (!Class) {
-      synchronizeToClassBoundary();
-      continue;
-    }
-    M.Classes.push_back(std::move(*Class));
-  }
+  // One slab holds the source copy and, for typical programs, every node.
+  M.Pool = std::make_unique<Arena>(Source.size() * 8 + 1024);
+  char *Copy = M.Pool->allocArray<char>(Source.size());
+  if (!Source.empty())
+    std::memcpy(Copy, Source.data(), Source.size());
+  std::string_view Text(Copy, Source.size());
+  Lexer Lex(Text, Diags);
+  Parser P(Lex.lexAll(), *M.Pool, Diags);
+  P.Source = Text;
+  P.parseModule(M);
   return M;
 }
 
-std::optional<ClassDecl> Parser::parseClass() {
+void Parser::parseModule(Module &M) {
+  while (!check(TokenKind::EndOfFile)) {
+    if (parseClass())
+      continue;
+    // Drop whatever the failed class left on the list stacks.
+    Methods.clear();
+    Names.clear();
+    Stmts.clear();
+    Exprs.clear();
+    synchronizeToClassBoundary();
+  }
+  M.Classes = commit(Classes, 0);
+}
+
+bool Parser::parseClass() {
   if (!expect(TokenKind::KwClass, "at top level"))
-    return std::nullopt;
+    return false;
   ClassDecl Class;
   Class.Line = previous().Line;
   if (!expect(TokenKind::Identifier, "after 'class'"))
-    return std::nullopt;
+    return false;
   Class.Name = previous().Text;
   if (!expect(TokenKind::LBrace, "after class name"))
-    return std::nullopt;
+    return false;
+  // Fields and methods interleave; a method's parameters are pushed above
+  // the fields seen so far and popped again before the next field.
+  size_t FieldMark = Names.size(), MethodMark = Methods.size();
   while (!check(TokenKind::RBrace) && !check(TokenKind::EndOfFile)) {
     if (match(TokenKind::KwVar)) {
       if (!expect(TokenKind::Identifier, "after 'var' in field declaration"))
-        return std::nullopt;
-      Class.Fields.push_back(previous().Text);
+        return false;
+      Names.push_back(previous().Text);
       if (!expect(TokenKind::Semicolon, "after field name"))
-        return std::nullopt;
+        return false;
       continue;
     }
-    auto Method = parseMethod();
-    if (!Method)
-      return std::nullopt;
-    Class.Methods.push_back(std::move(*Method));
+    if (!parseMethod())
+      return false;
   }
   if (!expect(TokenKind::RBrace, "to close class body"))
-    return std::nullopt;
-  return Class;
+    return false;
+  Class.Fields = commit(Names, FieldMark);
+  Class.Methods = commit(Methods, MethodMark);
+  Classes.push_back(Class);
+  return true;
 }
 
-std::optional<MethodDecl> Parser::parseMethod() {
+bool Parser::parseMethod() {
   if (!expect(TokenKind::KwDef, "in class body"))
-    return std::nullopt;
+    return false;
   MethodDecl Method;
   Method.Line = previous().Line;
   if (!expect(TokenKind::Identifier, "after 'def'"))
-    return std::nullopt;
+    return false;
   Method.Name = previous().Text;
   if (!expect(TokenKind::LParen, "after method name"))
-    return std::nullopt;
+    return false;
+  size_t ParamMark = Names.size();
   if (!check(TokenKind::RParen)) {
     do {
       if (!expect(TokenKind::Identifier, "in parameter list"))
-        return std::nullopt;
-      Method.Params.push_back(previous().Text);
+        return false;
+      Names.push_back(previous().Text);
     } while (match(TokenKind::Comma));
   }
   if (!expect(TokenKind::RParen, "to close parameter list"))
-    return std::nullopt;
+    return false;
+  Method.Params = commit(Names, ParamMark);
   if (!expect(TokenKind::LBrace, "to open method body"))
-    return std::nullopt;
+    return false;
   if (!parseBlock(Method.Body))
-    return std::nullopt;
-  return Method;
+    return false;
+  Methods.push_back(Method);
+  return true;
 }
 
 bool Parser::parseBlock(Block &Out) {
   // The opening brace has been consumed by the caller.
+  size_t Mark = Stmts.size();
   while (!check(TokenKind::RBrace) && !check(TokenKind::EndOfFile)) {
-    StmtPtr S = parseStatement();
+    const Stmt *S = parseStatement();
     if (!S)
       return false;
-    Out.push_back(std::move(S));
+    Stmts.push_back(S);
   }
-  return expect(TokenKind::RBrace, "to close block");
+  if (!expect(TokenKind::RBrace, "to close block"))
+    return false;
+  Out = commit(Stmts, Mark);
+  return true;
 }
 
-StmtPtr Parser::parseStatement() {
+bool Parser::parseNestedBlock(Block &Out) {
+  if (BlockDepth >= MaxNestingDepth) {
+    nestingError(previous(), "blocks nested deeper than", "levels");
+    return false;
+  }
+  ++BlockDepth;
+  bool Ok = parseBlock(Out);
+  --BlockDepth;
+  return Ok;
+}
+
+const Stmt *Parser::parseStatement() {
   int Line = peek().Line;
 
   if (match(TokenKind::KwVar)) {
     if (!expect(TokenKind::Identifier, "after 'var'"))
       return nullptr;
-    std::string Name = previous().Text;
-    ExprPtr Init;
+    std::string_view Name = previous().Text;
+    const Expr *Init = nullptr;
     if (match(TokenKind::Assign)) {
       Init = parseExpr();
       if (!Init)
@@ -136,8 +224,7 @@ StmtPtr Parser::parseStatement() {
     }
     if (!expect(TokenKind::Semicolon, "after variable declaration"))
       return nullptr;
-    return std::make_unique<VarDeclStmt>(std::move(Name), std::move(Init),
-                                         Line);
+    return make<VarDeclStmt>(Name, Init, Line);
   }
 
   if (check(TokenKind::KwIf))
@@ -146,7 +233,7 @@ StmtPtr Parser::parseStatement() {
     return parseWhile();
 
   if (match(TokenKind::KwReturn)) {
-    ExprPtr Value;
+    const Expr *Value = nullptr;
     if (!check(TokenKind::Semicolon)) {
       Value = parseExpr();
       if (!Value)
@@ -154,28 +241,28 @@ StmtPtr Parser::parseStatement() {
     }
     if (!expect(TokenKind::Semicolon, "after return"))
       return nullptr;
-    return std::make_unique<ReturnStmt>(std::move(Value), Line);
+    return make<ReturnStmt>(Value, Line);
   }
 
   // Expression statement or assignment.
-  ExprPtr E = parseExpr();
+  const Expr *E = parseExpr();
   if (!E)
     return nullptr;
   if (match(TokenKind::Assign)) {
-    if (!isa<VarRefExpr>(E.get()) && !isa<FieldReadExpr>(E.get())) {
+    if (!isa<VarRefExpr>(E) && !isa<FieldReadExpr>(E)) {
       Diags.error(Line, 0, "assignment target must be a variable or field");
       return nullptr;
     }
-    ExprPtr Value = parseExpr();
+    const Expr *Value = parseExpr();
     if (!Value)
       return nullptr;
     if (!expect(TokenKind::Semicolon, "after assignment"))
       return nullptr;
-    return std::make_unique<AssignStmt>(std::move(E), std::move(Value), Line);
+    return make<AssignStmt>(E, Value, Line);
   }
   if (!expect(TokenKind::Semicolon, "after expression statement"))
     return nullptr;
-  return std::make_unique<ExprStmt>(std::move(E), Line);
+  return make<ExprStmt>(E, Line);
 }
 
 std::optional<Condition> Parser::parseCondition() {
@@ -199,7 +286,7 @@ std::optional<Condition> Parser::parseCondition() {
   return Cond;
 }
 
-StmtPtr Parser::parseIf() {
+const Stmt *Parser::parseIf() {
   int Line = peek().Line;
   expect(TokenKind::KwIf, "");
   if (!expect(TokenKind::LParen, "after 'if'"))
@@ -212,20 +299,19 @@ StmtPtr Parser::parseIf() {
   if (!expect(TokenKind::LBrace, "to open 'if' body"))
     return nullptr;
   Block Then;
-  if (!parseBlock(Then))
+  if (!parseNestedBlock(Then))
     return nullptr;
   Block Else;
   if (match(TokenKind::KwElse)) {
     if (!expect(TokenKind::LBrace, "to open 'else' body"))
       return nullptr;
-    if (!parseBlock(Else))
+    if (!parseNestedBlock(Else))
       return nullptr;
   }
-  return std::make_unique<IfStmt>(std::move(*Cond), std::move(Then),
-                                  std::move(Else), Line);
+  return make<IfStmt>(*Cond, Then, Else, Line);
 }
 
-StmtPtr Parser::parseWhile() {
+const Stmt *Parser::parseWhile() {
   int Line = peek().Line;
   expect(TokenKind::KwWhile, "");
   if (!expect(TokenKind::LParen, "after 'while'"))
@@ -238,62 +324,72 @@ StmtPtr Parser::parseWhile() {
   if (!expect(TokenKind::LBrace, "to open 'while' body"))
     return nullptr;
   Block Body;
-  if (!parseBlock(Body))
+  if (!parseNestedBlock(Body))
     return nullptr;
-  return std::make_unique<WhileStmt>(std::move(*Cond), std::move(Body), Line);
+  return make<WhileStmt>(*Cond, Body, Line);
 }
 
-bool Parser::parseArgs(std::vector<ExprPtr> &Out) {
+bool Parser::parseArgs(ExprList &Out) {
+  // The opening parenthesis has been consumed by the caller.
   if (check(TokenKind::RParen))
     return true;
+  if (ArgDepth >= MaxNestingDepth) {
+    nestingError(previous(), "argument lists nested deeper than", "levels");
+    return false;
+  }
+  ++ArgDepth;
+  size_t Mark = Exprs.size();
+  bool Ok = true;
   do {
-    ExprPtr Arg = parseExpr();
-    if (!Arg)
-      return false;
-    Out.push_back(std::move(Arg));
+    const Expr *Arg = parseExpr();
+    if (!Arg) {
+      Ok = false;
+      break;
+    }
+    Exprs.push_back(Arg);
   } while (match(TokenKind::Comma));
-  return true;
+  --ArgDepth;
+  if (Ok)
+    Out = commit(Exprs, Mark);
+  return Ok;
 }
 
-ExprPtr Parser::parsePrimary() {
+const Expr *Parser::parsePrimary() {
   int Line = peek().Line;
 
   if (match(TokenKind::KwNew)) {
     if (!expect(TokenKind::Identifier, "after 'new'"))
       return nullptr;
-    std::string ClassName = previous().Text;
+    std::string_view ClassName = previous().Text;
     if (!expect(TokenKind::LParen, "after class name in 'new'"))
       return nullptr;
-    std::vector<ExprPtr> Args;
+    ExprList Args;
     if (!parseArgs(Args))
       return nullptr;
     if (!expect(TokenKind::RParen, "to close 'new' arguments"))
       return nullptr;
-    return std::make_unique<NewExpr>(std::move(ClassName), std::move(Args),
-                                     Line);
+    return make<NewExpr>(ClassName, Args, Line);
   }
   if (match(TokenKind::StringLiteral))
-    return std::make_unique<StringLitExpr>(previous().Text, Line);
+    return make<StringLitExpr>(own(previous().Text), Line);
   if (match(TokenKind::IntLiteral))
-    return std::make_unique<IntLitExpr>(
-        std::strtoll(previous().Text.c_str(), nullptr, 10), Line);
+    return make<IntLitExpr>(parseDecimal(previous().Text), Line);
   if (match(TokenKind::KwNull))
-    return std::make_unique<NullExpr>(Line);
+    return make<NullExpr>(Line);
   if (match(TokenKind::KwThis))
-    return std::make_unique<ThisExpr>(Line);
+    return make<ThisExpr>(Line);
   if (match(TokenKind::Identifier)) {
-    std::string Name = previous().Text;
+    std::string_view Name = previous().Text;
     if (match(TokenKind::LParen)) {
       // Implicit-this call m(args).
-      std::vector<ExprPtr> Args;
+      ExprList Args;
       if (!parseArgs(Args))
         return nullptr;
       if (!expect(TokenKind::RParen, "to close call arguments"))
         return nullptr;
-      return std::make_unique<CallExpr>(nullptr, std::move(Name),
-                                        std::move(Args), Line);
+      return make<CallExpr>(nullptr, Name, Args, Line);
     }
-    return std::make_unique<VarRefExpr>(std::move(Name), Line);
+    return make<VarRefExpr>(Name, Line);
   }
   Diags.error(peek().Line, peek().Column,
               std::string("expected expression, found ") +
@@ -301,26 +397,29 @@ ExprPtr Parser::parsePrimary() {
   return nullptr;
 }
 
-ExprPtr Parser::parseExpr() {
-  ExprPtr E = parsePrimary();
+const Expr *Parser::parseExpr() {
+  const Expr *E = parsePrimary();
   if (!E)
     return nullptr;
+  unsigned Links = 0;
   while (match(TokenKind::Dot)) {
     int Line = previous().Line;
+    if (Links++ == MaxNestingDepth) {
+      nestingError(previous(), "receiver chain longer than", "links");
+      return nullptr;
+    }
     if (!expect(TokenKind::Identifier, "after '.'"))
       return nullptr;
-    std::string Member = previous().Text;
+    std::string_view Member = previous().Text;
     if (match(TokenKind::LParen)) {
-      std::vector<ExprPtr> Args;
+      ExprList Args;
       if (!parseArgs(Args))
         return nullptr;
       if (!expect(TokenKind::RParen, "to close call arguments"))
         return nullptr;
-      E = std::make_unique<CallExpr>(std::move(E), std::move(Member),
-                                     std::move(Args), Line);
+      E = make<CallExpr>(E, Member, Args, Line);
     } else {
-      E = std::make_unique<FieldReadExpr>(std::move(E), std::move(Member),
-                                          Line);
+      E = make<FieldReadExpr>(E, Member, Line);
     }
   }
   return E;

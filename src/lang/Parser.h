@@ -16,7 +16,7 @@
 
 #include "lang/AST.h"
 #include "lang/Diagnostics.h"
-#include "lang/Token.h"
+#include "lang/Lexer.h"
 
 #include <optional>
 #include <string_view>
@@ -24,19 +24,29 @@
 
 namespace uspec {
 
+/// How deep `if`/`while` blocks and argument lists may nest, and how many
+/// `.member` links one receiver chain may have. The parser, lowering, the
+/// analysis and the interpreter recurse once per level, so without a bound
+/// a small request (`f(f(f(...)))` 20,000 deep is 60 KB) overflows the
+/// stack of the thread that parses it. Going past the limit is a
+/// diagnostic. Generated programs stay far below it: across 80k of them the
+/// deepest had 3 levels of braces, 2 of parentheses and 2 chained calls.
+inline constexpr unsigned MaxNestingDepth = 256;
+
 /// Parses MiniLang source into a Module.
 class Parser {
 public:
   /// Parses \p Source (named \p ModuleName) and returns the module, or
   /// std::nullopt if parsing hit a non-recoverable error. Check
-  /// \p Diags.hasErrors() even on success.
+  /// \p Diags.hasErrors() even on success. The module keeps its own copy of
+  /// the source text, so \p Source need not outlive it.
   static std::optional<Module> parse(std::string_view Source,
                                      std::string ModuleName,
                                      DiagnosticSink &Diags);
 
 private:
-  Parser(std::vector<Token> Tokens, DiagnosticSink &Diags)
-      : Tokens(std::move(Tokens)), Diags(Diags) {}
+  Parser(TokenStream Tokens, Arena &Pool, DiagnosticSink &Diags)
+      : Tokens(std::move(Tokens)), Pool(Pool), Diags(Diags) {}
 
   const Token &peek() const { return Tokens[Pos]; }
   const Token &previous() const { return Tokens[Pos - 1]; }
@@ -44,22 +54,45 @@ private:
   bool match(TokenKind Kind);
   bool expect(TokenKind Kind, const char *Context);
   void synchronizeToClassBoundary();
+  /// Reports "<What> <MaxNestingDepth> <Unit>" at \p At.
+  void nestingError(const Token &At, const char *What, const char *Unit);
 
-  std::optional<Module> parseModule(std::string ModuleName);
-  std::optional<ClassDecl> parseClass();
-  std::optional<MethodDecl> parseMethod();
+  /// Allocates a node in the module's pool.
+  template <typename T, typename... ArgTs> T *make(ArgTs &&...Args);
+  /// Moves Stack[Mark..] into a pool array and truncates Stack to Mark.
+  template <typename T>
+  PoolArray<T> commit(std::vector<T> &Stack, size_t Mark);
+  /// \p Text if it views the module's copy of the source, else a pool copy
+  /// (the decoded text of an escaped string literal lives in the tokens).
+  std::string_view own(std::string_view Text);
+
+  void parseModule(Module &M);
+  bool parseClass();
+  bool parseMethod();
   bool parseBlock(Block &Out);
-  StmtPtr parseStatement();
-  StmtPtr parseIf();
-  StmtPtr parseWhile();
+  bool parseNestedBlock(Block &Out);
+  const Stmt *parseStatement();
+  const Stmt *parseIf();
+  const Stmt *parseWhile();
   std::optional<Condition> parseCondition();
-  ExprPtr parseExpr();
-  ExprPtr parsePrimary();
-  bool parseArgs(std::vector<ExprPtr> &Out);
+  const Expr *parseExpr();
+  const Expr *parsePrimary();
+  bool parseArgs(ExprList &Out);
 
-  std::vector<Token> Tokens;
+  TokenStream Tokens;
+  Arena &Pool;
   DiagnosticSink &Diags;
   size_t Pos = 0;
+  std::string_view Source; ///< The module's copy of the source text.
+  unsigned BlockDepth = 0; ///< Enclosing `if`/`while` blocks.
+  unsigned ArgDepth = 0;   ///< Enclosing argument lists.
+
+  // Lists under construction, innermost on top; commit() pops them.
+  std::vector<ClassDecl> Classes;
+  std::vector<MethodDecl> Methods;
+  std::vector<std::string_view> Names;
+  std::vector<const Stmt *> Stmts;
+  std::vector<const Expr *> Exprs;
 };
 
 } // namespace uspec

@@ -13,7 +13,7 @@ using namespace uspec;
 namespace {
 
 /// Escapes a string literal body for re-lexing.
-std::string escapeString(const std::string &Value) {
+std::string escapeString(std::string_view Value) {
   std::string Out;
   for (char C : Value) {
     switch (C) {
@@ -118,13 +118,13 @@ public:
       Out << "if (";
       printCondition(If.Cond);
       Out << ") {\n";
-      for (const StmtPtr &Inner : If.Then)
+      for (const Stmt *Inner : If.Then)
         printStmtNode(*Inner, Indent + 1);
       pad(Indent);
       Out << "}";
       if (!If.Else.empty()) {
         Out << " else {\n";
-        for (const StmtPtr &Inner : If.Else)
+        for (const Stmt *Inner : If.Else)
           printStmtNode(*Inner, Indent + 1);
         pad(Indent);
         Out << "}";
@@ -137,7 +137,7 @@ public:
       Out << "while (";
       printCondition(While.Cond);
       Out << ") {\n";
-      for (const StmtPtr &Inner : While.Body)
+      for (const Stmt *Inner : While.Body)
         printStmtNode(*Inner, Indent + 1);
       pad(Indent);
       Out << "}\n";
@@ -164,7 +164,7 @@ private:
       Out << "  ";
   }
 
-  void printArgs(const std::vector<ExprPtr> &Args) {
+  void printArgs(const ExprList &Args) {
     for (size_t I = 0; I < Args.size(); ++I) {
       if (I)
         Out << ", ";
@@ -195,7 +195,7 @@ private:
 
   void printClass(const ClassDecl &Class) {
     Out << "class " << Class.Name << " {\n";
-    for (const std::string &Field : Class.Fields)
+    for (std::string_view Field : Class.Fields)
       Out << "  var " << Field << ";\n";
     for (const MethodDecl &Method : Class.Methods) {
       Out << "  def " << Method.Name << "(";
@@ -205,7 +205,7 @@ private:
         Out << Method.Params[I];
       }
       Out << ") {\n";
-      for (const StmtPtr &S : Method.Body)
+      for (const Stmt *S : Method.Body)
         printStmtNode(*S, 2);
       Out << "  }\n";
     }

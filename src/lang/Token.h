@@ -15,7 +15,7 @@
 #define USPEC_LANG_TOKEN_H
 
 #include <cstdint>
-#include <string>
+#include <string_view>
 
 namespace uspec {
 
@@ -55,11 +55,15 @@ enum class TokenKind : uint8_t {
 const char *tokenKindName(TokenKind Kind);
 
 /// A single lexed token with its source location (1-based line/column).
+/// Trivially copyable: the text is a view, not a copy.
 struct Token {
   TokenKind Kind = TokenKind::EndOfFile;
-  std::string Text; // Identifier spelling or literal value (unquoted).
   int Line = 0;
   int Column = 0;
+  /// Identifier spelling or literal value (unquoted). A view into the
+  /// source, except for a string literal with escapes, whose decoded text
+  /// lives in the TokenStream that holds the token.
+  std::string_view Text;
 
   bool is(TokenKind K) const { return Kind == K; }
 };

@@ -90,7 +90,7 @@ public:
         for (const IRMethod &Method : Class.Methods) {
           Flow F;
           Frame Entry = setupEntryFrame(Class, Method, F);
-          analyzeBody(Method.Body, Entry, F, /*Depth=*/0);
+          analyzeRange(Method.body(), Entry, F, /*Depth=*/0);
           // Bounded runs still merge what they saw: the histories/events are
           // genuine, just incomplete, and R.Bounded forces ⊤ alias answers.
           if (LastIter || Exhausted)
@@ -294,9 +294,11 @@ private:
   // Statement interpretation
   //===--------------------------------------------------------------------===//
 
-  void analyzeBody(const InstrList &Body, Frame &Fr, Flow &F,
-                   unsigned Depth) {
-    for (const Instr &I : Body) {
+  /// Interprets range \p R of the frame's method (regions nested in it
+  /// are entered by their If/While).
+  void analyzeRange(IndexRange R, Frame &Fr, Flow &F, unsigned Depth) {
+    const IRMethod &M = *Fr.Method;
+    for (uint32_t Pc = R.Begin; Pc < R.End; Pc = M.Code[Pc].nextPc(Pc)) {
       // Cooperative bound: one step per interpreted instruction. The flag is
       // sticky so the whole inline/branch recursion unwinds promptly.
       if (Exhausted)
@@ -306,7 +308,7 @@ private:
         Exhausted = true;
         return;
       }
-      analyzeInstr(I, Fr, F, Depth);
+      analyzeInstr(M.Code[Pc], Fr, F, Depth);
     }
   }
 
@@ -389,8 +391,8 @@ private:
     case Instr::Kind::If: {
       Frame ElseFrame = cloneFrame(Fr);
       Flow ElseFlow = F;
-      analyzeBody(I.Inner1, Fr, F, Depth);
-      analyzeBody(I.Inner2, ElseFrame, ElseFlow, Depth);
+      analyzeRange(I.thenRange(), Fr, F, Depth);
+      analyzeRange(I.elseRange(), ElseFrame, ElseFlow, Depth);
       joinVars(Fr.Vars, ElseFrame.Vars);
       Fr.Ret.unionWith(ElseFrame.Ret, A);
       joinFlow(F, ElseFlow);
@@ -400,7 +402,7 @@ private:
       // Single loop unrolling (§3.2): join the skip path with one body pass.
       Frame OnceFrame = cloneFrame(Fr);
       Flow OnceFlow = F;
-      analyzeBody(I.Inner1, OnceFrame, OnceFlow, Depth);
+      analyzeRange(I.bodyRange(), OnceFrame, OnceFlow, Depth);
       joinVars(Fr.Vars, OnceFrame.Vars);
       Fr.Ret.unionWith(OnceFrame.Ret, A);
       joinFlow(F, OnceFlow);
@@ -445,7 +447,7 @@ private:
     // stay valid through inlineCall/apiCall.
     std::vector<const PtsSet *> ArgSets;
     ArgSets.reserve(I.Args.size());
-    for (VarId Arg : I.Args)
+    for (VarId Arg : Fr.Method->args(I))
       ArgSets.push_back(&Fr.Vars[Arg]);
 
     // Try to resolve to a program-defined method (inlined, no events).
@@ -477,7 +479,7 @@ private:
     for (uint32_t P = 0; P < Target.NumParams && P < ArgSets.size(); ++P)
       Callee.Vars[1 + P] = ArgSets[P]->clone(A);
     seedExternals(Target, Callee, F);
-    analyzeBody(Target.Body, Callee, F, Depth + 1);
+    analyzeRange(Target.body(), Callee, F, Depth + 1);
     if (I.Dst != InvalidVar)
       Fr.Vars[I.Dst] = std::move(Callee.Ret);
   }

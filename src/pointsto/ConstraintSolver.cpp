@@ -154,12 +154,16 @@ private:
       addObject(varNode(ClassIdx, MethodIdx, Slot),
                 Objects.getExternalObject(Name));
 
-    buildBody(Method.Body, ClassIdx, MethodIdx);
+    buildBody(Method, ClassIdx, MethodIdx);
   }
 
-  void buildBody(const InstrList &Body, uint32_t ClassIdx,
+  /// Flow-insensitive: one pass over every instruction of the method, in
+  /// layout order — then and else ranges and loop bodies included. A
+  /// While's condition range precedes it in the array, so it is visited
+  /// once, as its own instructions.
+  void buildBody(const IRMethod &Method, uint32_t ClassIdx,
                  uint32_t MethodIdx) {
-    for (const Instr &I : Body) {
+    for (const Instr &I : Method.Code) {
       auto Var = [&](VarId Slot) { return varNode(ClassIdx, MethodIdx, Slot); };
       switch (I.TheKind) {
       case Instr::Kind::Alloc:
@@ -191,7 +195,7 @@ private:
         PendingCall Call;
         Call.Recv = Var(I.Base);
         Call.Method = I.Name;
-        for (VarId Arg : I.Args)
+        for (VarId Arg : Method.args(I))
           Call.Args.push_back(Var(Arg));
         Call.Dst = I.Dst == InvalidVar ? ~0u : Var(I.Dst);
         Call.Site = I.SiteId;
@@ -216,13 +220,8 @@ private:
         break;
       }
       case Instr::Kind::If:
-        buildBody(I.Inner1, ClassIdx, MethodIdx);
-        buildBody(I.Inner2, ClassIdx, MethodIdx);
-        break;
       case Instr::Kind::While:
-        buildBody(I.Inner1, ClassIdx, MethodIdx);
-        // Inner2 duplicates the pre-loop condition instructions; skip.
-        break;
+        break; // their regions follow in Code
       case Instr::Kind::Return:
         if (I.Src != InvalidVar)
           addEdge(Var(I.Src), returnNode(ClassIdx, MethodIdx));

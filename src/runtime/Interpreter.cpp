@@ -40,14 +40,15 @@ void Interpreter::runEntry(const IRClass &Class, const IRMethod &Method) {
   for (const auto &[Slot, Name] : Method.Externals)
     F.Vars[Slot] = externalObject(Name);
   Steps = 0;
-  execBody(Method.Body, F, /*Depth=*/0);
+  execRange(Method.body(), F, /*Depth=*/0);
 }
 
-void Interpreter::execBody(const InstrList &Body, Frame &F, unsigned Depth) {
-  for (const Instr &I : Body) {
+void Interpreter::execRange(IndexRange R, Frame &F, unsigned Depth) {
+  const IRMethod &M = *F.Method;
+  for (uint32_t Pc = R.Begin; Pc < R.End; Pc = M.Code[Pc].nextPc(Pc)) {
     if (F.Returned || ++Steps > Opts.MaxSteps)
       return;
-    execInstr(I, F, Depth);
+    execInstr(M.Code[Pc], F, Depth);
   }
 }
 
@@ -118,16 +119,17 @@ void Interpreter::execInstr(const Instr &I, Frame &F, unsigned Depth) {
   }
   case Instr::Kind::If:
     if (evalCond(I, F))
-      execBody(I.Inner1, F, Depth);
+      execRange(I.thenRange(), F, Depth);
     else
-      execBody(I.Inner2, F, Depth);
+      execRange(I.elseRange(), F, Depth);
     return;
   case Instr::Kind::While: {
+    // The condition range ran once before the While; jump back to it after
+    // each iteration.
     unsigned Iters = 0;
     while (Iters++ < Opts.MaxLoopIters && evalCond(I, F) && !F.Returned) {
-      execBody(I.Inner1, F, Depth);
-      // Re-evaluate the condition expressions (Inner2 holds a copy).
-      execBody(I.Inner2, F, Depth);
+      execRange(I.bodyRange(), F, Depth);
+      execRange(I.condRange(), F, Depth);
     }
     return;
   }
@@ -143,7 +145,7 @@ RtValue Interpreter::callMethod(const Instr &I, Frame &F, unsigned Depth) {
   RtValue Recv = F.Vars[I.Base];
   std::vector<RtValue> Args;
   Args.reserve(I.Args.size());
-  for (VarId Arg : I.Args)
+  for (VarId Arg : F.Method->args(I))
     Args.push_back(F.Vars[Arg]);
 
   const std::string &Name = Strings.str(I.Name);
@@ -167,7 +169,7 @@ RtValue Interpreter::callMethod(const Instr &I, Frame &F, unsigned Depth) {
           Callee.Vars[1 + P] = Args[P];
         for (const auto &[Slot, ExtName] : Target->Externals)
           Callee.Vars[Slot] = externalObject(ExtName);
-        execBody(Target->Body, Callee, Depth + 1);
+        execRange(Target->body(), Callee, Depth + 1);
         return Callee.Ret;
       }
       break;

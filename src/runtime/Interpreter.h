@@ -63,7 +63,8 @@ private:
   };
 
   void runEntry(const IRClass &Class, const IRMethod &Method);
-  void execBody(const InstrList &Body, Frame &F, unsigned Depth);
+  /// Executes range \p R of the frame's method.
+  void execRange(IndexRange R, Frame &F, unsigned Depth);
   void execInstr(const Instr &I, Frame &F, unsigned Depth);
   bool evalCond(const Instr &I, const Frame &F) const;
   RtValue callMethod(const Instr &I, Frame &F, unsigned Depth);

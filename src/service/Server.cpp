@@ -7,6 +7,7 @@
 #include "service/Server.h"
 
 #include "artifact/Checkpoint.h"
+#include "support/ConnectionThreads.h"
 #include "support/EventLog.h"
 #include "support/FaultInject.h"
 #include "support/Hashing.h"
@@ -787,10 +788,10 @@ int Server::serveUnixSocket(const std::string &Path,
   }
 
   std::mutex ConnMutex;
-  std::vector<int> OpenFds; // guarded by ConnMutex; -1 = closed
-  std::vector<std::thread> ConnThreads;
+  std::vector<int> OpenFds; // guarded by ConnMutex
+  ConnectionThreads ConnThreads;
 
-  auto ConnectionLoop = [&](int Fd, size_t Slot) {
+  auto ConnectionLoop = [&](int Fd) {
     std::string Buffer;
     char Chunk[65536];
     bool Alive = true;
@@ -826,9 +827,13 @@ int Server::serveUnixSocket(const std::string &Path,
       }
       Buffer.erase(0, Start);
     }
+    // Forget the fd before closing it: once closed, accept() may hand the
+    // same number to a new connection.
+    {
+      std::lock_guard<std::mutex> Lock(ConnMutex);
+      OpenFds.erase(std::find(OpenFds.begin(), OpenFds.end(), Fd));
+    }
     ::close(Fd);
-    std::lock_guard<std::mutex> Lock(ConnMutex);
-    OpenFds[Slot] = -1;
   };
 
   for (;;) {
@@ -855,6 +860,7 @@ int Server::serveUnixSocket(const std::string &Path,
     // stale the drain/StopFlag check above can get, i.e. worst-case shutdown
     // latency while idle.
     int Ready = ::poll(&Pfd, 1, static_cast<int>(Config.AcceptPollMs));
+    ConnThreads.reapFinished();
     if (Ready < 0 && errno != EINTR)
       break;
     if (Ready <= 0)
@@ -862,10 +868,11 @@ int Server::serveUnixSocket(const std::string &Path,
     int Fd = ::accept(Listen, nullptr, nullptr);
     if (Fd < 0)
       continue;
-    std::lock_guard<std::mutex> Lock(ConnMutex);
-    size_t Slot = OpenFds.size();
-    OpenFds.push_back(Fd);
-    ConnThreads.emplace_back(ConnectionLoop, Fd, Slot);
+    {
+      std::lock_guard<std::mutex> Lock(ConnMutex);
+      OpenFds.push_back(Fd);
+    }
+    ConnThreads.spawn([&ConnectionLoop, Fd] { ConnectionLoop(Fd); });
   }
 
   ::close(Listen);
@@ -875,11 +882,9 @@ int Server::serveUnixSocket(const std::string &Path,
   {
     std::lock_guard<std::mutex> Lock(ConnMutex);
     for (int Fd : OpenFds)
-      if (Fd >= 0)
-        ::shutdown(Fd, SHUT_RD);
+      ::shutdown(Fd, SHUT_RD);
   }
-  for (std::thread &T : ConnThreads)
-    T.join();
+  ConnThreads.joinAll();
   drain();
   return 0;
 }

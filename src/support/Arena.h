@@ -125,7 +125,9 @@ private:
       Bytes *= 2;
     if (NextSlabBytes < MaxSlabBytes)
       NextSlabBytes *= 2;
-    Slabs.push_back(Slab{std::make_unique<char[]>(Bytes), Bytes});
+    // Uninitialized, like every allocation from the arena.
+    Slabs.push_back(
+        Slab{std::make_unique_for_overwrite<char[]>(Bytes), Bytes});
     CurSlab = Slabs.size() - 1;
     Cursor = reinterpret_cast<uintptr_t>(Slabs.back().Mem.get());
     SlabEnd = Cursor + Bytes;

@@ -32,19 +32,13 @@ struct Fixture {
   uint32_t siteOf(const char *Name, int Occurrence = 0) {
     int Found = 0;
     uint32_t Result = 0;
-    std::function<void(const InstrList &)> Walk = [&](const InstrList &Body) {
-      for (const Instr &I : Body) {
-        if (I.TheKind == Instr::Kind::Call && S.str(I.Name) == Name &&
-            Found++ == Occurrence)
-          Result = I.SiteId;
-        Walk(I.Inner1);
-        if (I.TheKind == Instr::Kind::If)
-          Walk(I.Inner2);
-      }
-    };
+    // Every instruction once, in textual order: the layout order of Code.
     for (const IRClass &C : Program.Classes)
       for (const IRMethod &M : C.Methods)
-        Walk(M.Body);
+        for (const Instr &I : M.Code)
+          if (I.TheKind == Instr::Kind::Call && S.str(I.Name) == Name &&
+              Found++ == Occurrence)
+            Result = I.SiteId;
     EXPECT_GT(Found, Occurrence) << Name;
     return Result;
   }

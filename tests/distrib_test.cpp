@@ -481,6 +481,77 @@ TEST(DistribRouter, UnframedOversizedLineGetsTheReplicaAnswer) {
 }
 
 //===----------------------------------------------------------------------===//
+// DistribConnections: finished connection threads are joined as they end
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// VmSize of this process in kB, from /proc/self/status.
+long vmSizeKb() {
+  std::ifstream Status("/proc/self/status");
+  std::string Line;
+  while (std::getline(Status, Line))
+    if (Line.rfind("VmSize:", 0) == 0)
+      return std::atol(Line.c_str() + 7);
+  return 0;
+}
+
+/// Runs \p Cycles connect–analyze–close cycles against \p SockPath and
+/// returns how far VmSize grew across them, in MB. Every connection costs
+/// the server a thread with an 8 MiB stack; unjoined, 300 of them add
+/// about 2.4 GB of address space.
+double vmGrowthMb(const std::string &SockPath, int Cycles) {
+  const std::string Line = analyzeRequest("c", miniProgram(0));
+  std::string Response, Err;
+  for (int I = 0; I < 5; ++I) // warm-up: first threads, cache entry
+    clientRoundTrip(SockPath, Line, Response, &Err);
+  long Before = vmSizeKb();
+  for (int I = 0; I < Cycles; ++I) {
+    Response.clear();
+    EXPECT_TRUE(clientRoundTrip(SockPath, Line, Response, &Err)) << Err;
+    EXPECT_NE(Response.find("\"ok\":true"), std::string::npos) << Response;
+  }
+  return (vmSizeKb() - Before) / 1024.0;
+}
+
+} // namespace
+
+TEST(DistribConnections, ServeJoinsFinishedConnectionThreads) {
+  std::string Dir = scratchDir("conn_serve");
+  std::string SpecPath = Dir + "/specs.txt";
+  writeFile(SpecPath, "RetSame(Map.get/1)\n");
+  TestReplica RA;
+  ASSERT_TRUE(RA.start(Dir + "/ra.sock", SpecPath));
+  EXPECT_LT(vmGrowthMb(RA.Path, 300), 128.0);
+}
+
+TEST(DistribConnections, RouteJoinsFinishedConnectionThreads) {
+  std::string Dir = scratchDir("conn_route");
+  std::string SpecPath = Dir + "/specs.txt";
+  writeFile(SpecPath, "RetSame(Map.get/1)\n");
+  TestReplica RA;
+  ASSERT_TRUE(RA.start(Dir + "/ra.sock", SpecPath));
+
+  RouterConfig Cfg = ringConfig({RA.Path});
+  Cfg.AcceptPollMs = 20;
+  Router R(Cfg);
+  std::string RouterPath = Dir + "/router.sock";
+  std::thread Serve([&] { R.serveUnixSocket(RouterPath, nullptr); });
+  for (int I = 0; I < 200 && access(RouterPath.c_str(), F_OK) != 0; ++I)
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+
+  // Each routed request costs a router thread and, for its forward, a
+  // replica thread: both loops must join theirs.
+  EXPECT_LT(vmGrowthMb(RouterPath, 300), 128.0);
+
+  std::string Resp, Err;
+  EXPECT_TRUE(clientRoundTrip(RouterPath, "{\"verb\":\"shutdown\"}", Resp,
+                              &Err))
+      << Err;
+  Serve.join();
+}
+
+//===----------------------------------------------------------------------===//
 // DistribSelfHeal: supervisor, ring rejoin, hedging, warm-cache handoff
 //===----------------------------------------------------------------------===//
 

@@ -12,10 +12,13 @@
 #include "corpus/Generator.h"
 #include "corpus/Profiles.h"
 #include "ir/Lowering.h"
+#include "lang/Parser.h"
 #include "pointsto/Analysis.h"
 #include "specs/SpecIO.h"
 
 #include <gtest/gtest.h>
+
+#include <thread>
 
 using namespace uspec;
 
@@ -105,6 +108,98 @@ TEST_P(FuzzMutations, MutatedValidProgramsNeverCrash) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FuzzMutations, ::testing::Values(7, 8, 9));
+
+//===----------------------------------------------------------------------===//
+// Nesting bombs: small inputs that nest far past MaxNestingDepth
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// `a.put(f(f(...f(a)...)))`: argument lists nested \p Depth deep.
+std::string nestedArgs(unsigned Depth) {
+  std::string S = "class C { def m() { a.put(";
+  for (unsigned I = 1; I < Depth; ++I)
+    S += "f(";
+  S += "a";
+  S.append(Depth - 1, ')');
+  return S + "); } }";
+}
+
+/// `a.b().b()...b()`: a receiver chain of \p Links links.
+std::string receiverChain(unsigned Links) {
+  std::string S = "class C { def m() { a";
+  for (unsigned I = 0; I < Links; ++I)
+    S += ".b()";
+  return S + "; } }";
+}
+
+/// `if (a) { if (a) { ... } }`: blocks nested \p Depth deep.
+std::string nestedBlocks(unsigned Depth) {
+  std::string S = "class C { def m() { ";
+  for (unsigned I = 0; I < Depth; ++I)
+    S += "if (a) { ";
+  S += "a.x(); ";
+  for (unsigned I = 0; I < Depth; ++I)
+    S += "} ";
+  return S + "} }";
+}
+
+struct Shape {
+  const char *Name;
+  std::string (*Build)(unsigned);
+  const char *Diagnostic;
+};
+
+const Shape Shapes[] = {
+    {"nested arguments", nestedArgs,
+     "argument lists nested deeper than 256 levels"},
+    {"receiver chain", receiverChain, "receiver chain longer than 256 links"},
+    {"nested blocks", nestedBlocks, "blocks nested deeper than 256 levels"},
+};
+
+/// Parses, lowers and (if it lowered) analyzes \p Source on a fresh
+/// std::thread, the kind of thread a `serve` worker runs on. Returns the
+/// rendered diagnostics; \p Lowered reports whether lowering succeeded.
+std::string frontEndOnThread(const std::string &Source, bool &Lowered) {
+  std::string Rendered;
+  std::thread Worker([&] {
+    StringInterner S;
+    DiagnosticSink Diags;
+    auto P = parseAndLower(Source, "bomb", S, Diags);
+    Lowered = P.has_value();
+    if (P)
+      analyzeProgram(*P, S, AnalysisOptions());
+    Rendered = Diags.render();
+  });
+  Worker.join();
+  return Rendered;
+}
+
+} // namespace
+
+TEST(FuzzNesting, BombsPastTheLimitGetADiagnostic) {
+  for (const Shape &Sh : Shapes) {
+    bool Lowered = true;
+    std::string Diags = frontEndOnThread(Sh.Build(20000), Lowered);
+    EXPECT_FALSE(Lowered) << Sh.Name;
+    EXPECT_NE(Diags.find(Sh.Diagnostic), std::string::npos)
+        << Sh.Name << ": " << Diags;
+  }
+}
+
+TEST(FuzzNesting, ShapesAtTheLimitLowerAndAnalyze) {
+  for (const Shape &Sh : Shapes) {
+    bool Lowered = false;
+    std::string Diags = frontEndOnThread(Sh.Build(MaxNestingDepth), Lowered);
+    EXPECT_TRUE(Lowered) << Sh.Name << ": " << Diags;
+    EXPECT_EQ(Diags, "") << Sh.Name;
+    // One level more is the first that is refused.
+    Diags = frontEndOnThread(Sh.Build(MaxNestingDepth + 1), Lowered);
+    EXPECT_FALSE(Lowered) << Sh.Name;
+    EXPECT_NE(Diags.find(Sh.Diagnostic), std::string::npos)
+        << Sh.Name << ": " << Diags;
+  }
+}
 
 TEST(FuzzSpecIO, RandomSpecDocumentsNeverCrash) {
   Rng Rand(11);

@@ -9,7 +9,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <functional>
 
 using namespace uspec;
 
@@ -30,12 +29,15 @@ LoweredProgram lower(std::string_view Source) {
   return Result;
 }
 
-/// Finds the first instruction of \p Kind in a flat list (does not recurse).
-const Instr *findFirst(const InstrList &Body, Instr::Kind Kind) {
-  for (const Instr &I : Body)
-    if (I.TheKind == Kind)
-      return &I;
-  return nullptr;
+/// Finds the first instruction of \p Kind at the top level of range \p R
+/// of \p M (does not enter nested regions).
+const Instr *findFirst(const IRMethod &M, IndexRange R, Instr::Kind Kind) {
+  const Instr *Found = nullptr;
+  M.forEach(R, [&](const Instr &I) {
+    if (!Found && I.TheKind == Kind)
+      Found = &I;
+  });
+  return Found;
 }
 
 } // namespace
@@ -52,12 +54,12 @@ TEST(Lowering, SimpleAllocAndCall) {
   ASSERT_EQ(L.Program.Classes.size(), 1u);
   const IRMethod &Main = L.Program.Classes[0].Methods[0];
 
-  const Instr *Alloc = findFirst(Main.Body, Instr::Kind::Alloc);
+  const Instr *Alloc = findFirst(Main, Main.body(), Instr::Kind::Alloc);
   ASSERT_NE(Alloc, nullptr);
   EXPECT_EQ(L.Strings.str(Alloc->Name), "Map");
   EXPECT_GT(Alloc->SiteId, 0u);
 
-  const Instr *Call = findFirst(Main.Body, Instr::Kind::Call);
+  const Instr *Call = findFirst(Main, Main.body(), Instr::Kind::Call);
   ASSERT_NE(Call, nullptr);
   EXPECT_EQ(L.Strings.str(Call->Name), "put");
   EXPECT_EQ(Call->Args.size(), 2u);
@@ -76,22 +78,13 @@ TEST(Lowering, SiteIdsAreUnique) {
       }
     }
   )");
-  // Walk all instructions recursively collecting site ids.
+  // Visit every instruction once, regions included, collecting site ids.
   std::vector<uint32_t> Sites;
-  std::function<void(const InstrList &)> Walk = [&](const InstrList &Body) {
-    for (const Instr &I : Body) {
-      if (I.SiteId)
-        Sites.push_back(I.SiteId);
-      Walk(I.Inner1);
-      // While.Inner2 is a copy of the condition instructions (same sites by
-      // design); only If.Inner2 holds distinct code.
-      if (I.TheKind == Instr::Kind::If)
-        Walk(I.Inner2);
-    }
-  };
   for (const IRClass &C : L.Program.Classes)
     for (const IRMethod &M : C.Methods)
-      Walk(M.Body);
+      for (const Instr &I : M.Code)
+        if (I.SiteId)
+          Sites.push_back(I.SiteId);
   std::sort(Sites.begin(), Sites.end());
   EXPECT_EQ(std::adjacent_find(Sites.begin(), Sites.end()), Sites.end())
       << "duplicate site ids";
@@ -109,9 +102,10 @@ TEST(Lowering, NestedCallArgumentsAreFlattened) {
   const IRMethod &Main = L.Program.Classes[0].Methods[0];
   // Expect three calls in order: key, getFile, put (args evaluated first).
   std::vector<std::string> Names;
-  for (const Instr &I : Main.Body)
+  Main.forEach(Main.body(), [&](const Instr &I) {
     if (I.TheKind == Instr::Kind::Call)
       Names.push_back(L.Strings.str(I.Name));
+  });
   ASSERT_EQ(Names.size(), 3u);
   EXPECT_EQ(Names[0], "key");
   EXPECT_EQ(Names[1], "getFile");
@@ -124,9 +118,10 @@ TEST(Lowering, LiteralKindsAndInterning) {
   )");
   const IRMethod &Main = L.Program.Classes[0].Methods[0];
   std::vector<const Instr *> Lits;
-  for (const Instr &I : Main.Body)
+  Main.forEach(Main.body(), [&](const Instr &I) {
     if (I.TheKind == Instr::Kind::Literal)
       Lits.push_back(&I);
+  });
   ASSERT_EQ(Lits.size(), 3u);
   EXPECT_EQ(Lits[0]->LitKind, LiteralKind::String);
   EXPECT_EQ(L.Strings.str(Lits[0]->StrValue), "s");
@@ -149,20 +144,21 @@ TEST(Lowering, GuardIdsAssignedInsideBranches) {
     }
   )");
   const IRMethod &Main = L.Program.Classes[0].Methods[0];
-  const Instr *Outside = findFirst(Main.Body, Instr::Kind::Call);
+  const Instr *Outside = findFirst(Main, Main.body(), Instr::Kind::Call);
   ASSERT_NE(Outside, nullptr);
   EXPECT_EQ(Outside->GuardId, 0u);
 
-  const Instr *If = findFirst(Main.Body, Instr::Kind::If);
+  const Instr *If = findFirst(Main, Main.body(), Instr::Kind::If);
   ASSERT_NE(If, nullptr);
-  ASSERT_FALSE(If->Inner1.empty());
-  const Instr *Inside = findFirst(If->Inner1, Instr::Kind::Call);
+  ASSERT_FALSE(If->thenRange().empty());
+  const Instr *Inside = findFirst(Main, If->thenRange(), Instr::Kind::Call);
   ASSERT_NE(Inside, nullptr);
   EXPECT_EQ(Inside->GuardId, If->GuardId);
 
-  const Instr *While = findFirst(If->Inner1, Instr::Kind::While);
+  const Instr *While = findFirst(Main, If->thenRange(), Instr::Kind::While);
   ASSERT_NE(While, nullptr);
-  const Instr *Nested = findFirst(While->Inner1, Instr::Kind::Call);
+  const Instr *Nested =
+      findFirst(Main, While->bodyRange(), Instr::Kind::Call);
   ASSERT_NE(Nested, nullptr);
   EXPECT_EQ(Nested->GuardId, While->GuardId);
   EXPECT_NE(Nested->GuardId, Inside->GuardId);
@@ -179,7 +175,7 @@ TEST(Lowering, InitConstructorIsCalledForProgramClasses) {
     }
   )");
   const IRMethod &Main = L.Program.Classes[1].Methods[0];
-  const Instr *Call = findFirst(Main.Body, Instr::Kind::Call);
+  const Instr *Call = findFirst(Main, Main.body(), Instr::Kind::Call);
   ASSERT_NE(Call, nullptr);
   EXPECT_EQ(L.Strings.str(Call->Name), "init");
   ASSERT_EQ(Call->Args.size(), 1u);
@@ -188,7 +184,7 @@ TEST(Lowering, InitConstructorIsCalledForProgramClasses) {
 TEST(Lowering, NoInitCallForApiClasses) {
   auto L = lower("class Main { def main() { var m = new HashMap(); } }");
   const IRMethod &Main = L.Program.Classes[0].Methods[0];
-  EXPECT_EQ(findFirst(Main.Body, Instr::Kind::Call), nullptr);
+  EXPECT_EQ(findFirst(Main, Main.body(), Instr::Kind::Call), nullptr);
 }
 
 TEST(Lowering, FreeNamesBecomeExternals) {
@@ -200,9 +196,10 @@ TEST(Lowering, FreeNamesBecomeExternals) {
   EXPECT_EQ(L.Strings.str(M.Externals[0].second), "db");
   // Both calls use the same slot.
   std::vector<VarId> Receivers;
-  for (const Instr &I : M.Body)
+  M.forEach(M.body(), [&](const Instr &I) {
     if (I.TheKind == Instr::Kind::Call)
       Receivers.push_back(I.Base);
+  });
   ASSERT_EQ(Receivers.size(), 2u);
   EXPECT_EQ(Receivers[0], Receivers[1]);
   EXPECT_EQ(Receivers[0], M.Externals[0].first);
@@ -217,10 +214,10 @@ TEST(Lowering, ParamsAndThisOccupyLowSlots) {
   auto L = lower("class C { def m(a, b) { var x = a; } }");
   const IRMethod &M = L.Program.Classes[0].Methods[0];
   EXPECT_EQ(M.NumParams, 2u);
-  ASSERT_GE(M.VarNames.size(), 3u);
-  EXPECT_EQ(M.VarNames[0], "this");
-  EXPECT_EQ(M.VarNames[1], "a");
-  EXPECT_EQ(M.VarNames[2], "b");
+  ASSERT_GE(M.NumVars, 3u);
+  EXPECT_EQ(slotName(L.Program, M, 0), "this");
+  EXPECT_EQ(slotName(L.Program, M, 1), "a");
+  EXPECT_EQ(slotName(L.Program, M, 2), "b");
 }
 
 TEST(Lowering, FieldLoadStore) {
@@ -234,11 +231,11 @@ TEST(Lowering, FieldLoadStore) {
     }
   )");
   const IRMethod &M = L.Program.Classes[0].Methods[0];
-  const Instr *Store = findFirst(M.Body, Instr::Kind::StoreField);
+  const Instr *Store = findFirst(M, M.body(), Instr::Kind::StoreField);
   ASSERT_NE(Store, nullptr);
   EXPECT_EQ(Store->Base, 0u); // this
   EXPECT_EQ(L.Strings.str(Store->Name), "f");
-  const Instr *Load = findFirst(M.Body, Instr::Kind::LoadField);
+  const Instr *Load = findFirst(M, M.body(), Instr::Kind::LoadField);
   ASSERT_NE(Load, nullptr);
   EXPECT_EQ(Load->Base, 0u);
 }

@@ -14,7 +14,7 @@ using namespace uspec;
 
 namespace {
 
-std::vector<Token> lex(std::string_view Source) {
+TokenStream lex(std::string_view Source) {
   DiagnosticSink Diags;
   Lexer L(Source, Diags);
   auto Tokens = L.lexAll();
@@ -146,7 +146,7 @@ TEST(Parser, HashMapExampleFromFig2) {
   ASSERT_EQ(Main.Body.size(), 3u);
   // Statement 2: map.put("key", someApi.getFile());
   const auto *Call =
-      dyn_cast<CallExpr>(cast<ExprStmt>(Main.Body[1].get())->E.get());
+      dyn_cast<CallExpr>(cast<ExprStmt>(Main.Body[1])->E);
   ASSERT_NE(Call, nullptr);
   EXPECT_EQ(Call->Method, "put");
   ASSERT_EQ(Call->Args.size(), 2u);
@@ -160,11 +160,11 @@ TEST(Parser, ChainedCallsAndFieldReads) {
   )");
   // a.b -> field read; .c() -> call; .d -> field read
   const auto *Decl =
-      cast<VarDeclStmt>(M.Classes[0].Methods[0].Body[0].get());
-  const auto *D = dyn_cast<FieldReadExpr>(Decl->Init.get());
+      cast<VarDeclStmt>(M.Classes[0].Methods[0].Body[0]);
+  const auto *D = dyn_cast<FieldReadExpr>(Decl->Init);
   ASSERT_NE(D, nullptr);
   EXPECT_EQ(D->Field, "d");
-  const auto *C = dyn_cast<CallExpr>(D->Base.get());
+  const auto *C = dyn_cast<CallExpr>(D->Base);
   ASSERT_NE(C, nullptr);
   EXPECT_EQ(C->Method, "c");
 }
@@ -181,11 +181,11 @@ TEST(Parser, IfElseWithConditions) {
   )");
   const auto &Body = M.Classes[0].Methods[0].Body;
   ASSERT_EQ(Body.size(), 3u);
-  const auto *If = cast<IfStmt>(Body[1].get());
+  const auto *If = cast<IfStmt>(Body[1]);
   EXPECT_EQ(If->Cond.Op, CmpOp::Ne);
   EXPECT_EQ(If->Then.size(), 1u);
   EXPECT_EQ(If->Else.size(), 1u);
-  const auto *While = cast<WhileStmt>(Body[2].get());
+  const auto *While = cast<WhileStmt>(Body[2]);
   EXPECT_EQ(While->Cond.Op, CmpOp::Eq);
 }
 
@@ -198,18 +198,18 @@ TEST(Parser, ImplicitThisCallAndThisKeyword) {
     }
   )");
   const MethodDecl &Main = M.Classes[0].Methods[1];
-  const auto *Decl = cast<VarDeclStmt>(Main.Body[0].get());
-  const auto *Call = cast<CallExpr>(Decl->Init.get());
+  const auto *Decl = cast<VarDeclStmt>(Main.Body[0]);
+  const auto *Call = cast<CallExpr>(Decl->Init);
   EXPECT_EQ(Call->Receiver, nullptr); // implicit this
-  const auto *Assign = cast<AssignStmt>(Main.Body[1].get());
-  const auto *Target = cast<FieldReadExpr>(Assign->Target.get());
+  const auto *Assign = cast<AssignStmt>(Main.Body[1]);
+  const auto *Target = cast<FieldReadExpr>(Assign->Target);
   EXPECT_EQ(Target->Base->getKind(), Expr::Kind::This);
 }
 
 TEST(Parser, FieldAssignment) {
   Module M = parseOk("class C { var f; def m(o) { o.f = o; } }");
   const auto *Assign =
-      cast<AssignStmt>(M.Classes[0].Methods[0].Body[0].get());
+      cast<AssignStmt>(M.Classes[0].Methods[0].Body[0]);
   EXPECT_EQ(Assign->Target->getKind(), Expr::Kind::FieldRead);
 }
 
@@ -285,6 +285,6 @@ TEST(Printer, RoundTripEscapes) {
 TEST(Printer, ExprPrinting) {
   Module M = parseOk(
       "class C { def m() { var x = a.b(c.d(), \"s\", 42).e; } }");
-  const auto *Decl = cast<VarDeclStmt>(M.Classes[0].Methods[0].Body[0].get());
+  const auto *Decl = cast<VarDeclStmt>(M.Classes[0].Methods[0].Body[0]);
   EXPECT_EQ(printExpr(*Decl->Init), "a.b(c.d(), \"s\", 42).e");
 }

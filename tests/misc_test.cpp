@@ -39,21 +39,15 @@ struct Exec {
   size_t callCount(const std::map<uint32_t, std::vector<RtValue>> &Returns,
                    const char *Name) {
     size_t Count = 0;
-    std::function<void(const InstrList &)> Walk = [&](const InstrList &B) {
-      for (const Instr &I : B) {
-        if (I.TheKind == Instr::Kind::Call && S.str(I.Name) == Name) {
-          auto It = Returns.find(I.SiteId);
-          if (It != Returns.end())
-            Count += It->second.size();
-        }
-        Walk(I.Inner1);
-        if (I.TheKind == Instr::Kind::If)
-          Walk(I.Inner2);
-      }
-    };
+    // Every instruction once: the layout order of Code.
     for (const IRClass &C : Program.Classes)
       for (const IRMethod &M : C.Methods)
-        Walk(M.Body);
+        for (const Instr &I : M.Code)
+          if (I.TheKind == Instr::Kind::Call && S.str(I.Name) == Name) {
+            auto It = Returns.find(I.SiteId);
+            if (It != Returns.end())
+              Count += It->second.size();
+          }
     return Count;
   }
 };

@@ -147,20 +147,28 @@ struct Executed {
   uint32_t siteOf(const std::string &Name, int Occurrence = 0) {
     int Found = 0;
     uint32_t Result = 0;
-    std::function<void(const InstrList &)> Walk = [&](const InstrList &Body) {
-      for (const Instr &I : Body) {
-        if (I.TheKind == Instr::Kind::Call &&
-            Strings.str(I.Name) == Name) {
-          if (Found++ == Occurrence)
-            Result = I.SiteId;
-        }
-        Walk(I.Inner1);
-        Walk(I.Inner2);
-      }
-    };
+    // Textual order, entering both regions of an If and, after a While's
+    // body, its condition range again.
+    std::function<void(const IRMethod &, IndexRange)> Walk =
+        [&](const IRMethod &M, IndexRange R) {
+          M.forEach(R, [&](const Instr &I) {
+            if (I.TheKind == Instr::Kind::Call &&
+                Strings.str(I.Name) == Name) {
+              if (Found++ == Occurrence)
+                Result = I.SiteId;
+            }
+            if (I.TheKind == Instr::Kind::If) {
+              Walk(M, I.thenRange());
+              Walk(M, I.elseRange());
+            } else if (I.TheKind == Instr::Kind::While) {
+              Walk(M, I.bodyRange());
+              Walk(M, I.condRange());
+            }
+          });
+        };
     for (const IRClass &C : Program.Classes)
       for (const IRMethod &M : C.Methods)
-        Walk(M.Body);
+        Walk(M, M.body());
     EXPECT_GT(Found, Occurrence) << "call not found: " << Name;
     return Result;
   }

@@ -225,6 +225,42 @@ TEST(ServiceEngine, ParseFailureIsReported) {
   EXPECT_FALSE(Err.empty());
 }
 
+TEST(ServiceServer, NestingBombsGetParseErrorsAndTheServerLivesOn) {
+  // Each far under the 4 MiB line cap; each crashed a worker once.
+  std::string Args = "class C { def m() { a.put(";
+  std::string Chain = "class C { def m() { a";
+  std::string Blocks = "class C { def m() { ";
+  for (int I = 0; I < 20000; ++I) {
+    Args += "f(";
+    Chain += ".b()";
+    Blocks += "if (a) { ";
+  }
+  Args += "a" + std::string(20000, ')') + "); } }";
+  Chain += "; } }";
+  for (int I = 0; I < 20000; ++I)
+    Blocks += "} ";
+  Blocks += "} }";
+
+  ServerConfig Cfg;
+  Cfg.Workers = 1;
+  Server S(Cfg, ServiceSpecs());
+  const std::string Expected = S.handle(analyzeRequest(0, TinyProgram));
+  int Id = 1;
+  for (const std::string *Bomb : {&Args, &Chain, &Blocks}) {
+    std::string Refused = S.submit(analyzeRequest(Id, *Bomb)).get();
+    EXPECT_EQ(Refused.find("{\"id\":" + std::to_string(Id) +
+                           ",\"ok\":false,\"error\":{\"kind\":"
+                           "\"parse_error\""),
+              0u)
+        << Refused;
+    EXPECT_NE(Refused.find("256"), std::string::npos) << Refused;
+    // The same worker answers the next request.
+    std::string Next = S.submit(analyzeRequest(0, TinyProgram)).get();
+    EXPECT_EQ(Next, Expected);
+    ++Id;
+  }
+}
+
 //===----------------------------------------------------------------------===//
 // Byte-identity: service == engine == CLI, at any worker count
 //===----------------------------------------------------------------------===//
