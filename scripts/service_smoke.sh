@@ -8,7 +8,8 @@
 # byte-identical to the one-shot `uspec analyze --json` output for the same
 # (program, artifact) pair — the service determinism contract, exercised
 # through the real binary and the real transport. Finishes with a `shutdown`
-# and verifies the server drains cleanly (exit 0).
+# and verifies the server drains cleanly (exit 0), then checks that a
+# nesting bomb on stdin gets a parse error and leaves `serve` answering.
 #
 # Usage: scripts/service_smoke.sh [path/to/uspec]
 #
@@ -94,6 +95,35 @@ if [ "$rc" -ne 0 ]; then
   echo "FAIL: server exited with status $rc after shutdown" >&2
   fail=1
 fi
+
+echo "== nesting bomb on stdin: structured parse error, next answer, exit 0"
+# 20,000 nested argument lists: 60 KB, far under the line cap. The front
+# end refuses it past its nesting limit instead of overflowing a stack.
+opens=$(printf 'f(%.0s' $(seq 20000))
+closes=$(printf ')%.0s' $(seq 20000))
+bomb="class C { def m() { a.put(${opens}a${closes}); } }"
+tiny="class Main { def main() { var m = new Map(); m.put(1, 2); } }"
+rc=0
+out=$(printf '%s\n%s\n' \
+  "{\"id\":\"bomb\",\"verb\":\"analyze\",\"program\":\"$bomb\"}" \
+  "{\"id\":\"next\",\"verb\":\"analyze\",\"program\":\"$tiny\"}" |
+  "$USPEC" serve --model "$WORK/run.uspb") || rc=$?
+if [ "$rc" -ne 0 ]; then
+  echo "FAIL: serve exited with status $rc on a nesting bomb" >&2
+  fail=1
+fi
+if ! echo "$out" | sed -n 1p |
+  grep -q '^{"id":"bomb","ok":false,"error":{"kind":"parse_error"'; then
+  echo "FAIL: the nesting bomb did not get a structured parse error:" >&2
+  echo "$out" | sed -n 1p | cut -c1-300 >&2
+  fail=1
+fi
+if ! echo "$out" | sed -n 2p | grep -q '^{"id":"next","ok":true'; then
+  echo "FAIL: the request after the nesting bomb was not answered:" >&2
+  echo "$out" | sed -n 2p | cut -c1-300 >&2
+  fail=1
+fi
+[ "$fail" -eq 0 ] && echo "nesting bomb: parse error, next request answered"
 
 echo "== fault-injected serve: worker death must not break byte-identity"
 USPEC_FAULT=service.worker:1 "$USPEC" serve --model "$WORK/run.uspb" \

@@ -27,10 +27,15 @@ namespace {
 std::vector<IRProgram> parsePrograms(const CorpusJournal &J, size_t Begin,
                                      size_t End, StringInterner &Strings,
                                      std::vector<std::string> &Notes) {
+  // One span for the whole loop, none per program: parseAndLower stays
+  // unspanned so the service's own parse span keeps its self time.
+  TraceSpan Span("ir.parse_lower");
+  size_t Bytes = 0;
   std::vector<IRProgram> Programs;
   Programs.reserve(End - Begin);
   for (size_t I = Begin; I < End; ++I) {
     const JournalEntry &E = J.Entries[I];
+    Bytes += E.Source.size();
     DiagnosticSink Diags;
     std::optional<IRProgram> P = parseAndLower(E.Source, E.Name, Strings,
                                                Diags);
@@ -43,6 +48,10 @@ std::vector<IRProgram> parsePrograms(const CorpusJournal &J, size_t Begin,
     Programs.push_back(std::move(Empty));
     Notes.push_back("journal entry " + std::to_string(I) + " ('" + E.Name +
                     "') no longer parses; kept as an empty corpus slot");
+  }
+  if (Span.active()) {
+    Span.arg("programs", std::to_string(End - Begin));
+    Span.arg("bytes", std::to_string(Bytes));
   }
   return Programs;
 }

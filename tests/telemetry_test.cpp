@@ -15,6 +15,7 @@
 #include "core/USpec.h"
 #include "corpus/Generator.h"
 #include "corpus/Profiles.h"
+#include "incremental/Trainer.h"
 #include "service/Server.h"
 #include "support/Random.h"
 #include "support/Stats.h"
@@ -503,6 +504,57 @@ TEST(TelemetryTrace, WarmIncrementTraceIsRootedAndNested) {
     ASSERT_NE(Index, nullptr);
     EXPECT_GE(std::stoul(Index->StringValue), 8u);
   }
+}
+
+TEST(TelemetryTrace, FullTrainSpansTheCorpusParseOnce) {
+  // The journal's parse + lower is one `ir.parse_lower` span inside
+  // `incremental.train`; it ends before learning starts.
+  LanguageProfile Profile = javaProfile();
+  GeneratorConfig GenCfg;
+  Rng Rand(23);
+  incremental::CorpusJournal J;
+  size_t Bytes = 0;
+  for (int I = 0; I < 10; ++I) {
+    std::string Source = generateProgramSource(Profile, GenCfg, Rand);
+    Bytes += Source.size();
+    J.append(1, "p" + std::to_string(I), Source);
+  }
+  StringInterner Strings;
+  LearnerConfig Cfg;
+  Cfg.Threads = 1;
+  trace::start();
+  auto Outcome = incremental::trainFromJournal(J, Cfg, Strings, "", false);
+  service::JsonValue Doc;
+  {
+    std::string Json = trace::stop();
+    std::string Err;
+    ASSERT_TRUE(service::parseJson(Json, Doc, &Err)) << Err;
+  }
+  ASSERT_TRUE(Outcome.has_value());
+  EXPECT_EQ(Outcome->Mode, incremental::TrainMode::Full);
+
+  const service::JsonValue *Parse = nullptr;
+  for (const service::JsonValue &E : Doc.find("traceEvents")->Items)
+    if (E.find("name")->StringValue == "ir.parse_lower") {
+      EXPECT_EQ(Parse, nullptr) << "more than one ir.parse_lower span";
+      Parse = &E;
+    }
+  ASSERT_NE(Parse, nullptr);
+  const service::JsonValue *Args = Parse->find("args");
+  ASSERT_NE(Args, nullptr);
+  EXPECT_EQ(Args->find("programs")->StringValue, "10");
+  EXPECT_EQ(Args->find("bytes")->StringValue, std::to_string(Bytes));
+
+  const service::JsonValue *Train = findEvent(Doc, "incremental.train");
+  const service::JsonValue *Learn = findEvent(Doc, "learn");
+  ASSERT_NE(Train, nullptr);
+  ASSERT_NE(Learn, nullptr);
+  EXPECT_EQ(numField(*Parse, "tid"), numField(*Train, "tid"));
+  EXPECT_GE(numField(*Parse, "ts") + 0.01, numField(*Train, "ts"));
+  EXPECT_LE(numField(*Parse, "ts") + numField(*Parse, "dur"),
+            numField(*Train, "ts") + numField(*Train, "dur") + 0.01);
+  EXPECT_LE(numField(*Parse, "ts") + numField(*Parse, "dur"),
+            numField(*Learn, "ts") + 0.01);
 }
 
 TEST(TelemetryTrace, ThreadFanOutShowsInTids) {

@@ -345,6 +345,9 @@ int cmdGen(Args &A) {
 bool loadCorpus(const std::vector<std::string> &Files, StringInterner &Strings,
                 std::vector<IRProgram> &Corpus, CorpusManifest &Manifest,
                 bool Strict, std::vector<QuarantineRecord> &Quarantined) {
+  // One span for the whole loop (file reads included), none per program.
+  TraceSpan Span("ir.parse_lower");
+  size_t Bytes = 0;
   for (size_t I = 0; I < Files.size(); ++I) {
     const std::string &Path = Files[I];
     auto Source = readFile(Path);
@@ -356,6 +359,7 @@ bool loadCorpus(const std::vector<std::string> &Files, StringInterner &Strings,
       Quarantined.push_back({I, Path, "read"});
       continue;
     }
+    Bytes += Source->size();
     DiagnosticSink Diags;
     auto P = parseAndLower(*Source, Path, Strings, Diags);
     if (!P) {
@@ -369,6 +373,10 @@ bool loadCorpus(const std::vector<std::string> &Files, StringInterner &Strings,
     }
     Manifest.Entries.push_back({Path, programFingerprint(*P)});
     Corpus.push_back(std::move(*P));
+  }
+  if (Span.active()) {
+    Span.arg("programs", std::to_string(Files.size()));
+    Span.arg("bytes", std::to_string(Bytes));
   }
   if (Corpus.empty()) {
     std::fprintf(stderr, "error: no loadable programs in the corpus\n");
