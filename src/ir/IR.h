@@ -27,7 +27,6 @@
 #include <cstdint>
 #include <span>
 #include <string>
-#include <string_view>
 #include <type_traits>
 #include <vector>
 

@@ -7,6 +7,8 @@
 #include "ir/Lowering.h"
 
 #include "lang/Parser.h"
+#include "support/FlatMap.h"
+#include "support/Hashing.h"
 
 #include <cassert>
 #include <charconv>
@@ -14,6 +16,62 @@
 using namespace uspec;
 
 namespace {
+
+/// The names visible at one point of a method: one flat table of (name,
+/// slot) entries, innermost last, with a mark where each open block's
+/// entries begin. An index from a name's hash to the innermost entry with
+/// that hash (each entry links to the one it hides) keeps a lookup from
+/// scanning every name, however many a method declares.
+class ScopeTable {
+public:
+  void reset() {
+    Entries.clear();
+    BlockStarts.clear();
+    Heads.clear();
+  }
+
+  void openBlock() { BlockStarts.push_back(Entries.size()); }
+
+  void closeBlock() {
+    for (size_t I = Entries.size(); I-- > BlockStarts.back();)
+      *Heads.find(Entries[I].Key) = Entries[I].Hidden;
+    Entries.resize(BlockStarts.back());
+    BlockStarts.pop_back();
+  }
+
+  void declare(std::string_view Name, VarId Slot) {
+    uint64_t Key = hashBytesWide(Name);
+    bool Inserted = false;
+    uint32_t &Head = Heads.getOrCreate(Key, &Inserted);
+    Entries.push_back({Name, Key, Slot, Inserted ? NoEntry : Head});
+    Head = static_cast<uint32_t>(Entries.size() - 1);
+  }
+
+  /// The slot of the innermost visible \p Name, searching only the
+  /// innermost block when \p InnermostBlockOnly.
+  std::optional<VarId> find(std::string_view Name,
+                            bool InnermostBlockOnly = false) const {
+    size_t From = InnermostBlockOnly ? BlockStarts.back() : 0;
+    const uint32_t *Head = Heads.find(hashBytesWide(Name));
+    for (uint32_t I = Head ? *Head : NoEntry; I != NoEntry && I >= From;
+         I = Entries[I].Hidden)
+      if (Entries[I].Name == Name)
+        return Entries[I].Slot;
+    return std::nullopt;
+  }
+
+private:
+  static constexpr uint32_t NoEntry = ~0u;
+  struct Entry {
+    std::string_view Name;
+    uint64_t Key;    ///< hashBytesWide(Name)
+    VarId Slot;
+    uint32_t Hidden; ///< Entry with the same Key this one hides, or NoEntry.
+  };
+  std::vector<Entry> Entries;
+  std::vector<size_t> BlockStarts;
+  FlatMap64<uint32_t> Heads; ///< Key -> innermost entry, or NoEntry.
+};
 
 /// Per-module lowering state. The per-method buffers are members reused
 /// from method to method; each lowered method gets exact-size copies.
@@ -53,39 +111,33 @@ private:
   // Method-level state
   //===--------------------------------------------------------------------===//
 
-  /// One visible name. The scope table is flat: innermost last, with
-  /// BlockStarts marking where each open block's names begin.
-  struct ScopeEntry {
-    std::string_view Name;
-    VarId Slot;
-  };
-
   bool lowerMethod(const MethodDecl &Decl, IRMethod &Method) {
     Code.clear();
     ArgPool.clear();
     Externals.clear();
     Names.clear();
-    Scope.clear();
-    BlockStarts.clear();
-    ExternalScope.clear();
+    Scope.reset();
+    ExternalScope.reset();
     NumVars = 0;
     HadError = false;
 
     Method.Name = Strings.intern(Decl.Name);
     Method.NumParams = static_cast<uint32_t>(Decl.Params.size());
 
-    // Slot 0 is `this`; the parameters' block encloses the body's.
+    // Slot 0 is `this`; the parameters' block encloses the body's. Free
+    // names live in a method-wide table of their own, searched last.
     namedSlot("this");
-    BlockStarts.push_back(0);
+    Scope.openBlock();
+    ExternalScope.openBlock();
     for (std::string_view Param : Decl.Params) {
       VarId Slot = namedSlot(Param);
-      if (findInInnermostBlock(Param)) {
+      if (Scope.find(Param, /*InnermostBlockOnly=*/true)) {
         Diags.error(Decl.Line, 0,
                     "duplicate parameter '" + std::string(Param) + "'");
         HadError = true;
         continue;
       }
-      Scope.push_back({Param, Slot});
+      Scope.declare(Param, Slot);
     }
 
     lowerBlock(Decl.Body);
@@ -110,35 +162,27 @@ private:
     return Slot;
   }
 
-  const ScopeEntry *findInInnermostBlock(std::string_view Name) const {
-    for (size_t I = BlockStarts.back(); I < Scope.size(); ++I)
-      if (Scope[I].Name == Name)
-        return &Scope[I];
-    return nullptr;
-  }
-
   VarId declareLocal(std::string_view Name, int Line) {
-    if (const ScopeEntry *Existing = findInInnermostBlock(Name)) {
+    if (std::optional<VarId> Existing =
+            Scope.find(Name, /*InnermostBlockOnly=*/true)) {
       Diags.error(Line, 0, "redeclaration of '" + std::string(Name) + "'");
       HadError = true;
-      return Existing->Slot;
+      return *Existing;
     }
     VarId Slot = namedSlot(Name);
-    Scope.push_back({Name, Slot});
+    Scope.declare(Name, Slot);
     return Slot;
   }
 
   VarId lookup(std::string_view Name) {
-    for (size_t I = Scope.size(); I-- > 0;)
-      if (Scope[I].Name == Name)
-        return Scope[I].Slot;
-    for (const ScopeEntry &E : ExternalScope)
-      if (E.Name == Name)
-        return E.Slot;
+    if (std::optional<VarId> Slot = Scope.find(Name))
+      return *Slot;
+    if (std::optional<VarId> Slot = ExternalScope.find(Name))
+      return *Slot;
     // Free name: an external global holding an unknown API object. It is
     // registered method-wide so repeated uses share a slot.
     VarId Slot = namedSlot(Name);
-    ExternalScope.push_back({Name, Slot});
+    ExternalScope.declare(Name, Slot);
     Externals.emplace_back(Slot, Strings.intern(Name));
     return Slot;
   }
@@ -337,11 +381,10 @@ private:
   IndexRange lowerBlock(const Block &B) {
     IndexRange R;
     R.Begin = static_cast<uint32_t>(Code.size());
-    BlockStarts.push_back(static_cast<uint32_t>(Scope.size()));
+    Scope.openBlock();
     for (const Stmt *S : B)
       lowerStmt(*S);
-    Scope.resize(BlockStarts.back());
-    BlockStarts.pop_back();
+    Scope.closeBlock();
     R.End = static_cast<uint32_t>(Code.size());
     return R;
   }
@@ -455,9 +498,8 @@ private:
   std::vector<VarId> ArgPool;
   std::vector<std::pair<VarId, Symbol>> Externals;
   std::vector<SlotName> Names;
-  std::vector<ScopeEntry> Scope;
-  std::vector<uint32_t> BlockStarts;
-  std::vector<ScopeEntry> ExternalScope;
+  ScopeTable Scope;
+  ScopeTable ExternalScope; ///< Free names, method-wide.
   uint32_t NumVars = 0;
   bool HadError = false;
   /// Receiver-chain links and argument values under construction,

@@ -210,6 +210,41 @@ TEST(Lowering, DeclaredVariablesAreNotExternals) {
   EXPECT_TRUE(L.Program.Classes[0].Methods[0].Externals.empty());
 }
 
+TEST(Lowering, BlockScopesShadowAndRestore) {
+  auto L = lower(R"(
+    class C {
+      def m(a) {
+        var x = a;
+        if (x) { var x = api.f(); x.in(); }
+        x.out();
+        db.q();
+        var db = 1;
+        db.r();
+      }
+    }
+  )");
+  const IRMethod &M = L.Program.Classes[0].Methods[0];
+  auto ReceiverOf = [&](const char *Name) {
+    for (const Instr &I : M.Code)
+      if (I.TheKind == Instr::Kind::Call && L.Strings.str(I.Name) == Name)
+        return I.Base;
+    ADD_FAILURE() << "no call to " << Name;
+    return InvalidVar;
+  };
+  const Instr *FirstCopy = findFirst(M, M.body(), Instr::Kind::Copy);
+  ASSERT_NE(FirstCopy, nullptr);
+  VarId OuterX = FirstCopy->Dst;
+  EXPECT_NE(ReceiverOf("in"), OuterX);  // the inner `var x` hides it
+  EXPECT_EQ(ReceiverOf("out"), OuterX); // and is gone after its block
+  ASSERT_EQ(M.Externals.size(), 2u); // api, db
+  ASSERT_EQ(L.Strings.str(M.Externals[1].second), "db");
+  VarId ExternalDb = M.Externals[1].first;
+  EXPECT_EQ(ReceiverOf("q"), ExternalDb);
+  // A local declared after a free name's use takes over from there.
+  EXPECT_NE(ReceiverOf("r"), ExternalDb);
+  EXPECT_EQ(slotName(L.Program, M, ReceiverOf("r")), "db");
+}
+
 TEST(Lowering, ParamsAndThisOccupyLowSlots) {
   auto L = lower("class C { def m(a, b) { var x = a; } }");
   const IRMethod &M = L.Program.Classes[0].Methods[0];
