@@ -17,6 +17,18 @@ using namespace uspec;
 
 namespace {
 
+/// Lowering reuses its buffers from module to module on a thread (see
+/// LoweringBuffers); a buffer that grew past this many elements is freed
+/// instead of kept.
+constexpr size_t MaxKeptElements = size_t(1) << 14;
+
+template <typename T> void clearKeepingTypical(std::vector<T> &V) {
+  if (V.capacity() > MaxKeptElements)
+    std::vector<T>().swap(V);
+  else
+    V.clear();
+}
+
 /// The names visible at one point of a method: one flat table of (name,
 /// slot) entries, innermost last, with a mark where each open block's
 /// entries begin. An index from a name's hash to the innermost entry with
@@ -24,10 +36,14 @@ namespace {
 /// scanning every name, however many a method declares.
 class ScopeTable {
 public:
+  /// Empties the table; storage an outsized method grew is freed.
   void reset() {
-    Entries.clear();
+    if (Heads.size() > MaxKeptElements)
+      Heads = FlatMap64<uint32_t>();
+    else
+      Heads.clear();
+    clearKeepingTypical(Entries);
     BlockStarts.clear();
-    Heads.clear();
   }
 
   void openBlock() { BlockStarts.push_back(Entries.size()); }
@@ -73,13 +89,45 @@ private:
   FlatMap64<uint32_t> Heads; ///< Key -> innermost entry, or NoEntry.
 };
 
-/// Per-module lowering state. The per-method buffers are members reused
-/// from method to method; each lowered method gets exact-size copies.
+/// The per-method working storage. One set per thread is reused from
+/// method to method and module to module, so lowering works in warm memory
+/// instead of drawing fresh pages for every program; each lowered method
+/// gets exact-size copies.
+struct LoweringBuffers {
+  std::vector<Instr> Code;
+  std::vector<VarId> ArgPool;
+  std::vector<std::pair<VarId, Symbol>> Externals;
+  std::vector<SlotName> Names;
+  ScopeTable Scope;
+  ScopeTable ExternalScope; ///< Free names, method-wide.
+  /// Receiver-chain links and argument values under construction,
+  /// innermost on top.
+  std::vector<const Expr *> Chain;
+  std::vector<VarId> ArgStack;
+
+  /// Empties every buffer, freeing what an outsized method grew.
+  void reset() {
+    clearKeepingTypical(Code);
+    clearKeepingTypical(ArgPool);
+    clearKeepingTypical(Externals);
+    clearKeepingTypical(Names);
+    Scope.reset();
+    ExternalScope.reset();
+    clearKeepingTypical(Chain);
+    clearKeepingTypical(ArgStack);
+  }
+};
+
+/// Per-module lowering state.
 class LoweringContext {
 public:
   LoweringContext(const Module &M, StringInterner &Strings,
-                  DiagnosticSink &Diags)
-      : M(M), Strings(Strings), Diags(Diags) {}
+                  DiagnosticSink &Diags, LoweringBuffers &Buffers)
+      : M(M), Strings(Strings), Diags(Diags), Code(Buffers.Code),
+        ArgPool(Buffers.ArgPool), Externals(Buffers.Externals),
+        Names(Buffers.Names), Scope(Buffers.Scope),
+        ExternalScope(Buffers.ExternalScope), Chain(Buffers.Chain),
+        ArgStack(Buffers.ArgStack), Buffers(Buffers) {}
 
   std::optional<IRProgram> run() {
     IRProgram Program;
@@ -112,12 +160,7 @@ private:
   //===--------------------------------------------------------------------===//
 
   bool lowerMethod(const MethodDecl &Decl, IRMethod &Method) {
-    Code.clear();
-    ArgPool.clear();
-    Externals.clear();
-    Names.clear();
-    Scope.reset();
-    ExternalScope.reset();
+    Buffers.reset();
     NumVars = 0;
     HadError = false;
 
@@ -494,18 +537,17 @@ private:
   uint32_t MaxLine = 0;
 
   // The method being lowered.
-  std::vector<Instr> Code;
-  std::vector<VarId> ArgPool;
-  std::vector<std::pair<VarId, Symbol>> Externals;
-  std::vector<SlotName> Names;
-  ScopeTable Scope;
-  ScopeTable ExternalScope; ///< Free names, method-wide.
+  std::vector<Instr> &Code;
+  std::vector<VarId> &ArgPool;
+  std::vector<std::pair<VarId, Symbol>> &Externals;
+  std::vector<SlotName> &Names;
+  ScopeTable &Scope;
+  ScopeTable &ExternalScope;
+  std::vector<const Expr *> &Chain;
+  std::vector<VarId> &ArgStack;
+  LoweringBuffers &Buffers;
   uint32_t NumVars = 0;
   bool HadError = false;
-  /// Receiver-chain links and argument values under construction,
-  /// innermost on top.
-  std::vector<const Expr *> Chain;
-  std::vector<VarId> ArgStack;
 };
 
 } // namespace
@@ -513,8 +555,10 @@ private:
 std::optional<IRProgram> uspec::lowerModule(const Module &M,
                                             StringInterner &Strings,
                                             DiagnosticSink &Diags) {
-  LoweringContext Ctx(M, Strings, Diags);
+  thread_local LoweringBuffers Buffers;
+  LoweringContext Ctx(M, Strings, Diags, Buffers);
   auto Result = Ctx.run();
+  Buffers.reset();
   if (Diags.hasErrors())
     return std::nullopt;
   return Result;

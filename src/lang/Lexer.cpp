@@ -283,6 +283,13 @@ Token Lexer::next(TokenStream &Out) {
 
 TokenStream Lexer::lexAll() {
   TokenStream Out;
+  lexAll(Out);
+  return Out;
+}
+
+void Lexer::lexAll(TokenStream &Out) {
+  Out.Tokens.clear();
+  Out.Decoded.clear();
   // MiniLang averages about three source bytes per token.
   Out.Tokens.reserve(Source.size() / 2 + 2);
   while (true) {
@@ -290,5 +297,4 @@ TokenStream Lexer::lexAll() {
     if (Out.Tokens.back().is(TokenKind::EndOfFile))
       break;
   }
-  return Out;
 }

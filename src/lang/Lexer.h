@@ -35,6 +35,13 @@ public:
   std::vector<Token>::const_iterator begin() const { return Tokens.begin(); }
   std::vector<Token>::const_iterator end() const { return Tokens.end(); }
 
+  /// Frees the token buffer if its capacity exceeds \p MaxTokens: a
+  /// reused stream would otherwise keep the size of its largest input.
+  void shrinkTo(size_t MaxTokens) {
+    if (Tokens.capacity() > MaxTokens)
+      std::vector<Token>().swap(Tokens);
+  }
+
 private:
   friend class Lexer;
   std::vector<Token> Tokens;
@@ -49,6 +56,11 @@ public:
 
   /// Lexes the whole input. The trailing EndOfFile token is included.
   TokenStream lexAll();
+
+  /// Lexes the whole input into \p Out, replacing what it held but
+  /// keeping its capacity, so a caller lexing many sources reuses one
+  /// buffer.
+  void lexAll(TokenStream &Out);
 
 private:
   Token next(TokenStream &Out);

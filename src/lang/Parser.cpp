@@ -100,23 +100,27 @@ std::optional<Module> Parser::parse(std::string_view Source,
   if (!Source.empty())
     std::memcpy(Copy, Source.data(), Source.size());
   std::string_view Text(Copy, Source.size());
-  Lexer Lex(Text, Diags);
-  Parser P(Lex.lexAll(), *M.Pool, Diags);
+  thread_local Scratch Buffers;
+  Lexer(Text, Diags).lexAll(Buffers.Tokens);
+  Parser P(Buffers, *M.Pool, Diags);
   P.Source = Text;
   P.parseModule(M);
+  // The stacks end every parse empty; only the token buffer keeps the
+  // size of the largest source. Cap what an outsized one leaves behind.
+  Buffers.Tokens.shrinkTo(1 << 16);
   return M;
 }
 
 void Parser::parseModule(Module &M) {
+  Classes.clear();
   while (!check(TokenKind::EndOfFile)) {
-    if (parseClass())
-      continue;
-    // Drop whatever the failed class left on the list stacks.
+    // Each class starts from empty stacks, even after a failed one.
     Methods.clear();
     Names.clear();
     Stmts.clear();
     Exprs.clear();
-    synchronizeToClassBoundary();
+    if (!parseClass())
+      synchronizeToClassBoundary();
   }
   M.Classes = commit(Classes, 0);
 }

@@ -45,8 +45,23 @@ public:
                                      DiagnosticSink &Diags);
 
 private:
-  Parser(TokenStream Tokens, Arena &Pool, DiagnosticSink &Diags)
-      : Tokens(std::move(Tokens)), Pool(Pool), Diags(Diags) {}
+  /// Buffers one parse leaves for the next on the same thread: the token
+  /// stream and the list stacks. Reusing them keeps the memory a parse
+  /// works in warm instead of drawing fresh pages for every program.
+  struct Scratch {
+    TokenStream Tokens;
+    // Lists under construction, innermost on top; commit() pops them.
+    std::vector<ClassDecl> Classes;
+    std::vector<MethodDecl> Methods;
+    std::vector<std::string_view> Names;
+    std::vector<const Stmt *> Stmts;
+    std::vector<const Expr *> Exprs;
+  };
+
+  Parser(Scratch &S, Arena &Pool, DiagnosticSink &Diags)
+      : Tokens(S.Tokens), Classes(S.Classes), Methods(S.Methods),
+        Names(S.Names), Stmts(S.Stmts), Exprs(S.Exprs), Pool(Pool),
+        Diags(Diags) {}
 
   const Token &peek() const { return Tokens[Pos]; }
   const Token &previous() const { return Tokens[Pos - 1]; }
@@ -79,20 +94,18 @@ private:
   const Expr *parsePrimary();
   bool parseArgs(ExprList &Out);
 
-  TokenStream Tokens;
+  const TokenStream &Tokens;
+  std::vector<ClassDecl> &Classes;
+  std::vector<MethodDecl> &Methods;
+  std::vector<std::string_view> &Names;
+  std::vector<const Stmt *> &Stmts;
+  std::vector<const Expr *> &Exprs;
   Arena &Pool;
   DiagnosticSink &Diags;
   size_t Pos = 0;
   std::string_view Source; ///< The module's copy of the source text.
   unsigned BlockDepth = 0; ///< Enclosing `if`/`while` blocks.
   unsigned ArgDepth = 0;   ///< Enclosing argument lists.
-
-  // Lists under construction, innermost on top; commit() pops them.
-  std::vector<ClassDecl> Classes;
-  std::vector<MethodDecl> Methods;
-  std::vector<std::string_view> Names;
-  std::vector<const Stmt *> Stmts;
-  std::vector<const Expr *> Exprs;
 };
 
 } // namespace uspec
