@@ -20,7 +20,6 @@
 #define USPEC_SUPPORT_CONNECTIONTHREADS_H
 
 #include <atomic>
-#include <cstddef>
 #include <list>
 #include <thread>
 #include <utility>
@@ -34,19 +33,23 @@ public:
   ConnectionThreads &operator=(const ConnectionThreads &) = delete;
   ~ConnectionThreads() { joinAll(); }
 
-  /// Runs \p Fn on a new thread.
+  /// Runs \p F on a new thread.
   template <typename Fn> void spawn(Fn &&F) {
     // List nodes never move, so the thread may hold its entry.
     Entry &E = Entries.emplace_back();
-    E.Thread = std::thread([&E, F = std::forward<Fn>(F)]() mutable {
-      F();
-      E.Finished.store(true, std::memory_order_release);
-    });
+    try {
+      E.Thread = std::thread([&E, F = std::forward<Fn>(F)]() mutable {
+        F();
+        E.Finished.store(true, std::memory_order_release);
+      });
+    } catch (...) {
+      Entries.pop_back(); // no thread started: nothing to join
+      throw;
+    }
   }
 
-  /// Joins every thread that has finished. Returns how many it joined.
-  size_t reapFinished() {
-    size_t Joined = 0;
+  /// Joins every thread that has finished.
+  void reapFinished() {
     for (auto It = Entries.begin(); It != Entries.end();) {
       if (!It->Finished.load(std::memory_order_acquire)) {
         ++It;
@@ -54,9 +57,7 @@ public:
       }
       It->Thread.join();
       It = Entries.erase(It);
-      ++Joined;
     }
-    return Joined;
   }
 
   /// Joins every thread, finished or not.
@@ -65,9 +66,6 @@ public:
       E.Thread.join();
     Entries.clear();
   }
-
-  /// Threads not yet joined.
-  size_t size() const { return Entries.size(); }
 
 private:
   struct Entry {
