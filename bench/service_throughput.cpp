@@ -31,7 +31,7 @@
 
 #include "BenchCommon.h"
 #include "distrib/Router.h"
-#include "distrib/Wire.h"
+#include "service/LineServer.h"
 #include "service/Server.h"
 
 #include <benchmark/benchmark.h>
@@ -269,69 +269,34 @@ bool runRouterScaling(RequestCorpus &RC) {
 
 /// A Unix-socket proxy that fronts one replica and delays every request by
 /// a fixed amount — a deterministic "slow peer" for the tail measurement.
-/// Each accepted connection is served on its own thread so hedged primary
-/// legs that are still sleeping never queue behind fresh requests.
+/// Its handler sleeps, then forwards; each connection has its own thread,
+/// so sleeping hedged primary legs never queue behind fresh requests.
 struct DelayProxy {
-  std::string Path;
-  std::string Backend;
-  unsigned DelayMs = 0;
-  int ListenFd = -1;
-  volatile int Stop = 0;
-  std::thread Acceptor;
-  std::vector<std::thread> Conns;
-  std::mutex ConnMu;
+  service::LineServer Lines;
+  std::atomic<bool> Stop{false};
+  std::thread T;
 
-  bool start(std::string SockPath, std::string BackendPath, unsigned Ms) {
-    Path = std::move(SockPath);
-    Backend = std::move(BackendPath);
-    DelayMs = Ms;
-    ListenFd = distrib::wireListen(Path);
-    if (ListenFd < 0)
+  bool start(const std::string &Path, std::string Backend, unsigned Ms) {
+    if (!Lines.bind(Path))
       return false;
-    Acceptor = std::thread([this] { acceptLoop(); });
+    T = std::thread([this, Backend = std::move(Backend), Ms] {
+      Lines.serve(
+          50, [this] { return Stop.load(); },
+          [&Backend, Ms](std::string Line) {
+            std::this_thread::sleep_for(std::chrono::milliseconds(Ms));
+            std::string Resp, Err;
+            if (!service::clientRoundTrip(Backend, Line, Resp, &Err))
+              return service::errorResponse("", "replica_down", Err);
+            return Resp;
+          });
+    });
     return true;
   }
 
-  void acceptLoop() {
-    while (!Stop) {
-      int Fd = distrib::wireAccept(ListenFd, 50);
-      if (Fd < 0)
-        continue;
-      std::lock_guard<std::mutex> G(ConnMu);
-      Conns.emplace_back([this, Fd] { serveOne(Fd); });
-    }
-  }
-
-  void serveOne(int Fd) {
-    std::string Line;
-    char C;
-    while (read(Fd, &C, 1) == 1 && C != '\n')
-      Line.push_back(C);
-    std::this_thread::sleep_for(std::chrono::milliseconds(DelayMs));
-    std::string Resp;
-    if (!Line.empty() && distrib::clientRoundTrip(Backend, Line, Resp)) {
-      Resp.push_back('\n');
-      size_t Off = 0;
-      while (Off < Resp.size()) {
-        ssize_t W = write(Fd, Resp.data() + Off, Resp.size() - Off);
-        if (W <= 0)
-          break;
-        Off += static_cast<size_t>(W);
-      }
-    }
-    close(Fd);
-  }
-
   ~DelayProxy() {
-    Stop = 1;
-    if (Acceptor.joinable())
-      Acceptor.join();
-    std::lock_guard<std::mutex> G(ConnMu);
-    for (std::thread &T : Conns)
+    Stop = true;
+    if (T.joinable())
       T.join();
-    if (ListenFd >= 0)
-      close(ListenFd);
-    unlink(Path.c_str());
   }
 };
 
@@ -376,13 +341,14 @@ bool runHedgedTail(RequestCorpus &RC) {
     return false;
   }
   DelayProxy Slow;
-  if (!Slow.start(Base + "_slow.sock", SlowBackend.Path, SlowMs)) {
+  const std::string SlowPath = Base + "_slow.sock";
+  if (!Slow.start(SlowPath, SlowBackend.Path, SlowMs)) {
     std::fprintf(stderr, "error: hedged-tail proxy never came up\n");
     return false;
   }
 
   distrib::RouterConfig Cfg;
-  Cfg.Replicas = {Fast.Path, Slow.Path};
+  Cfg.Replicas = {Fast.Path, SlowPath};
   std::printf("  \"hedged_runs\": [\n");
   for (int Hedged = 0; Hedged <= 1; ++Hedged) {
     Cfg.HedgeMs = Hedged ? HedgeMs : 0;

@@ -6,9 +6,8 @@
 
 #include "distrib/Router.h"
 
-#include "distrib/Wire.h"
+#include "service/LineServer.h"
 #include "service/Protocol.h"
-#include "support/ConnectionThreads.h"
 #include "support/EventLog.h"
 #include "support/FaultInject.h"
 #include "support/Hashing.h"
@@ -22,12 +21,12 @@
 #include <mutex>
 #include <thread>
 
-#include <sys/socket.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
 using namespace uspec;
 using namespace uspec::distrib;
+using service::clientRoundTrip;
 
 Router::Router(RouterConfig C) : Config(std::move(C)) {
   {
@@ -836,37 +835,14 @@ std::string Router::handleLine(const std::string &Line) {
 }
 
 //===----------------------------------------------------------------------===//
-// Socket serving (modeled on service::Server's accept loop)
+// Socket serving
 //===----------------------------------------------------------------------===//
-
-namespace {
-
-bool sendAllBytes(int Fd, const char *Data, size_t Len) {
-  size_t Sent = 0;
-  while (Sent < Len) {
-    ssize_t N = ::send(Fd, Data + Sent, Len - Sent, MSG_NOSIGNAL);
-    if (N < 0) {
-      if (errno == EINTR)
-        continue;
-      return false;
-    }
-    Sent += static_cast<size_t>(N);
-  }
-  return true;
-}
-
-} // namespace
 
 int Router::serveUnixSocket(const std::string &Path,
                             const volatile int *StopFlag) {
-  int ListenFd = wireListen(Path);
-  if (ListenFd < 0)
+  service::LineServer Lines;
+  if (!Lines.bind(Path))
     return 1;
-
-  std::mutex ConnMu;
-  std::vector<int> ConnFds;
-  ConnectionThreads Threads;
-
   auto Stopped = [&] {
     return (StopFlag && *StopFlag) ||
            StopRequested.load(std::memory_order_acquire);
@@ -888,71 +864,9 @@ int Router::serveUnixSocket(const std::string &Path,
       }
     });
 
-  while (!Stopped()) {
-    int Client = wireAccept(ListenFd, static_cast<int>(Config.AcceptPollMs));
-    Threads.reapFinished();
-    if (Client == -1)
-      continue; // poll timeout: re-check the stop flags
-    if (Client < 0)
-      break;
-    {
-      std::lock_guard<std::mutex> Lock(ConnMu);
-      ConnFds.push_back(Client);
-    }
-    Threads.spawn([this, Client, &ConnMu, &ConnFds] {
-      std::string Buffer;
-      char Chunk[65536];
-      for (;;) {
-        ssize_t N = ::recv(Client, Chunk, sizeof(Chunk), 0);
-        if (N < 0 && errno == EINTR)
-          continue;
-        if (N <= 0)
-          break;
-        Buffer.append(Chunk, static_cast<size_t>(N));
-        // The same line cap and answer as `serve`: a line that outgrows it
-        // can never frame correctly again, so answer once and hang up.
-        if (Buffer.find('\n') == std::string::npos &&
-            Buffer.size() > service::DefaultMaxRequestBytes) {
-          std::string Response =
-              service::oversizedLineResponse(service::DefaultMaxRequestBytes);
-          Response += '\n';
-          sendAllBytes(Client, Response.data(), Response.size());
-          break;
-        }
-        size_t Pos;
-        while ((Pos = Buffer.find('\n')) != std::string::npos) {
-          std::string Line = Buffer.substr(0, Pos);
-          Buffer.erase(0, Pos + 1);
-          if (!Line.empty() && Line.back() == '\r')
-            Line.pop_back();
-          if (Line.empty())
-            continue;
-          std::string Response = handleLine(Line);
-          Response += '\n';
-          if (!sendAllBytes(Client, Response.data(), Response.size()))
-            break;
-        }
-      }
-      {
-        std::lock_guard<std::mutex> Lock(ConnMu);
-        ConnFds.erase(std::remove(ConnFds.begin(), ConnFds.end(), Client),
-                      ConnFds.end());
-      }
-      ::close(Client);
-    });
-  }
-
+  Lines.serve(Config.AcceptPollMs, Stopped,
+              [this](std::string Line) { return handleLine(Line); });
   if (Supervisor.joinable())
     Supervisor.join();
-
-  // Wake blocked readers so their threads observe EOF and exit.
-  {
-    std::lock_guard<std::mutex> Lock(ConnMu);
-    for (int Fd : ConnFds)
-      ::shutdown(Fd, SHUT_RD);
-  }
-  Threads.joinAll();
-  ::close(ListenFd);
-  ::unlink(Path.c_str());
   return 0;
 }

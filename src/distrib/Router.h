@@ -146,10 +146,10 @@ public:
   /// The router's own counters as a JSON object.
   std::string statsJson() const;
 
-  /// Serves newline-delimited JSON on a Unix socket until \p StopFlag is
-  /// set (or a `shutdown` request arrives, which also broadcasts to the
-  /// replicas). Starts the supervisor thread when Config.Supervise.
-  /// Returns a process exit code.
+  /// Serves handleLine() through a service::LineServer on \p Path until
+  /// \p StopFlag is set or a `shutdown` request (also broadcast to the
+  /// replicas) arrives. Starts the supervisor thread when Config.Supervise.
+  /// Returns 0, or 1 when \p Path cannot be bound.
   int serveUnixSocket(const std::string &Path, const volatile int *StopFlag);
 
   uint64_t hedgedCount() const { return Hedged.load(); }

@@ -202,7 +202,7 @@ incremental::trainFromJournal(const CorpusJournal &J,
     else if ((Demotion = warmIneligibility(*Prev, J, Config)).empty())
       WarmEligible = true;
     if (WarmEligible && Prev->Lineage->TrainedEntries == J.Entries.size() &&
-        !ForceReplay) {
+        Prev->Config.Tau == Config.Tau && !ForceReplay) {
       Out.Mode = TrainMode::UpToDate;
       Out.Notes.push_back("journal generation " +
                           std::to_string(J.lastGeneration()) +
@@ -244,13 +244,31 @@ incremental::trainFromJournal(const CorpusJournal &J,
   }
 
   size_t Base = static_cast<size_t>(Prev->Lineage->TrainedEntries);
-  std::vector<IRProgram> Delta =
-      parsePrograms(J, Base, J.Entries.size(), Strings, Out.Notes);
   if (Span.active()) {
     Span.arg("mode", "warm");
     Span.arg("base", std::to_string(Base));
-    Span.arg("delta", std::to_string(Delta.size()));
+    Span.arg("delta", std::to_string(J.Entries.size() - Base));
   }
+  Out.Mode = TrainMode::Warm;
+  Out.Manifest.Entries = Prev->Manifest.Entries;
+  if (Base == J.Entries.size()) {
+    // Only τ changed (the same τ was UpToDate above), and select(τ) ≡
+    // learn(τ): re-select from the prior's scored candidates, keeping its
+    // model, ledger and in-sample accuracy.
+    Out.Result = Prev->Result;
+    Out.Result.Selected =
+        USpecLearner::select(Out.Result.Candidates, Config.Tau,
+                             Config.ExtendConsistency,
+                             &Out.Result.AddedByExtension);
+    Out.Result.Ledger = std::move(*Prev->Ledger);
+    Out.DiffJson = specLevelDiff(*Prev, Out.Result, Strings);
+    Out.Notes.push_back("tau changed: re-selected from the prior's " +
+                        std::to_string(Out.Result.Candidates.size()) +
+                        " scored candidates, no program analyzed");
+    return Out;
+  }
+  std::vector<IRProgram> Delta =
+      parsePrograms(J, Base, J.Entries.size(), Strings, Out.Notes);
 
   WarmStart Seed;
   Seed.Model = std::move(Prev->Result.Model);
@@ -258,10 +276,8 @@ incremental::trainFromJournal(const CorpusJournal &J,
   Seed.BasePrograms = Base;
   Seed.BaseTrainingSamples = Prev->Result.NumTrainingSamples;
 
-  Out.Mode = TrainMode::Warm;
   USpecLearner Learner(Strings, Config);
   Out.Result = Learner.learnIncrement(Delta, std::move(Seed));
-  Out.Manifest.Entries = Prev->Manifest.Entries;
   appendManifestEntries(Out.Manifest, J, Base, Delta);
   Out.ProgramsTrained = Delta.size();
   Out.DiffJson = specLevelDiff(*Prev, Out.Result, Strings);

@@ -17,8 +17,9 @@
 ///              verified prefix of this journal with a compatible config:
 ///              parse only the new entries, warm-start ϕ from the prior
 ///              model (USpecLearner::learnIncrement) and emit a quantified
-///              spec-level diff against the prior's selected set.
-///   UpToDate — the journal has nothing newer than the prior; nothing runs.
+///              spec-level diff against the prior's selected set. If only
+///              τ changed, the prior's candidates are re-selected at it.
+///   UpToDate — nothing newer than the prior, at its τ; nothing runs.
 ///
 /// Any eligibility failure (corrupt prior, rewritten journal history,
 /// config mismatch) demotes to Full with a human-readable note — a warm

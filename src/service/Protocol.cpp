@@ -606,12 +606,6 @@ std::string service::errorResponse(const std::string &Id,
   return Out;
 }
 
-std::string service::oversizedLineResponse(size_t Limit) {
-  return errorResponse("", "oversized",
-                       "request line exceeds the " + std::to_string(Limit) +
-                           "-byte limit");
-}
-
 //===----------------------------------------------------------------------===//
 // The shared analyze engine
 //===----------------------------------------------------------------------===//

@@ -201,14 +201,8 @@ std::string errorResponse(const std::string &Id, std::string_view Kind,
                           std::string_view Message,
                           std::string_view TraceId = {});
 
-/// Default cap on one request line (ServerConfig::MaxRequestBytes). `uspec
-/// route` enforces the same cap on its clients.
-inline constexpr size_t DefaultMaxRequestBytes = size_t(4) << 20;
-
-/// The `oversized` answer to a connection whose unfinished request line has
-/// grown past \p Limit bytes. Such a line can never frame correctly again,
-/// so the caller closes the connection after sending it.
-std::string oversizedLineResponse(size_t Limit);
+/// Cap on one request line, enforced by `serve` and `route` alike.
+inline constexpr size_t MaxRequestBytes = size_t(4) << 20;
 
 //===----------------------------------------------------------------------===//
 // The shared analyze engine

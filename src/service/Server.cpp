@@ -7,7 +7,7 @@
 #include "service/Server.h"
 
 #include "artifact/Checkpoint.h"
-#include "support/ConnectionThreads.h"
+#include "service/LineServer.h"
 #include "support/EventLog.h"
 #include "support/FaultInject.h"
 #include "support/Hashing.h"
@@ -15,19 +15,12 @@
 #include "support/Trace.h"
 
 #include <algorithm>
-#include <cerrno>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <istream>
 #include <ostream>
 #include <sstream>
-
-#include <poll.h>
-#include <sys/socket.h>
-#include <sys/un.h>
-#include <unistd.h>
 
 using namespace uspec;
 using namespace uspec::service;
@@ -475,12 +468,11 @@ void Server::watchdogLoop() {
 
 std::string Server::handleRequest(const std::string &Line, const Job &TheJob,
                                   RequestInfo *Info) {
-  if (Line.size() > Config.MaxRequestBytes)
+  if (Line.size() > MaxRequestBytes)
     return errorResponse("", "oversized",
                          "request line of " + std::to_string(Line.size()) +
                              " bytes exceeds the " +
-                             std::to_string(Config.MaxRequestBytes) +
-                             "-byte limit");
+                             std::to_string(MaxRequestBytes) + "-byte limit");
   Request R;
   std::string Err;
   if (!parseRequest(Line, R, &Err, Config.EnableTestVerbs))
@@ -747,144 +739,35 @@ int Server::serveStream(std::istream &In, std::ostream &Out) {
 // Unix-domain socket transport
 //===----------------------------------------------------------------------===//
 
-namespace {
-
-/// Writes all of \p Data to \p Fd (MSG_NOSIGNAL: a vanished client must not
-/// SIGPIPE the server). Returns false on error.
-bool sendAll(int Fd, std::string_view Data) {
-  while (!Data.empty()) {
-    ssize_t N = ::send(Fd, Data.data(), Data.size(), MSG_NOSIGNAL);
-    if (N < 0) {
-      if (errno == EINTR)
-        continue;
-      return false;
-    }
-    Data.remove_prefix(static_cast<size_t>(N));
-  }
-  return true;
-}
-
-} // namespace
-
 int Server::serveUnixSocket(const std::string &Path,
                             const volatile int *StopFlag,
                             volatile int *ReloadFlag) {
-  int Listen = ::socket(AF_UNIX, SOCK_STREAM, 0);
-  if (Listen < 0)
+  LineServer Lines;
+  if (!Lines.bind(Path))
     return 1;
-  sockaddr_un Addr;
-  std::memset(&Addr, 0, sizeof(Addr));
-  Addr.sun_family = AF_UNIX;
-  if (Path.size() >= sizeof(Addr.sun_path)) {
-    ::close(Listen);
-    return 1;
-  }
-  std::memcpy(Addr.sun_path, Path.c_str(), Path.size() + 1);
-  ::unlink(Path.c_str());
-  if (::bind(Listen, reinterpret_cast<sockaddr *>(&Addr), sizeof(Addr)) < 0 ||
-      ::listen(Listen, 64) < 0) {
-    ::close(Listen);
-    return 1;
-  }
-
-  std::mutex ConnMutex;
-  std::vector<int> OpenFds; // guarded by ConnMutex
-  ConnectionThreads ConnThreads;
-
-  auto ConnectionLoop = [&](int Fd) {
-    std::string Buffer;
-    char Chunk[65536];
-    bool Alive = true;
-    while (Alive) {
-      ssize_t N = ::read(Fd, Chunk, sizeof(Chunk));
-      if (N < 0 && errno == EINTR)
-        continue;
-      if (N <= 0)
-        break;
-      Buffer.append(Chunk, static_cast<size_t>(N));
-      // A line that exceeds the request cap can never frame correctly
-      // again; answer once and drop the connection.
-      if (Buffer.find('\n') == std::string::npos &&
-          Buffer.size() > Config.MaxRequestBytes) {
-        sendAll(Fd, oversizedLineResponse(Config.MaxRequestBytes) + "\n");
-        break;
-      }
-      size_t Start = 0;
-      for (size_t Nl = Buffer.find('\n', Start); Nl != std::string::npos;
-           Nl = Buffer.find('\n', Start)) {
-        std::string Line = Buffer.substr(Start, Nl - Start);
-        Start = Nl + 1;
-        if (!Line.empty() && Line.back() == '\r')
-          Line.pop_back();
-        if (Line.empty())
-          continue;
-        std::string Response = submit(std::move(Line)).get();
-        Response += "\n";
-        if (!sendAll(Fd, Response)) {
-          Alive = false;
-          break;
-        }
-      }
-      Buffer.erase(0, Start);
+  auto ReloadOnSignal = [&] {
+    if (!ReloadFlag || !*ReloadFlag)
+      return;
+    // SIGHUP-driven hot swap, on the accept thread: workers keep answering
+    // under the old snapshot for the duration of the load.
+    *ReloadFlag = 0;
+    std::string Err;
+    if (!reloadModel("", &Err)) {
+      std::fprintf(stderr, "uspec-serve reload failed: %s\n", Err.c_str());
+      return;
     }
-    // Forget the fd before closing it: once closed, accept() may hand the
-    // same number to a new connection.
-    {
-      std::lock_guard<std::mutex> Lock(ConnMutex);
-      OpenFds.erase(std::find(OpenFds.begin(), OpenFds.end(), Fd));
-    }
-    ::close(Fd);
+    std::shared_ptr<const ModelState> M = model();
+    std::fprintf(stderr,
+                 "uspec-serve reloaded model generation=%llu specs=%zu "
+                 "from %s\n",
+                 static_cast<unsigned long long>(M->Generation),
+                 M->Specs.Lines.size(), M->Source.c_str());
   };
-
-  for (;;) {
-    if (draining() || (StopFlag && *StopFlag))
-      break;
-    if (ReloadFlag && *ReloadFlag) {
-      // SIGHUP-driven hot swap, on the accept thread: workers keep
-      // answering under the old snapshot for the duration of the load.
-      *ReloadFlag = 0;
-      std::string Err;
-      if (reloadModel("", &Err)) {
-        std::shared_ptr<const ModelState> M = model();
-        std::fprintf(stderr,
-                     "uspec-serve reloaded model generation=%llu specs=%zu "
-                     "from %s\n",
-                     static_cast<unsigned long long>(M->Generation),
-                     M->Specs.Lines.size(), M->Source.c_str());
-      } else {
-        std::fprintf(stderr, "uspec-serve reload failed: %s\n", Err.c_str());
-      }
-    }
-    pollfd Pfd{Listen, POLLIN, 0};
-    // Poll interval from config (ServerConfig::AcceptPollMs): it bounds how
-    // stale the drain/StopFlag check above can get, i.e. worst-case shutdown
-    // latency while idle.
-    int Ready = ::poll(&Pfd, 1, static_cast<int>(Config.AcceptPollMs));
-    ConnThreads.reapFinished();
-    if (Ready < 0 && errno != EINTR)
-      break;
-    if (Ready <= 0)
-      continue;
-    int Fd = ::accept(Listen, nullptr, nullptr);
-    if (Fd < 0)
-      continue;
-    {
-      std::lock_guard<std::mutex> Lock(ConnMutex);
-      OpenFds.push_back(Fd);
-    }
-    ConnThreads.spawn([&ConnectionLoop, Fd] { ConnectionLoop(Fd); });
-  }
-
-  ::close(Listen);
-  ::unlink(Path.c_str());
-  // Wake connection readers: after drain their submissions would only earn
-  // `shutting_down` errors anyway.
-  {
-    std::lock_guard<std::mutex> Lock(ConnMutex);
-    for (int Fd : OpenFds)
-      ::shutdown(Fd, SHUT_RD);
-  }
-  ConnThreads.joinAll();
+  Lines.serve(
+      Config.AcceptPollMs,
+      [&] { return draining() || (StopFlag && *StopFlag); },
+      [this](std::string Line) { return submit(std::move(Line)).get(); },
+      ReloadOnSignal);
   drain();
   return 0;
 }

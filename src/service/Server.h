@@ -28,9 +28,8 @@
 ///    `shutting_down` error, then workers join.
 ///
 /// Transports: serveStream (newline-delimited JSON over any iostream pair —
-/// `uspec serve` uses stdin/stdout) and serveUnixSocket (SOCK_STREAM
-/// Unix-domain socket, one reader thread per connection — `uspec query`
-/// connects here). Both are thin shells over submit().
+/// `uspec serve` uses stdin/stdout) and serveUnixSocket (a LineServer whose
+/// handler is submit(line).get()). Both are thin shells over submit().
 ///
 //===----------------------------------------------------------------------===//
 
@@ -64,8 +63,6 @@ struct ServerConfig {
   /// Result cache budget in analyzed programs.
   size_t CacheCapacity = 256;
   unsigned CacheShards = 8;
-  /// Request lines longer than this are answered `oversized` unparsed.
-  size_t MaxRequestBytes = DefaultMaxRequestBytes;
   /// Default per-request deadline in ms (`serve --request-timeout`);
   /// 0 = none. A request's own `deadline_ms` takes precedence. Expired
   /// requests are answered with a structured `deadline_exceeded` error by
@@ -78,7 +75,7 @@ struct ServerConfig {
   uint64_t MaxStepsPerRequest = 0;
   /// Accept-loop poll interval for serveUnixSocket, which bounds how long
   /// a drain/SIGTERM can go unnoticed while no client connects.
-  unsigned AcceptPollMs = DefaultAcceptPollMs;
+  unsigned AcceptPollMs = 200;
   /// Enables the test-only `test_block` verb (see Protocol.h). Tests use it
   /// to park workers deterministically and observe backpressure.
   bool EnableTestVerbs = false;
@@ -93,8 +90,6 @@ struct ServerConfig {
   /// verb without an explicit "path", and the SIGHUP handler, re-read this
   /// file; "" disables path-less reloads.
   std::string ModelPath;
-
-  static constexpr unsigned DefaultAcceptPollMs = 200;
 };
 
 /// One immutable model generation: the spec set requests are answered
@@ -195,14 +190,12 @@ public:
   /// drain.
   int serveStream(std::istream &In, std::ostream &Out);
 
-  /// Binds \p Path (unlinking any stale socket file), accepts connections
-  /// until drain or \p StopFlag becomes nonzero (a SIGTERM handler sets
-  /// it), serving each connection's requests in order. A nonzero
-  /// \p ReloadFlag (the CLI's SIGHUP handler sets it) is cleared and the
-  /// model reloaded from ServerConfig::ModelPath on the accept thread —
-  /// never a worker — so queries keep flowing during the load; a failed
+  /// Serves \p Path through a LineServer until drain or a nonzero
+  /// \p StopFlag (a SIGTERM handler sets it). A nonzero \p ReloadFlag (the
+  /// CLI's SIGHUP handler sets it) is cleared and the model reloaded from
+  /// ServerConfig::ModelPath on the accept thread, never a worker; a failed
   /// reload logs to stderr and the old model keeps serving. Returns 0 on a
-  /// clean drain, 1 on socket errors.
+  /// clean drain, 1 when \p Path cannot be bound.
   int serveUnixSocket(const std::string &Path,
                       const volatile int *StopFlag = nullptr,
                       volatile int *ReloadFlag = nullptr);

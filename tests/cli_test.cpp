@@ -138,6 +138,44 @@ TEST(Cli, NoArgumentsPrintsUsage) {
   EXPECT_NE(R.Output.find("usage:"), std::string::npos) << R.Output;
 }
 
+// A socket that cannot be bound is named with the OS reason, not left to a
+// bare exit status after "listening on".
+TEST(Cli, ServeBindFailureNamesPathAndReason) {
+  RunResult Missing = runCli("serve --socket /nonexistent/dir/x.sock");
+  EXPECT_EQ(Missing.ExitCode, 1) << Missing.Output;
+  EXPECT_NE(Missing.Output.find("error: cannot listen on "
+                                "unix:/nonexistent/dir/x.sock: No such file "
+                                "or directory"),
+            std::string::npos)
+      << Missing.Output;
+
+  std::string Long = "/tmp/" + std::string(114, 'a') + ".sock"; // 124 chars
+  RunResult TooLong = runCli("serve --socket " + Long);
+  EXPECT_EQ(TooLong.ExitCode, 1) << TooLong.Output;
+  EXPECT_NE(TooLong.Output.find("error: socket path too long: " + Long),
+            std::string::npos)
+      << TooLong.Output;
+}
+
+TEST(Cli, RouteBindFailureNamesPathAndReason) {
+  RunResult Missing = runCli("route --socket /nonexistent/dir/r.sock "
+                             "--replicas /nonexistent/dir/a.sock");
+  EXPECT_EQ(Missing.ExitCode, 1) << Missing.Output;
+  EXPECT_NE(Missing.Output.find("error: cannot listen on "
+                                "unix:/nonexistent/dir/r.sock: No such file "
+                                "or directory"),
+            std::string::npos)
+      << Missing.Output;
+
+  std::string Long = "/tmp/" + std::string(114, 'r') + ".sock"; // 124 chars
+  RunResult TooLong =
+      runCli("route --socket " + Long + " --replicas /nonexistent/dir/a.sock");
+  EXPECT_EQ(TooLong.ExitCode, 1) << TooLong.Output;
+  EXPECT_NE(TooLong.Output.find("error: socket path too long: " + Long),
+            std::string::npos)
+      << TooLong.Output;
+}
+
 TEST(Cli, ValidInvocationsStillWork) {
   std::string Prog = writeTinyProgram();
 

@@ -20,7 +20,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "distrib/Router.h"
-#include "distrib/Wire.h"
+#include "service/LineServer.h"
 #include "service/Protocol.h"
 #include "service/Server.h"
 #include "support/FaultInject.h"
@@ -29,6 +29,7 @@
 
 #include <cerrno>
 #include <chrono>
+#include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -46,6 +47,7 @@
 
 using namespace uspec;
 using namespace uspec::distrib;
+using service::clientRoundTrip;
 
 namespace {
 
@@ -463,7 +465,7 @@ TEST(DistribRouter, UnframedOversizedLineGetsTheReplicaAnswer) {
   for (int I = 0; I < 200 && access(RouterPath.c_str(), F_OK) != 0; ++I)
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
 
-  const std::string Line(service::DefaultMaxRequestBytes + 16, 'x');
+  const std::string Line(service::MaxRequestBytes + 16, 'x');
   UnframedReply Direct = sendUnframed(RA.Path, Line);
   UnframedReply Routed = sendUnframed(RouterPath, Line);
   EXPECT_NE(Direct.Bytes.find("\"kind\":\"oversized\""), std::string::npos)
@@ -549,6 +551,189 @@ TEST(DistribConnections, RouteJoinsFinishedConnectionThreads) {
                               &Err))
       << Err;
   Serve.join();
+}
+
+namespace {
+
+/// A real `uspec` process started in the background under `ulimit -n 24`
+/// (via `sh -c '…; exec uspec …'`, so the pid is the uspec process). The
+/// destructor SIGKILLs it if it is still alive.
+struct FdLimitedProcess {
+  long Pid = -1;
+
+  FdLimitedProcess() = default;
+  FdLimitedProcess(const FdLimitedProcess &) = delete;
+  FdLimitedProcess &operator=(const FdLimitedProcess &) = delete;
+
+  bool start(const std::string &Dir, const std::string &Args) {
+    std::string PidFile = Dir + "/uspec.pid";
+    RunResult R = runShell("sh -c 'ulimit -n 24; exec " +
+                           std::string(USPEC_CLI_PATH) + " " + Args +
+                           "' >/dev/null 2>&1 & echo $! > " + PidFile);
+    Pid = std::atol(readFile(PidFile).c_str());
+    return R.ExitCode == 0 && Pid > 0;
+  }
+
+  /// The /proc/PID/stat fields after the command name ("S 1 …"), or "".
+  std::string statFields() const {
+    std::string Stat = readFile("/proc/" + std::to_string(Pid) + "/stat");
+    size_t Paren = Stat.rfind(')');
+    return Paren == std::string::npos ? "" : Stat.substr(Paren + 2);
+  }
+
+  /// Gone, or a zombie nobody reaped yet.
+  bool exited() const {
+    std::string Fields = statFields();
+    return Fields.empty() || Fields[0] == 'Z';
+  }
+
+  /// The process's thread count (0 once it is gone).
+  int threads() const {
+    std::ifstream Status("/proc/" + std::to_string(Pid) + "/status");
+    std::string Line;
+    while (std::getline(Status, Line))
+      if (Line.rfind("Threads:", 0) == 0)
+        return std::atoi(Line.c_str() + 8);
+    return 0;
+  }
+
+  /// utime + stime in seconds.
+  double cpuSeconds() const {
+    std::istringstream In(statFields());
+    std::string Field;
+    unsigned long long Ticks = 0;
+    // Field 3 is the state; utime and stime are fields 14 and 15.
+    for (int F = 3; F <= 15 && In >> Field; ++F)
+      if (F >= 14)
+        Ticks += std::stoull(Field);
+    return static_cast<double>(Ticks) /
+           static_cast<double>(::sysconf(_SC_CLK_TCK));
+  }
+
+  bool waitExit(int Ms) const {
+    for (int I = 0; I < Ms / 10 && !exited(); ++I)
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    return exited();
+  }
+
+  ~FdLimitedProcess() {
+    if (Pid > 0 && !exited())
+      ::kill(static_cast<pid_t>(Pid), SIGKILL);
+  }
+};
+
+/// Connects \p N clients to \p SockPath and returns their fds; they send
+/// nothing. More clients than the server's fd limit allows push it into
+/// EMFILE; the rest wait in the listen backlog.
+std::vector<int> holdConnections(const std::string &SockPath, int N) {
+  std::vector<int> Fds;
+  sockaddr_un Addr{};
+  Addr.sun_family = AF_UNIX;
+  std::memcpy(Addr.sun_path, SockPath.c_str(), SockPath.size() + 1);
+  for (int I = 0; I < N; ++I) {
+    int Fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    if (Fd < 0)
+      break;
+    if (::connect(Fd, reinterpret_cast<sockaddr *>(&Addr), sizeof(Addr)) <
+        0) {
+      ::close(Fd);
+      break;
+    }
+    Fds.push_back(Fd);
+  }
+  return Fds;
+}
+
+void closeAll(std::vector<int> &Fds) {
+  for (int Fd : Fds)
+    ::close(Fd);
+  Fds.clear();
+}
+
+/// Retries \p RequestLine against \p SockPath for up to 3 s.
+std::string roundTripWithin3s(const std::string &SockPath,
+                              const std::string &RequestLine) {
+  std::string Response, Err;
+  for (int I = 0; I < 30; ++I) {
+    if (clientRoundTrip(SockPath, RequestLine, Response, &Err))
+      return Response;
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  }
+  ADD_FAILURE() << "no answer from " << SockPath << ": " << Err;
+  return "";
+}
+
+/// One `stats` request while fds are plenty, then waits for its connection
+/// thread to exit. A UBSan build checks a type's vtable through a pipe the
+/// first time it meets the type; under EMFILE that pipe fails and the
+/// process aborts on a false "invalid vptr" as a connection thread exits.
+void warmUp(const FdLimitedProcess &P, const std::string &SockPath,
+            const std::string &Expect) {
+  int Idle = P.threads();
+  EXPECT_NE(roundTripWithin3s(SockPath, "{\"verb\":\"stats\"}").find(Expect),
+            std::string::npos);
+  for (int I = 0; I < 300 && P.threads() > Idle; ++I)
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+}
+
+bool waitForSocket(const std::string &SockPath) {
+  for (int I = 0; I < 300 && access(SockPath.c_str(), F_OK) != 0; ++I)
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  return access(SockPath.c_str(), F_OK) == 0;
+}
+
+} // namespace
+
+// Out of fds, accept() fails with EMFILE while the backlog keeps the
+// listener readable. `route` must keep serving once fds free up, not leave
+// its accept loop and exit.
+TEST(DistribConnections, RouteSurvivesAcceptErrors) {
+  std::string Dir = scratchDir("conn_route_emfile");
+  std::string Sock = Dir + "/router.sock";
+  FdLimitedProcess Route;
+  ASSERT_TRUE(Route.start(Dir, "route --socket " + Sock + " --replicas " +
+                                   Dir + "/none.sock"));
+  ASSERT_TRUE(waitForSocket(Sock)) << "route never bound";
+  warmUp(Route, Sock, "\"router\"");
+
+  std::vector<int> Held = holdConnections(Sock, 40);
+  EXPECT_EQ(Held.size(), 40u);
+  std::this_thread::sleep_for(std::chrono::milliseconds(500));
+  closeAll(Held);
+
+  std::string Stats = roundTripWithin3s(Sock, "{\"verb\":\"stats\"}");
+  EXPECT_NE(Stats.find("\"router\""), std::string::npos) << Stats;
+  roundTripWithin3s(Sock, "{\"verb\":\"shutdown\"}");
+  EXPECT_TRUE(Route.waitExit(5000));
+}
+
+// The same EMFILE must not make `serve` spin on a poll that returns at once:
+// it waits one poll interval between accept attempts.
+TEST(DistribConnections, ServeDoesNotSpinOnAcceptErrors) {
+  std::string Dir = scratchDir("conn_serve_emfile");
+  std::string SpecPath = Dir + "/specs.txt";
+  writeFile(SpecPath, "RetSame(Map.get/1)\n");
+  std::string Sock = Dir + "/serve.sock";
+  FdLimitedProcess Serve;
+  ASSERT_TRUE(Serve.start(Dir, "serve --socket " + Sock + " --specs " +
+                                   SpecPath + " --workers 1"));
+  ASSERT_TRUE(waitForSocket(Sock)) << "serve never bound";
+  warmUp(Serve, Sock, "\"ok\":true");
+
+  std::vector<int> Held = holdConnections(Sock, 40);
+  EXPECT_EQ(Held.size(), 40u);
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  double Before = Serve.cpuSeconds();
+  std::this_thread::sleep_for(std::chrono::seconds(2));
+  double Used = Serve.cpuSeconds() - Before;
+  EXPECT_LT(Used, 0.2) << "serve burned " << Used
+                       << " s of CPU in 2 s while out of fds";
+  closeAll(Held);
+
+  std::string Stats = roundTripWithin3s(Sock, "{\"verb\":\"stats\"}");
+  EXPECT_NE(Stats.find("\"ok\":true"), std::string::npos) << Stats;
+  roundTripWithin3s(Sock, "{\"verb\":\"shutdown\"}");
+  EXPECT_TRUE(Serve.waitExit(5000));
 }
 
 //===----------------------------------------------------------------------===//

@@ -18,6 +18,7 @@
 #include "incremental/Journal.h"
 #include "incremental/Trainer.h"
 #include "service/Server.h"
+#include "specs/SpecIO.h"
 #include "support/FaultInject.h"
 #include "support/Random.h"
 
@@ -378,6 +379,55 @@ TEST(IncrementalTrain, WarmDemotesToFullOnMismatch) {
         trainFromJournal(CorpusJournal(), Cfg, S, "", false, &Err));
     EXPECT_FALSE(Err.empty());
   }
+}
+
+// `train --journal` with nothing new but a different τ is not up to date:
+// it re-selects from the prior's scored candidates (select(τ) ≡ learn(τ))
+// without analyzing a program again, and keeps the prior's accuracy.
+TEST(IncrementalTrain, TauChangeReselectsFromThePriorCandidates) {
+  std::vector<std::string> Sources = makeSources(60, /*Seed=*/5);
+  CorpusJournal J = makeJournal(Sources, 60);
+  LearnerConfig Cfg;
+  Cfg.Tau = 0.6;
+  StringInterner S0;
+  auto Base = trainFromJournal(J, Cfg, S0, "", false);
+  ASSERT_TRUE(Base.has_value());
+  std::string BaseBytes = artifactBytes(*Base, Cfg, S0);
+
+  LearnerConfig High = Cfg;
+  High.Tau = 0.95;
+  StringInterner S1;
+  auto Out = trainFromJournal(J, High, S1, BaseBytes, false);
+  ASSERT_TRUE(Out.has_value());
+  EXPECT_NE(Out->Mode, TrainMode::UpToDate);
+  EXPECT_EQ(Out->ProgramsTrained, 0u);
+  EXPECT_FALSE(Out->Notes.empty());
+
+  StringInterner S2;
+  auto Prior = loadLearnArtifacts(BaseBytes, S2);
+  ASSERT_TRUE(Prior.has_value());
+  SpecSet Expected = USpecLearner::select(Prior->Result.Candidates, 0.95,
+                                          High.ExtendConsistency);
+  EXPECT_EQ(serializeSpecs(Out->Result.Selected, S1),
+            serializeSpecs(Expected, S2));
+  EXPECT_LT(Out->Result.Selected.size(), Base->Result.Selected.size())
+      << "the corpus must have candidates between the two thresholds";
+  EXPECT_EQ(Out->Result.TrainAccuracy, Base->Result.TrainAccuracy);
+  EXPECT_EQ(Out->Result.NumTrainingSamples, Base->Result.NumTrainingSamples);
+
+  // A full train at 0.95 selects the same set.
+  StringInterner S3;
+  auto Full = trainFromJournal(J, High, S3, "", false);
+  ASSERT_TRUE(Full.has_value());
+  EXPECT_EQ(serializeSpecs(Out->Result.Selected, S1),
+            serializeSpecs(Full->Result.Selected, S3));
+
+  // The re-selected artifact anchors the next run: 0.95 again is up to date.
+  std::string HighBytes = artifactBytes(*Out, High, S1);
+  StringInterner S4;
+  auto Again = trainFromJournal(J, High, S4, HighBytes, false);
+  ASSERT_TRUE(Again.has_value());
+  EXPECT_EQ(Again->Mode, TrainMode::UpToDate);
 }
 
 TEST(IncrementalTrain, LineageAndLedgerSurviveTheArtifact) {

@@ -19,7 +19,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "distrib/Router.h"
-#include "distrib/Wire.h"
+#include "service/LineServer.h"
 #include "service/Metrics.h"
 #include "service/Protocol.h"
 #include "service/Server.h"
@@ -395,7 +395,7 @@ TEST(ObsFleet, HedgedResponseEchoesTraceIdByteIdentically) {
 
   // The non-owner computes the reference answer directly.
   std::string Direct, Err;
-  ASSERT_TRUE(distrib::clientRoundTrip(RB.Path, Line, Direct, &Err)) << Err;
+  ASSERT_TRUE(service::clientRoundTrip(RB.Path, Line, Direct, &Err)) << Err;
   ASSERT_NE(Direct.find("\"trace_id\":\"trace-obs-77\""), std::string::npos)
       << Direct;
 
@@ -403,11 +403,11 @@ TEST(ObsFleet, HedgedResponseEchoesTraceIdByteIdentically) {
   service::Server *PrimaryServer = RA.S.get();
   std::thread Block1([&] {
     std::string Resp, E;
-    distrib::clientRoundTrip(RA.Path, "{\"verb\":\"test_block\"}", Resp, &E);
+    service::clientRoundTrip(RA.Path, "{\"verb\":\"test_block\"}", Resp, &E);
   });
   std::thread Block2([&] {
     std::string Resp, E;
-    distrib::clientRoundTrip(RA.Path, "{\"verb\":\"test_block\"}", Resp, &E);
+    service::clientRoundTrip(RA.Path, "{\"verb\":\"test_block\"}", Resp, &E);
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(100));
 

@@ -234,6 +234,24 @@ struct GenParam {
   double Direct, Roundtrip, Getter, Mutating, Complex;
 };
 
+/// Names each instance after its profile, idiom mix and seed (e.g.
+/// `java_direct_seed1`). Without it gtest prints the param's raw bytes,
+/// padding included, and the test ids change from build to build.
+void PrintTo(const GenParam &P, std::ostream *OS) {
+  const char *Mix = "mixed";
+  if (P.Direct == 1)
+    Mix = "direct";
+  else if (P.Roundtrip == 1)
+    Mix = "roundtrip";
+  else if (P.Getter == 1)
+    Mix = "getter";
+  else if (P.Mutating == 1)
+    Mix = "mutating";
+  else if (P.Complex == 1)
+    Mix = "complex";
+  *OS << (P.Python ? "python" : "java") << '_' << Mix << "_seed" << P.Seed;
+}
+
 class GeneratorRobustness : public ::testing::TestWithParam<GenParam> {};
 
 TEST_P(GeneratorRobustness, EveryProgramParsesLowersAnalyzes) {

@@ -5,23 +5,37 @@
 // Covers the resident query service (src/service/): protocol parsing and
 // robustness, the shared analyze engine, the byte-identity contract
 // (service responses == `uspec analyze --json` at any worker count), the
-// sharded result cache, explicit backpressure, and graceful drain. All
-// suite names start with "Service" so the TSan CI job picks them up.
+// sharded result cache, explicit backpressure, graceful drain, and the
+// LineServer transport that `serve --socket` and `route` share. All suite
+// names start with "Service" so the TSan CI job picks them up.
 //
 //===----------------------------------------------------------------------===//
 
 #include "core/USpec.h"
 #include "corpus/Generator.h"
 #include "corpus/Profiles.h"
+#include "distrib/Router.h"
+#include "service/LineServer.h"
 #include "service/Server.h"
 #include "support/Random.h"
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cerrno>
+#include <chrono>
+#include <cstring>
 #include <future>
+#include <memory>
 #include <sstream>
+#include <string_view>
 #include <thread>
 #include <vector>
+
+#include <sys/socket.h>
+#include <sys/time.h>
+#include <sys/un.h>
+#include <unistd.h>
 
 using namespace uspec;
 using namespace uspec::service;
@@ -465,9 +479,8 @@ TEST(ServiceFuzz, RandomBytesNeverCrash) {
 TEST(ServiceFuzz, OversizedLinesRejectedUnparsed) {
   ServerConfig Cfg;
   Cfg.Workers = 1;
-  Cfg.MaxRequestBytes = 256;
   Server S(Cfg, ServiceSpecs());
-  std::string Huge = analyzeRequest(1, std::string(4096, 'x'));
+  std::string Huge = analyzeRequest(1, std::string(MaxRequestBytes, 'x'));
   std::string Resp = S.handle(Huge);
   EXPECT_NE(Resp.find("\"kind\":\"oversized\""), std::string::npos) << Resp;
   // No id: the line was never parsed.
@@ -635,4 +648,213 @@ TEST(ServiceConcurrent, MixedVerbClientsGetConsistentAnswers) {
   for (int T = 0; T < ClientThreads; ++T)
     EXPECT_EQ(Failures[T], 0) << "client " << T;
   EXPECT_GE(S.metrics().cacheHitCount(), 1u);
+}
+
+//===----------------------------------------------------------------------===//
+// LineServer: the one socket transport under serve and route
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+std::string lineSocketPath(const std::string &Name) {
+  return testing::TempDir() + "uspec_ls_" + Name + "_" +
+         std::to_string(::getpid()) + ".sock";
+}
+
+bool waitForSocket(const std::string &Path) {
+  for (int I = 0; I < 500 && ::access(Path.c_str(), F_OK) != 0; ++I)
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  return ::access(Path.c_str(), F_OK) == 0;
+}
+
+/// A connected client socket with 10 s send/receive timeouts; -1 on error.
+int connectClient(const std::string &Path) {
+  int Fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  if (Fd < 0)
+    return -1;
+  timeval Timeout{10, 0};
+  ::setsockopt(Fd, SOL_SOCKET, SO_RCVTIMEO, &Timeout, sizeof(Timeout));
+  ::setsockopt(Fd, SOL_SOCKET, SO_SNDTIMEO, &Timeout, sizeof(Timeout));
+  sockaddr_un Addr{};
+  Addr.sun_family = AF_UNIX;
+  std::memcpy(Addr.sun_path, Path.c_str(), Path.size() + 1);
+  if (::connect(Fd, reinterpret_cast<sockaddr *>(&Addr), sizeof(Addr)) < 0) {
+    ::close(Fd);
+    return -1;
+  }
+  return Fd;
+}
+
+bool sendBytes(int Fd, std::string_view Bytes) {
+  while (!Bytes.empty()) {
+    ssize_t N = ::send(Fd, Bytes.data(), Bytes.size(), MSG_NOSIGNAL);
+    if (N < 0 && errno == EINTR)
+      continue;
+    if (N <= 0)
+      return false;
+    Bytes.remove_prefix(static_cast<size_t>(N));
+  }
+  return true;
+}
+
+/// Reads \p Count newline-terminated lines (without their newlines); stops
+/// early at EOF, an error or the receive timeout.
+std::vector<std::string> readLines(int Fd, size_t Count) {
+  std::vector<std::string> Lines;
+  std::string Pending;
+  char Buf[65536];
+  while (Lines.size() < Count) {
+    ssize_t N = ::recv(Fd, Buf, sizeof(Buf), 0);
+    if (N < 0 && errno == EINTR)
+      continue;
+    if (N <= 0)
+      break;
+    for (ssize_t I = 0; I < N; ++I) {
+      if (Buf[I] != '\n') {
+        Pending += Buf[I];
+        continue;
+      }
+      Lines.push_back(std::move(Pending));
+      Pending.clear();
+    }
+  }
+  return Lines;
+}
+
+/// Sends \p Burst on one connection to \p Path (from a second thread, so
+/// neither side can block the other) and reads \p Count answers.
+std::vector<std::string> pipelinedAnswers(const std::string &Path,
+                                          const std::string &Burst,
+                                          size_t Count) {
+  int Fd = connectClient(Path);
+  if (Fd < 0) {
+    ADD_FAILURE() << "cannot connect to " << Path;
+    return {};
+  }
+  std::thread Sender([&] { EXPECT_TRUE(sendBytes(Fd, Burst)); });
+  std::vector<std::string> Answers = readLines(Fd, Count);
+  Sender.join();
+  ::close(Fd);
+  return Answers;
+}
+
+/// A LineServer answering `[LINE]` on its own thread until destroyed.
+struct EchoLineServer {
+  std::string Path;
+  LineServer Lines;
+  std::atomic<bool> Stop{false};
+  std::thread T;
+
+  bool start(std::string SockPath, unsigned PollMs = 20) {
+    Path = std::move(SockPath);
+    if (!Lines.bind(Path))
+      return false;
+    T = std::thread([this, PollMs] {
+      Lines.serve(
+          PollMs, [this] { return Stop.load(); },
+          [](std::string Line) { return "[" + Line + "]"; });
+    });
+    return true;
+  }
+
+  ~EchoLineServer() {
+    Stop = true;
+    if (T.joinable())
+      T.join();
+  }
+};
+
+} // namespace
+
+// 500 requests in one burst on one connection: one in flight at a time,
+// answered in request order, and `route` answers the same bytes as the
+// `serve` replica behind it.
+TEST(ServiceLineServer, PipelinedBurstAnsweredInOrderThroughServeAndRoute) {
+  std::vector<std::string> Sources = makeSources(25, /*Seed=*/71);
+  ServerConfig Cfg;
+  Cfg.Workers = 2;
+  Cfg.AcceptPollMs = 20;
+  Server S(Cfg, learnSpecs(Sources));
+  std::string ServePath = lineSocketPath("burst_serve");
+  std::thread ServeThread([&] { S.serveUnixSocket(ServePath); });
+  ASSERT_TRUE(waitForSocket(ServePath));
+
+  distrib::RouterConfig RCfg;
+  RCfg.Replicas = {ServePath};
+  RCfg.AcceptPollMs = 20;
+  distrib::Router R(RCfg);
+  std::string RoutePath = lineSocketPath("burst_route");
+  std::thread RouteThread([&] { R.serveUnixSocket(RoutePath, nullptr); });
+  ASSERT_TRUE(waitForSocket(RoutePath));
+
+  constexpr int Count = 500;
+  std::string Burst;
+  for (int I = 0; I < Count; ++I)
+    Burst += (I % 2 ? "{\"id\":" + std::to_string(I) + ",\"verb\":\"specs\"}"
+                    : analyzeRequest(I, Sources[I % Sources.size()])) +
+             "\n";
+
+  std::vector<std::string> Direct = pipelinedAnswers(ServePath, Burst, Count);
+  ASSERT_EQ(Direct.size(), static_cast<size_t>(Count));
+  for (int I = 0; I < Count; ++I) {
+    EXPECT_EQ(Direct[I].rfind("{\"id\":" + std::to_string(I) + ",", 0), 0u)
+        << "answer " << I << " out of order: " << Direct[I].substr(0, 80);
+    EXPECT_NE(Direct[I].find("\"ok\":true"), std::string::npos) << Direct[I];
+  }
+  std::vector<std::string> Routed = pipelinedAnswers(RoutePath, Burst, Count);
+  EXPECT_EQ(Routed, Direct);
+
+  // A routed shutdown stops the router and drains the replica.
+  std::string Resp, Err;
+  EXPECT_TRUE(clientRoundTrip(RoutePath, "{\"verb\":\"shutdown\"}", Resp, &Err))
+      << Err;
+  RouteThread.join();
+  ServeThread.join();
+}
+
+// `\r\n` endings lose their `\r`; blank lines (also `\r\n` alone) are
+// skipped without an answer.
+TEST(ServiceLineServer, CrlfEndingsAndBlankLinesAreFramed) {
+  EchoLineServer Echo;
+  ASSERT_TRUE(Echo.start(lineSocketPath("crlf")));
+  std::vector<std::string> Answers =
+      pipelinedAnswers(Echo.Path, "a\r\n\r\n\nb\n\r\nc\rd\r\n", 3);
+  EXPECT_EQ(Answers, (std::vector<std::string>{"[a]", "[b]", "[c\rd]"}));
+}
+
+TEST(ServiceLineServer, RequestDeliveredOneBytePerWrite) {
+  EchoLineServer Echo;
+  ASSERT_TRUE(Echo.start(lineSocketPath("bytewise")));
+  int Fd = connectClient(Echo.Path);
+  ASSERT_GE(Fd, 0);
+  for (char C : std::string("{\"verb\":\"stats\"}\nsecond\n")) {
+    ASSERT_TRUE(sendBytes(Fd, std::string_view(&C, 1)));
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(readLines(Fd, 2),
+            (std::vector<std::string>{"[{\"verb\":\"stats\"}]", "[second]"}));
+  ::close(Fd);
+}
+
+// Stopping does not wait for an idle client: its reader is woken, and the
+// socket file goes with the listener.
+TEST(ServiceLineServer, StopWithAnIdleClientIsPromptAndRemovesTheSocket) {
+  constexpr unsigned PollMs = 50;
+  auto Echo = std::make_unique<EchoLineServer>();
+  ASSERT_TRUE(Echo->start(lineSocketPath("stop"), PollMs));
+  std::string Path = Echo->Path;
+  int Fd = connectClient(Path);
+  ASSERT_GE(Fd, 0);
+  std::this_thread::sleep_for(std::chrono::milliseconds(2 * PollMs));
+
+  auto Start = std::chrono::steady_clock::now();
+  Echo.reset();
+  auto Took = std::chrono::duration_cast<std::chrono::milliseconds>(
+      std::chrono::steady_clock::now() - Start);
+  EXPECT_LT(Took.count(), 10 * PollMs) << "stop took " << Took.count()
+                                       << " ms";
+  EXPECT_NE(::access(Path.c_str(), F_OK), 0) << "socket file left behind";
+  char C;
+  EXPECT_EQ(::recv(Fd, &C, 1, 0), 0) << "the idle client was not hung up on";
+  ::close(Fd);
 }

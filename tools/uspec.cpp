@@ -34,7 +34,10 @@
 //       reports a quantified spec-level diff. --replay forces a full
 //       retrain over the whole journal — byte-identical to training the
 //       same corpus from scratch with the same seed. Any lineage/config
-//       mismatch demotes warm to full with a printed note.
+//       mismatch demotes warm to full with a printed note. An unchanged
+//       journal is up to date only at the artifact's τ; at a new --tau
+//       the artifact's scored candidates are re-selected, no program is
+//       analyzed.
 //
 //   uspec select  run.uspb [--tau X] [-o specs.txt]
 //       Re-select specifications from a training artifact at threshold τ
@@ -126,10 +129,10 @@
 #include "corpus/Generator.h"
 #include "corpus/Profiles.h"
 #include "distrib/Router.h"
-#include "distrib/Wire.h"
 #include "eventgraph/Dot.h"
 #include "incremental/Journal.h"
 #include "incremental/Trainer.h"
+#include "service/LineServer.h"
 #include "service/Server.h"
 #include "specs/SpecIO.h"
 #include "support/EventLog.h"
@@ -145,6 +148,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <initializer_list>
 #include <iostream>
 #include <iterator>
 #include <map>
@@ -272,6 +276,19 @@ bool parseUInt(const char *Opt, const char *V, uint64_t &Out) {
     return false;
   }
   return true;
+}
+
+/// Starts the --trace and --events sinks that were asked for ("" = not).
+/// False, with the reason printed, when one cannot be opened.
+bool startTelemetry(const std::string &TracePath,
+                    const std::string &EventsPath) {
+  std::string Err;
+  if ((TracePath.empty() || trace::startToFile(TracePath, &Err)) &&
+      (EventsPath.empty() ||
+       events::startToFile(EventsPath, /*MaxBytes=*/0, &Err)))
+    return true;
+  std::fprintf(stderr, "error: %s\n", Err.c_str());
+  return false;
 }
 
 /// Simple argument cursor.
@@ -490,20 +507,8 @@ int cmdLearnOrTrain(Args &A, bool Train) {
     std::fprintf(stderr, "error: --replay requires --journal\n");
     return 2;
   }
-  if (!TracePath.empty()) {
-    std::string Err;
-    if (!trace::startToFile(TracePath, &Err)) {
-      std::fprintf(stderr, "error: %s\n", Err.c_str());
-      return 2;
-    }
-  }
-  if (!EventsPath.empty()) {
-    std::string Err;
-    if (!events::startToFile(EventsPath, /*MaxBytes=*/0, &Err)) {
-      std::fprintf(stderr, "error: %s\n", Err.c_str());
-      return 2;
-    }
-  }
+  if (!startTelemetry(TracePath, EventsPath))
+    return 2;
 
   if (!JournalPath.empty()) {
     incremental::CorpusJournal J;
@@ -914,13 +919,8 @@ int cmdAnalyze(Args &A) {
   }
   if (File.empty() || (!SpecsPath.empty() && !ModelPath.empty()))
     return usage();
-  if (!TracePath.empty()) {
-    std::string Err;
-    if (!trace::startToFile(TracePath, &Err)) {
-      std::fprintf(stderr, "error: %s\n", Err.c_str());
-      return 2;
-    }
-  }
+  if (!startTelemetry(TracePath, ""))
+    return 2;
 
   auto Source = readFile(File);
   if (!Source)
@@ -1066,6 +1066,17 @@ volatile int GReloadRequested = 0;
 
 void onReloadSignal(int) { GReloadRequested = 1; }
 
+/// Installs \p Handler for each of \p Signals, without SA_RESTART.
+void installSignalHandler(std::initializer_list<int> Signals,
+                          void (*Handler)(int)) {
+  struct sigaction SA;
+  std::memset(&SA, 0, sizeof(SA));
+  SA.sa_handler = Handler;
+  sigemptyset(&SA.sa_mask);
+  for (int Sig : Signals)
+    sigaction(Sig, &SA, nullptr);
+}
+
 int cmdServe(Args &A) {
   std::string ModelPath, SpecsPath, SocketPath, TracePath, EventsPath;
   service::ServerConfig Cfg;
@@ -1156,20 +1167,8 @@ int cmdServe(Args &A) {
                          "exclusive\n");
     return 2;
   }
-  if (!TracePath.empty()) {
-    std::string Err;
-    if (!trace::startToFile(TracePath, &Err)) {
-      std::fprintf(stderr, "error: %s\n", Err.c_str());
-      return 2;
-    }
-  }
-  if (!EventsPath.empty()) {
-    std::string Err;
-    if (!events::startToFile(EventsPath, /*MaxBytes=*/0, &Err)) {
-      std::fprintf(stderr, "error: %s\n", Err.c_str());
-      return 2;
-    }
-  }
+  if (!startTelemetry(TracePath, EventsPath))
+    return 2;
 
   // --model loads a versioned ModelState (journal generation, hot-swap
   // source path); --specs / no flags keep the unversioned generation-0
@@ -1199,24 +1198,13 @@ int cmdServe(Args &A) {
   // Graceful drain on SIGTERM/SIGINT. Deliberately no SA_RESTART so a
   // blocking stdin read returns EINTR and the stream loop can wind down.
   GStopRequested = 0;
-  struct sigaction SA;
-  std::memset(&SA, 0, sizeof(SA));
-  SA.sa_handler = onStopSignal;
-  sigemptyset(&SA.sa_mask);
-  SA.sa_flags = 0;
-  sigaction(SIGTERM, &SA, nullptr);
-  sigaction(SIGINT, &SA, nullptr);
+  installSignalHandler({SIGTERM, SIGINT}, onStopSignal);
 
   if (!SocketPath.empty()) {
     // Live reload on SIGHUP — socket mode only: the handler must not
     // interrupt a stream-mode stdin getline, which would end the session.
     GReloadRequested = 0;
-    struct sigaction HupSA;
-    std::memset(&HupSA, 0, sizeof(HupSA));
-    HupSA.sa_handler = onReloadSignal;
-    sigemptyset(&HupSA.sa_mask);
-    HupSA.sa_flags = 0;
-    sigaction(SIGHUP, &HupSA, nullptr);
+    installSignalHandler({SIGHUP}, onReloadSignal);
     std::fprintf(stderr,
                  "uspec serve: %zu specs (generation %llu), listening on "
                  "%s\n",
@@ -1326,20 +1314,8 @@ int cmdRoute(Args &A) {
       return unknownToken("route", Arg);
     }
   }
-  if (!TracePath.empty()) {
-    std::string Err;
-    if (!trace::startToFile(TracePath, &Err)) {
-      std::fprintf(stderr, "error: %s\n", Err.c_str());
-      return 2;
-    }
-  }
-  if (!EventsPath.empty()) {
-    std::string Err;
-    if (!events::startToFile(EventsPath, /*MaxBytes=*/0, &Err)) {
-      std::fprintf(stderr, "error: %s\n", Err.c_str());
-      return 2;
-    }
-  }
+  if (!startTelemetry(TracePath, EventsPath))
+    return 2;
   distrib::RouterConfig Cfg;
   Cfg.VirtualNodes = static_cast<unsigned>(Vnodes);
   Cfg.Supervise = Supervise;
@@ -1377,13 +1353,7 @@ int cmdRoute(Args &A) {
 
   distrib::Router Router(Cfg);
   GStopRequested = 0;
-  struct sigaction SA;
-  std::memset(&SA, 0, sizeof(SA));
-  SA.sa_handler = onStopSignal;
-  sigemptyset(&SA.sa_mask);
-  SA.sa_flags = 0;
-  sigaction(SIGTERM, &SA, nullptr);
-  sigaction(SIGINT, &SA, nullptr);
+  installSignalHandler({SIGTERM, SIGINT}, onStopSignal);
   std::fprintf(stderr,
                "uspec route: %zu replicas, %llu vnodes each, listening on "
                "%s%s%s%s\n",
@@ -1594,7 +1564,7 @@ int cmdQuery(Args &A) {
   std::string Response;
   for (unsigned Attempt = 0;; ++Attempt) {
     std::string Err;
-    bool Ok = distrib::clientRoundTrip(SocketPath, Request, Response, &Err);
+    bool Ok = service::clientRoundTrip(SocketPath, Request, Response, &Err);
     const char *Reason = nullptr;
     if (!Ok) {
       std::fprintf(stderr, "error: %s\n", Err.c_str());
@@ -2008,17 +1978,11 @@ int cmdObsTop(const std::vector<const char *> &Pos) {
     return 2;
   }
   GStopRequested = 0;
-  if (Watch) {
-    struct sigaction SA;
-    std::memset(&SA, 0, sizeof(SA));
-    SA.sa_handler = onStopSignal;
-    sigemptyset(&SA.sa_mask);
-    sigaction(SIGTERM, &SA, nullptr);
-    sigaction(SIGINT, &SA, nullptr);
-  }
+  if (Watch)
+    installSignalHandler({SIGTERM, SIGINT}, onStopSignal);
   for (;;) {
     std::string Response, Err;
-    if (!distrib::clientRoundTrip(SocketPath, "{\"verb\":\"stats\"}",
+    if (!service::clientRoundTrip(SocketPath, "{\"verb\":\"stats\"}",
                                   Response, &Err)) {
       std::fprintf(stderr, "error: %s\n", Err.c_str());
       return 1;
@@ -2083,14 +2047,8 @@ int cmdObsEvents(const std::vector<const char *> &Pos) {
     return 1;
   }
   GStopRequested = 0;
-  if (Follow) {
-    struct sigaction SA;
-    std::memset(&SA, 0, sizeof(SA));
-    SA.sa_handler = onStopSignal;
-    sigemptyset(&SA.sa_mask);
-    sigaction(SIGTERM, &SA, nullptr);
-    sigaction(SIGINT, &SA, nullptr);
-  }
+  if (Follow)
+    installSignalHandler({SIGTERM, SIGINT}, onStopSignal);
   std::string Line;
   for (;;) {
     while (std::getline(In, Line)) {
