@@ -117,7 +117,8 @@ inline PipelineRun runPipeline(LanguageProfile Profile, size_t NumPrograms,
       std::filesystem::create_directories(CacheDir);
       std::ofstream Out(CachePath, std::ios::binary);
       if (Out)
-        Out << Learner.saveArtifacts(Run.Result, &Run.Manifest);
+        Out << saveLearnArtifacts(Run.Result, Run.Config, *Run.Strings,
+                                  Run.Manifest);
       if (!Out)
         std::fprintf(stderr, "artifact cache: cannot write %s\n",
                      CachePath.c_str());

@@ -1,344 +1,71 @@
-//===- perf_pipeline.cpp - §7.2 runtime/scaling (google-benchmark) ------------===//
+//===- perf_pipeline.cpp - Reproduces §7.2's runtime scaling --------------===//
 //
 // Part of the USpec reproduction (PLDI 2019). MIT license.
 //
 // §7.2 reports end-to-end learning times of ~5h (Java) / ~2h (Python) on a
 // 28-core server over millions of files, and stresses that the runtime
 // scales with the dataset size, not with the number of API classes. On our
-// simulated corpus the absolute numbers are seconds; the comparable shape is
-// the near-linear scaling of the full pipeline in the corpus size, plus the
-// per-stage costs (parsing/lowering, points-to + histories, event graph,
-// model training, candidate extraction).
+// simulated corpus the absolute numbers are fractions of a second; the
+// comparable shape is learn() growing linearly in the corpus size, i.e. a
+// flat programs/s column.
+//
+// Each size is learned three times on one thread and the median run is
+// shown phase by phase (PipelineStats). Corpus generation, which parses and
+// lowers every program, is not timed. learn() is called directly, not
+// through runPipeline(): a USPEC_ARTIFACT_CACHE hit there skips training.
 //
 //===----------------------------------------------------------------------===//
 
 #include "BenchCommon.h"
 
-#include "support/EventLog.h"
-#include "support/Trace.h"
-
-#include <benchmark/benchmark.h>
-
-#include <cstring>
-#include <unistd.h>
+#include <algorithm>
+#include <array>
 
 using namespace uspec;
 using namespace uspec::bench;
 
 namespace {
 
-/// Cached corpora per size so generation isn't measured in pipeline runs.
-GeneratedCorpus &corpusOf(size_t N, StringInterner &S) {
-  static std::map<size_t, std::unique_ptr<GeneratedCorpus>> Cache;
-  static std::unique_ptr<LanguageProfile> Profile;
-  auto It = Cache.find(N);
-  if (It != Cache.end())
-    return *It->second;
-  if (!Profile)
-    Profile = std::make_unique<LanguageProfile>(javaProfile());
-  GeneratorConfig Cfg;
-  Cfg.NumPrograms = N;
-  Cfg.Seed = 0xBE7C4;
-  auto Corpus = std::make_unique<GeneratedCorpus>(
-      generateCorpus(*Profile, Cfg, S));
-  return *Cache.emplace(N, std::move(Corpus)).first->second;
-}
-
-StringInterner &sharedStrings() {
-  static StringInterner S;
-  return S;
-}
-
-void BM_ParseAndLower(benchmark::State &State) {
-  LanguageProfile Profile = javaProfile();
-  GeneratorConfig Cfg;
-  Rng Rand(1);
-  std::vector<std::string> Sources;
-  for (int I = 0; I < 50; ++I)
-    Sources.push_back(generateProgramSource(Profile, Cfg, Rand));
-  StringInterner S;
-  for (auto _ : State) {
-    for (const std::string &Source : Sources) {
-      DiagnosticSink Diags;
-      auto P = parseAndLower(Source, "bench", S, Diags);
-      benchmark::DoNotOptimize(P);
-    }
-  }
-  State.SetItemsProcessed(State.iterations() * Sources.size());
-}
-BENCHMARK(BM_ParseAndLower);
-
-void BM_UnawareAnalysis(benchmark::State &State) {
-  StringInterner &S = sharedStrings();
-  GeneratedCorpus &Corpus = corpusOf(50, S);
-  AnalysisOptions Options;
-  for (auto _ : State) {
-    for (const IRProgram &P : Corpus.Programs)
-      benchmark::DoNotOptimize(analyzeProgram(P, S, Options));
-  }
-  State.SetItemsProcessed(State.iterations() * Corpus.Programs.size());
-}
-BENCHMARK(BM_UnawareAnalysis);
-
-void BM_AwareAnalysis(benchmark::State &State) {
-  StringInterner &S = sharedStrings();
-  GeneratedCorpus &Corpus = corpusOf(50, S);
-  // Ground-truth-sized spec set for realistic ghost-field load.
-  static SpecSet Specs = [&] {
-    SpecSet Out;
-    LanguageProfile P = javaProfile();
-    for (const ApiClass &C : P.Registry.classes()) {
-      Symbol ClassSym = S.intern(C.Name);
-      for (const ApiMethod &M : C.Methods) {
-        MethodId Mid = {ClassSym, S.intern(M.Name),
-                        static_cast<uint8_t>(M.Arity)};
-        if (M.Semantics == MethodSemantics::Load ||
-            M.Semantics == MethodSemantics::StatelessGetter)
-          Out.insert(Spec::retSame(Mid));
-        if (M.Semantics == MethodSemantics::Store)
-          for (const std::string &L : M.PairedLoads)
-            if (const ApiMethod *Load = C.findMethod(L, M.Arity - 1))
-              Out.insert(
-                  Spec::retArg({ClassSym, S.intern(Load->Name),
-                                static_cast<uint8_t>(Load->Arity)},
-                               Mid, static_cast<uint8_t>(M.StorePos)));
-      }
-    }
-    return Out;
-  }();
-  AnalysisOptions Options;
-  Options.ApiAware = true;
-  Options.Specs = &Specs;
-  Options.CoverageExtension = true;
-  for (auto _ : State) {
-    for (const IRProgram &P : Corpus.Programs)
-      benchmark::DoNotOptimize(analyzeProgram(P, S, Options));
-  }
-  State.SetItemsProcessed(State.iterations() * Corpus.Programs.size());
-}
-BENCHMARK(BM_AwareAnalysis);
-
-void BM_EventGraphBuild(benchmark::State &State) {
-  StringInterner &S = sharedStrings();
-  GeneratedCorpus &Corpus = corpusOf(50, S);
-  std::vector<AnalysisResult> Results;
-  for (const IRProgram &P : Corpus.Programs)
-    Results.push_back(analyzeProgram(P, S, AnalysisOptions()));
-  for (auto _ : State) {
-    for (const AnalysisResult &R : Results)
-      benchmark::DoNotOptimize(EventGraph::build(R));
-  }
-  State.SetItemsProcessed(State.iterations() * Results.size());
-}
-BENCHMARK(BM_EventGraphBuild);
-
-void BM_FullPipeline(benchmark::State &State) {
-  size_t N = static_cast<size_t>(State.range(0));
-  for (auto _ : State) {
-    State.PauseTiming();
-    StringInterner S;
-    LanguageProfile Profile = javaProfile();
-    GeneratorConfig Cfg;
-    Cfg.NumPrograms = N;
-    Cfg.Seed = 0xBE7C4;
-    GeneratedCorpus Corpus = generateCorpus(Profile, Cfg, S);
-    State.ResumeTiming();
-
-    LearnerConfig LCfg;
-    USpecLearner Learner(S, LCfg);
-    benchmark::DoNotOptimize(Learner.learn(Corpus.Programs));
-  }
-  State.SetItemsProcessed(State.iterations() * N);
-  State.SetLabel(std::to_string(N) + " programs");
-}
-BENCHMARK(BM_FullPipeline)->Arg(100)->Arg(200)->Arg(400)->Arg(800);
-
-// §7.2 thread scaling: the same corpus learned at increasing thread counts.
-// The corpus is generated once; only learn() is measured. Output is
-// bit-identical across the Args (tested in parallel_test), so this isolates
-// the wall-clock effect of the sharded phases.
-void BM_FullPipelineThreads(benchmark::State &State) {
-  unsigned Threads = static_cast<unsigned>(State.range(0));
-  static StringInterner S; // shared: interning happens before learn()
-  GeneratedCorpus &Corpus = corpusOf(200, S);
-  LearnerConfig Cfg;
-  Cfg.Threads = Threads;
-  for (auto _ : State) {
-    USpecLearner Learner(S, Cfg);
-    benchmark::DoNotOptimize(Learner.learn(Corpus.Programs));
-  }
-  State.SetItemsProcessed(State.iterations() * Corpus.Programs.size());
-  State.SetLabel(std::to_string(Threads) + " threads");
-}
-BENCHMARK(BM_FullPipelineThreads)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
-
-// Robustness overhead (DESIGN.md §10): the same corpus learned with the
-// per-program step budget off (0) and with a generous budget that never
-// exhausts — isolating the cost of the Budget::consume() polling and the
-// staged all-or-nothing Phase-3 extraction. With no fault armed the
-// USPEC_FAULT checks are one relaxed atomic load each, so the delta between
-// the two Args is the entire price of running budgeted.
-void BM_FullPipelineBudgeted(benchmark::State &State) {
-  uint64_t StepBudget = static_cast<uint64_t>(State.range(0));
-  static StringInterner S;
-  GeneratedCorpus &Corpus = corpusOf(200, S);
-  LearnerConfig Cfg;
-  Cfg.ProgramStepBudget = StepBudget;
-  for (auto _ : State) {
-    USpecLearner Learner(S, Cfg);
-    benchmark::DoNotOptimize(Learner.learn(Corpus.Programs));
-  }
-  State.SetItemsProcessed(State.iterations() * Corpus.Programs.size());
-  State.SetLabel(StepBudget ? "budgeted (never exhausts)" : "budget off");
-}
-BENCHMARK(BM_FullPipelineBudgeted)->Arg(0)->Arg(1 << 30);
-
-// Observability overhead (DESIGN.md §11): the same corpus learned with
-// tracing disarmed (every TraceSpan is one relaxed atomic load, same
-// discipline as the USPEC_FAULT probes — Arg(0) must sit within noise of
-// BM_FullPipeline at the same size) and with an in-memory session armed
-// (Arg(1): clock reads + per-thread buffer appends; the trace is discarded
-// unserialized after each iteration).
-void BM_FullPipelineTraced(benchmark::State &State) {
-  bool Traced = State.range(0) != 0;
-  static StringInterner S;
-  GeneratedCorpus &Corpus = corpusOf(200, S);
-  LearnerConfig Cfg;
-  for (auto _ : State) {
-    if (Traced)
-      trace::start();
-    USpecLearner Learner(S, Cfg);
-    benchmark::DoNotOptimize(Learner.learn(Corpus.Programs));
-    if (Traced) {
-      State.PauseTiming();
-      trace::stop();
-      State.ResumeTiming();
-    }
-  }
-  State.SetItemsProcessed(State.iterations() * Corpus.Programs.size());
-  State.SetLabel(Traced ? "tracing armed" : "tracing off");
-}
-BENCHMARK(BM_FullPipelineTraced)->Arg(0)->Arg(1);
-
-// Structured event log overhead (DESIGN.md §16): the same corpus learned
-// with the event log disarmed (Arg 0 — every events::emit call site in the
-// fleet code is one relaxed atomic load, and learn() itself emits nothing)
-// and armed to a scratch file (Arg 1, with one lifecycle emit per
-// iteration — fleet events are rare by design, so arming must not perturb
-// the pipeline either). Both Args must sit within noise of BM_FullPipeline
-// at the same size; a regression here means emission crept onto the hot
-// path.
-void BM_FullPipelineEvents(benchmark::State &State) {
-  bool Armed = State.range(0) != 0;
-  static StringInterner S;
-  GeneratedCorpus &Corpus = corpusOf(200, S);
-  LearnerConfig Cfg;
-  std::string Path =
-      "/tmp/uspec_bench_events_" + std::to_string(getpid()) + ".jsonl";
-  if (Armed) {
-    std::string Err;
-    if (!events::startToFile(Path, 0, &Err)) {
-      State.SkipWithError(Err.c_str());
-      return;
-    }
-  }
-  for (auto _ : State) {
-    if (events::enabled())
-      events::emit("reload", {{"generation", "1"}});
-    USpecLearner Learner(S, Cfg);
-    benchmark::DoNotOptimize(Learner.learn(Corpus.Programs));
-  }
-  if (Armed) {
-    events::finish();
-    ::unlink(Path.c_str());
-  }
-  State.SetItemsProcessed(State.iterations() * Corpus.Programs.size());
-  State.SetLabel(Armed ? "event log armed" : "event log off");
-}
-BENCHMARK(BM_FullPipelineEvents)->Arg(0)->Arg(1);
-
-/// --uspec_phase_json[=N]: instead of google-benchmark, run the full
-/// pipeline over the default corpus profile (N programs, default 400) once
-/// per thread count in {1, 2, 4, 8} and print one JSON document with the
-/// per-phase PipelineStats of each run plus end-to-end speedups vs 1
-/// thread. This is the repo's BENCH trajectory format: one machine-readable
-/// line block per commit.
-int runPhaseStatsJson(size_t NumPrograms) {
-  StringInterner S;
-  LanguageProfile Profile = javaProfile();
-  GeneratorConfig GenCfg;
-  GenCfg.NumPrograms = NumPrograms;
-  GenCfg.Seed = 0xBE7C4;
-  GeneratedCorpus Corpus = generateCorpus(Profile, GenCfg, S);
-
-  const unsigned ThreadCounts[] = {1, 2, 4, 8};
-  double BaselineSec = 0;
-  std::printf("{\n  \"bench\": \"perf_pipeline.phase_stats\",\n"
-              "  \"profile\": \"%s\",\n  \"programs\": %zu,\n"
-              "  \"runs\": [\n",
-              Profile.Name.c_str(), Corpus.Programs.size());
-  for (size_t I = 0; I < std::size(ThreadCounts); ++I) {
-    LearnerConfig Cfg;
-    Cfg.Threads = ThreadCounts[I];
-    USpecLearner Learner(S, Cfg);
-    LearnResult Result = Learner.learn(Corpus.Programs);
-    if (I == 0)
-      BaselineSec = Result.Stats.TotalSeconds;
-    double Speedup = Result.Stats.TotalSeconds > 0
-                         ? BaselineSec / Result.Stats.TotalSeconds
-                         : 0;
-    std::printf("    {\"stats\": %s, \"speedup_vs_1\": %.3f}%s\n",
-                Result.Stats.json().c_str(), Speedup,
-                I + 1 < std::size(ThreadCounts) ? "," : "");
-  }
-  std::printf("  ],\n");
-
-  // Event-log overhead rows (DESIGN.md §16), the committed counterpart of
-  // BM_FullPipelineEvents: one single-thread learn with the log disarmed
-  // and one armed to a scratch file (with a lifecycle emit, as a fleet
-  // process would produce). bench_compare.sh gates both against the
-  // baseline and the armed row against the candidate's own disarmed row —
-  // arming the event log must never cost learn() wall-clock.
-  double DisarmedSec = 0, ArmedSec = 0;
-  for (int Armed = 0; Armed < 2; ++Armed) {
-    std::string Path = "/tmp/uspec_bench_events_" +
-                       std::to_string(static_cast<long>(getpid())) +
-                       ".jsonl";
-    if (Armed && !events::startToFile(Path))
-      break;
-    if (events::enabled())
-      events::emit("reload", {{"generation", "1"}});
-    LearnerConfig Cfg;
-    Cfg.Threads = 1;
-    USpecLearner Learner(S, Cfg);
-    LearnResult Result = Learner.learn(Corpus.Programs);
-    (Armed ? ArmedSec : DisarmedSec) = Result.Stats.TotalSeconds;
-    if (Armed) {
-      events::finish();
-      ::unlink(Path.c_str());
-    }
-  }
-  std::printf("  \"events_overhead\": {\"disarmed_seconds\": %.6f, "
-              "\"armed_seconds\": %.6f}\n}\n",
-              DisarmedSec, ArmedSec);
-  return 0;
+std::string ms(double Seconds) {
+  return TextTable::formatReal(Seconds * 1e3, 2);
 }
 
 } // namespace
 
-int main(int argc, char **argv) {
-  for (int I = 1; I < argc; ++I) {
-    if (!std::strncmp(argv[I], "--uspec_phase_json", 18)) {
-      size_t N = 400;
-      if (argv[I][18] == '=')
-        N = static_cast<size_t>(std::strtoull(argv[I] + 19, nullptr, 10));
-      return runPhaseStatsJson(N ? N : 400);
-    }
+int main() {
+  std::printf("USpec reproduction — §7.2 runtime (learn() vs corpus size)\n");
+  std::printf("Paper: ~5h (Java) / ~2h (Python) on 28 cores for millions of "
+              "files; runtime scales with the dataset size.\n");
+  banner("§7.2 — learn() milliseconds by corpus size (Java, 1 thread, "
+         "median of 3 runs)");
+
+  LanguageProfile Profile = javaProfile();
+  TextTable T;
+  T.setHeader({"programs", "total ms", "analyze", "train", "extract",
+               "score", "select", "programs/s"});
+  for (size_t N : {100, 200, 400, 800}) {
+    StringInterner Strings;
+    GeneratorConfig Gen;
+    Gen.NumPrograms = N;
+    Gen.Seed = 0xBE7C4;
+    GeneratedCorpus Corpus = generateCorpus(Profile, Gen, Strings);
+    LearnerConfig Config;
+    Config.Threads = 1;
+
+    std::array<PipelineStats, 3> Runs;
+    for (PipelineStats &Stats : Runs)
+      Stats = USpecLearner(Strings, Config).learn(Corpus.Programs).Stats;
+    std::sort(Runs.begin(), Runs.end(),
+              [](const PipelineStats &A, const PipelineStats &B) {
+                return A.TotalSeconds < B.TotalSeconds;
+              });
+    const PipelineStats &Median = Runs[1];
+    T.addRow({std::to_string(N), ms(Median.TotalSeconds),
+              ms(Median.AnalyzeSeconds), ms(Median.TrainSeconds),
+              ms(Median.ExtractSeconds), ms(Median.ScoreSeconds),
+              ms(Median.SelectSeconds),
+              TextTable::formatReal(N / Median.TotalSeconds, 0)});
   }
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv))
-    return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
+  std::printf("%s", T.render().c_str());
   return 0;
 }

@@ -2,10 +2,6 @@
 //
 // Part of the USpec reproduction (PLDI 2019). MIT license.
 //
-// Also defines USpecLearner::saveArtifacts/loadArtifacts, declared in
-// core/Learner.h but implemented here so that core/ does not depend on the
-// artifact layer (link uspec_artifact to use them).
-//
 //===----------------------------------------------------------------------===//
 
 #include "artifact/Checkpoint.h"
@@ -182,20 +178,4 @@ uspec::loadLearnArtifacts(std::string_view Bytes, StringInterner &Strings,
     Out.Ledger = std::move(*Ledger);
   }
   return Out;
-}
-
-//===----------------------------------------------------------------------===//
-// USpecLearner checkpoint members (declared in core/Learner.h)
-//===----------------------------------------------------------------------===//
-
-std::string USpecLearner::saveArtifacts(const LearnResult &Result,
-                                        const CorpusManifest *Manifest) const {
-  return saveLearnArtifacts(Result, Config, Strings,
-                            Manifest ? *Manifest : CorpusManifest());
-}
-
-std::optional<LearnArtifacts>
-USpecLearner::loadArtifacts(std::string_view Bytes, StringInterner &Strings,
-                            ArtifactError *Err) {
-  return loadLearnArtifacts(Bytes, Strings, Err);
 }

@@ -32,17 +32,10 @@
 #include "pointsto/Analysis.h"
 #include "specs/Spec.h"
 
-#include <optional>
 #include <string>
-#include <string_view>
 #include <vector>
 
 namespace uspec {
-
-// Defined in artifact/ (ArtifactIO.h, Checkpoint.h, Binary.h).
-struct ArtifactError;
-struct CorpusManifest;
-struct LearnArtifacts;
 
 /// Configuration of the full learning pipeline.
 struct LearnerConfig {
@@ -162,23 +155,6 @@ public:
   /// Number of distinct API classes covered by \p Specs (§7.2 statistics).
   static size_t countApiClasses(const std::vector<ScoredCandidate> &Candidates);
   static size_t countApiClasses(const SpecSet &Specs);
-
-  //===--------------------------------------------------------------------===//
-  // Checkpointing (the USPB artifact layer). Declared here, implemented in
-  // artifact/Checkpoint.cpp — link uspec_artifact to use them; core itself
-  // does not depend on the artifact format.
-  //===--------------------------------------------------------------------===//
-
-  /// Serializes \p Result (plus this learner's config and, optionally, the
-  /// corpus manifest) as a USPB artifact; see artifact/Checkpoint.h.
-  std::string saveArtifacts(const LearnResult &Result,
-                            const CorpusManifest *Manifest = nullptr) const;
-
-  /// Loads a USPB artifact back; select() over the loaded candidates yields
-  /// a SpecSet identical to the in-memory pipeline's at any τ.
-  static std::optional<LearnArtifacts>
-  loadArtifacts(std::string_view Bytes, StringInterner &Strings,
-                ArtifactError *Err = nullptr);
 
 private:
   /// The one phase driver behind learn and learnIncrement: Phases 1–5 over

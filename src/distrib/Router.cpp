@@ -192,6 +192,15 @@ bool responseOk(const std::string &Response) {
   return Response.find("\"ok\":true") != std::string::npos;
 }
 
+/// The answer when this router could not make a socket to a replica (out
+/// of fds or memory): `overloaded`, which `query --retries` retries, and
+/// no replica is blamed for it.
+std::string routerOverloaded(const std::string &Id, std::string_view TraceId,
+                             const std::string &Err) {
+  return service::errorResponse(
+      Id, "overloaded", "router cannot reach a replica: " + Err, TraceId);
+}
+
 } // namespace
 
 //===----------------------------------------------------------------------===//
@@ -286,10 +295,13 @@ bool Router::recoverReplica(size_t Replica) {
   if (Replica >= numReplicas())
     return false;
   std::string Response, Err;
+  bool Local = false;
   bool ProbeOk =
       clientRoundTrip(Config.Replicas[Replica], probeLineFor(Replica),
-                      Response, &Err) &&
+                      Response, &Err, &Local) &&
       responseOk(Response);
+  if (Local) // the replica was never tried
+    return !isDown(Replica);
   if (!ProbeOk) {
     noteReplicaDown(Replica, "recover_probe");
     return false;
@@ -341,17 +353,21 @@ void Router::superviseTick() {
       return;
     // Probe (fault site `router.probe`: soft/throw = this probe fails,
     // kill = the router dies at exactly this point).
-    bool ProbeOk = false;
+    bool ProbeOk = false, Local = false;
     try {
       if (!USPEC_FAULT_SOFT("router.probe")) {
         std::string Response, Err;
         ProbeOk = clientRoundTrip(Config.Replicas[I], probeLineFor(I),
-                                  Response, &Err) &&
+                                  Response, &Err, &Local) &&
                   responseOk(Response);
       }
     } catch (const FaultInjected &) {
       ProbeOk = false;
     }
+    // Out of fds here: the replica was never probed. Blaming it would mark
+    // a healthy replica down and start a second serve on its socket path.
+    if (Local)
+      continue;
 
     if (ProbeOk) {
       if (isDown(I))
@@ -427,20 +443,26 @@ std::string Router::fanOut(const std::string &Id, std::string_view TraceId,
     Probe += '}';
   }
   std::vector<std::pair<bool, std::string>> Results(numReplicas());
+  std::string LocalErr;
   for (size_t I = 0; I < numReplicas(); ++I) {
     std::string Response, Err;
-    if (clientRoundTrip(Config.Replicas[I], Probe, Response, &Err)) {
+    bool Local = false;
+    if (clientRoundTrip(Config.Replicas[I], Probe, Response, &Err, &Local)) {
       if (isDown(I)) {
         // Same rejoin discipline as the supervisor: warm replay before the
         // replica takes traffic again.
         rejoinReplica(I, "fanout");
       }
       Results[I] = {true, std::move(Response)};
+    } else if (Local) {
+      LocalErr = std::move(Err);
     } else {
       noteReplicaDown(I, "fanout_probe");
       Results[I] = {false, std::move(Err)};
     }
   }
+  if (!LocalErr.empty())
+    return routerOverloaded(Id, TraceId, LocalErr);
 
   if (Metrics) {
     // Aggregate exposition: the router's own counters, then each live
@@ -557,15 +579,19 @@ std::string Router::broadcastReload(const std::string &Line,
   // cache partition is effectively cold (new-generation keys), so its warm
   // set is replayed — the handoff that keeps a swapped fleet warm.
   size_t Reloaded = 0;
-  std::string Payload = "{\"replicas\":[";
+  std::string Payload = "{\"replicas\":[", LocalErr;
   for (size_t I = 0; I < numReplicas(); ++I) {
     std::string Response, Err;
-    bool Ok = clientRoundTrip(Config.Replicas[I], Line, Response, &Err) &&
-              responseOk(Response);
+    bool Local = false;
+    bool Ok =
+        clientRoundTrip(Config.Replicas[I], Line, Response, &Err, &Local) &&
+        responseOk(Response);
     if (Ok) {
       replayWarmKeys(I);
       markUp(I);
       ++Reloaded;
+    } else if (Local) {
+      LocalErr = std::move(Err);
     } else {
       markDown(I);
     }
@@ -581,6 +607,8 @@ std::string Router::broadcastReload(const std::string &Line,
   if (events::enabled())
     events::emit("reload", {{"reloaded", std::to_string(Reloaded)},
                             {"replicas", std::to_string(numReplicas())}});
+  if (!LocalErr.empty()) // a retry re-sends the reload to every replica
+    return routerOverloaded(Id, TraceId, LocalErr);
   if (numReplicas() != 0 && Reloaded == 0)
     return service::errorResponse(Id, "reload_failed",
                                   "no replica confirmed the reload", TraceId);
@@ -617,17 +645,20 @@ struct HedgeState {
   std::condition_variable Cv;
   unsigned DoneMask = 0;
   bool Ok[2] = {false, false};
-  std::string Response[2];
+  bool Local[2] = {false, false}; ///< Failed before reaching the replica.
+  std::string Response[2];        ///< The answer, or the error when !Ok.
 };
 
 void launchLeg(const std::shared_ptr<HedgeState> &St, unsigned Slot,
                std::string Addr, std::string Line) {
   std::thread([St, Slot, Addr = std::move(Addr), Line = std::move(Line)] {
     std::string Response, Err;
-    bool Ok = clientRoundTrip(Addr, Line, Response, &Err);
+    bool Local = false;
+    bool Ok = clientRoundTrip(Addr, Line, Response, &Err, &Local);
     std::lock_guard<std::mutex> Lock(St->Mu);
     St->Ok[Slot] = Ok;
-    St->Response[Slot] = std::move(Response);
+    St->Local[Slot] = Local;
+    St->Response[Slot] = std::move(Ok ? Response : Err);
     St->DoneMask |= 1u << Slot;
     St->Cv.notify_all();
   }).detach();
@@ -710,7 +741,7 @@ std::string Router::forwardHedged(const service::Request &Req,
   }
   if (SecondaryFinished && St->Ok[1]) {
     std::string Response = std::move(St->Response[1]);
-    bool PrimaryFailed = PrimaryFinished && !St->Ok[0];
+    bool PrimaryFailed = PrimaryFinished && !St->Ok[0] && !St->Local[0];
     Lock.unlock();
     Forwarded.fetch_add(1, std::memory_order_relaxed);
     HedgedWins.fetch_add(1, std::memory_order_relaxed);
@@ -729,10 +760,16 @@ std::string Router::forwardHedged(const service::Request &Req,
     return Response;
   }
 
-  // Both legs failed.
+  // Both legs failed. A leg that could not make its socket blames no one.
+  bool Local[2] = {St->Local[0], St->Local[1]};
+  std::string LocalErr = St->Response[Local[0] ? 0 : 1];
   Lock.unlock();
-  noteReplicaDown(Primary, "hedge_both_failed");
-  noteReplicaDown(Secondary, "hedge_both_failed");
+  if (!Local[0])
+    noteReplicaDown(Primary, "hedge_both_failed");
+  if (!Local[1])
+    noteReplicaDown(Secondary, "hedge_both_failed");
+  if (Local[0] || Local[1])
+    return routerOverloaded(Req.Id, Req.TraceId, LocalErr);
   ReplicaDownErrors.fetch_add(1, std::memory_order_relaxed);
   return service::errorResponse(Req.Id, "replica_down",
                                 "replica " + Config.Replicas[Primary] +
@@ -768,7 +805,8 @@ std::string Router::forward(const service::Request &Req,
   }
   auto Start = std::chrono::steady_clock::now();
   std::string Response, Err;
-  if (clientRoundTrip(Config.Replicas[R], Line, Response, &Err)) {
+  bool Local = false;
+  if (clientRoundTrip(Config.Replicas[R], Line, Response, &Err, &Local)) {
     Forwarded.fetch_add(1, std::memory_order_relaxed);
     ForwardLatency.recordSeconds(
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
@@ -778,6 +816,8 @@ std::string Router::forward(const service::Request &Req,
       recordHotLine(R, Req, Line);
     return Response;
   }
+  if (Local)
+    return routerOverloaded(Req.Id, Req.TraceId, Err);
   // Mark down *before* answering: the client's retry walks the ring past
   // this replica, which is the deterministic failover the tests pin.
   noteReplicaDown(R, "forward_failed");
@@ -839,10 +879,13 @@ std::string Router::handleLine(const std::string &Line) {
 //===----------------------------------------------------------------------===//
 
 int Router::serveUnixSocket(const std::string &Path,
-                            const volatile int *StopFlag) {
+                            const volatile int *StopFlag,
+                            const std::function<void()> &OnListening) {
   service::LineServer Lines;
   if (!Lines.bind(Path))
     return 1;
+  if (OnListening)
+    OnListening();
   auto Stopped = [&] {
     return (StopFlag && *StopFlag) ||
            StopRequested.load(std::memory_order_acquire);

@@ -16,7 +16,9 @@
 /// broadcasts for zero-downtime fleet-wide model swaps; a dead replica
 /// yields a structured `replica_down` error (transient — `uspec query
 /// --retries` retries it) and deterministic failover: the ring walk skips
-/// down replicas, so the retry lands on the next live owner.
+/// down replicas, so the retry lands on the next live owner. When the
+/// router cannot make a socket itself (out of fds or memory) it answers
+/// `overloaded`, also transient, and blames no replica.
 ///
 /// Self-healing layers on top of that base:
 ///
@@ -49,6 +51,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <functional>
 #include <list>
 #include <memory>
 #include <mutex>
@@ -149,8 +152,10 @@ public:
   /// Serves handleLine() through a service::LineServer on \p Path until
   /// \p StopFlag is set or a `shutdown` request (also broadcast to the
   /// replicas) arrives. Starts the supervisor thread when Config.Supervise.
-  /// Returns 0, or 1 when \p Path cannot be bound.
-  int serveUnixSocket(const std::string &Path, const volatile int *StopFlag);
+  /// \p OnListening, when set, runs once \p Path is bound. Returns 0, or 1
+  /// when \p Path cannot be bound.
+  int serveUnixSocket(const std::string &Path, const volatile int *StopFlag,
+                      const std::function<void()> &OnListening = nullptr);
 
   uint64_t hedgedCount() const { return Hedged.load(); }
   uint64_t hedgedWinsCount() const { return HedgedWins.load(); }

@@ -196,7 +196,7 @@ incremental::trainFromJournal(const CorpusJournal &J,
     StringInterner Scratch;
     ArtifactError DecodeErr;
     std::optional<LearnArtifacts> Prev =
-        USpecLearner::loadArtifacts(PrevArtifactBytes, Scratch, &DecodeErr);
+        loadLearnArtifacts(PrevArtifactBytes, Scratch, &DecodeErr);
     if (!Prev)
       Demotion = "prior artifact unreadable (" + DecodeErr.str() + ")";
     else if ((Demotion = warmIneligibility(*Prev, J, Config)).empty())
@@ -234,7 +234,7 @@ incremental::trainFromJournal(const CorpusJournal &J,
   // and ledger must speak the training run's symbols.
   ArtifactError DecodeErr;
   std::optional<LearnArtifacts> Prev =
-      USpecLearner::loadArtifacts(PrevArtifactBytes, Strings, &DecodeErr);
+      loadLearnArtifacts(PrevArtifactBytes, Strings, &DecodeErr);
   if (!Prev) {
     // Unreachable in practice (the scratch decode above succeeded), but a
     // torn read between the two decodes must not crash the trainer.

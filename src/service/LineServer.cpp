@@ -37,13 +37,14 @@ bool failErrno(std::string *Err, const std::string &What) {
 }
 
 /// Fills \p Sa with the address of \p Path and returns a new Unix stream
-/// socket (\p Flags as for socket(2)); -1 with \p Err filled when the path
-/// does not fit or no socket can be made.
+/// socket (\p Flags as for socket(2)); -1 with \p Err and errno set when
+/// the path does not fit (ENAMETOOLONG) or no socket can be made.
 int unixSocket(const std::string &Path, int Flags, sockaddr_un &Sa,
                std::string *Err) {
   Sa = sockaddr_un{};
   Sa.sun_family = AF_UNIX;
   if (Path.size() >= sizeof(Sa.sun_path)) {
+    errno = ENAMETOOLONG;
     if (Err)
       *Err = "socket path too long: " + Path;
     return -1;
@@ -230,9 +231,13 @@ void LineServer::serve(unsigned PollMs, const std::function<bool()> &Stop,
 
 bool service::clientRoundTrip(const std::string &SocketPath,
                               const std::string &RequestLine,
-                              std::string &Response, std::string *Err) {
+                              std::string &Response, std::string *Err,
+                              bool *LocalFailure) {
   sockaddr_un Sa;
   int Fd = unixSocket(SocketPath, 0, Sa, Err);
+  if (LocalFailure)
+    *LocalFailure = Fd < 0 && (errno == EMFILE || errno == ENFILE ||
+                               errno == ENOBUFS || errno == ENOMEM);
   if (Fd < 0)
     return false;
   struct Closer {

@@ -60,10 +60,12 @@ private:
 /// (plus a newline when it lacks one) and reads one response line into
 /// \p Response, without its newline. Returns false with \p Err filled on a
 /// connect, send or receive error, or when the peer closes without
-/// answering.
+/// answering. \p LocalFailure, when given, tells whether a failure was
+/// this process's own: no socket could be made (EMFILE, ENFILE, ENOBUFS,
+/// ENOMEM), so the peer was never tried.
 bool clientRoundTrip(const std::string &SocketPath,
                      const std::string &RequestLine, std::string &Response,
-                     std::string *Err = nullptr);
+                     std::string *Err = nullptr, bool *LocalFailure = nullptr);
 
 } // namespace service
 } // namespace uspec

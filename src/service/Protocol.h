@@ -44,7 +44,8 @@
 /// Error kinds: bad_request (malformed JSON / missing fields), oversized
 /// (request line over the configured byte cap — reported without an id,
 /// the line is never parsed), parse_error (program diagnostics),
-/// overloaded (admission queue full; no id for the same reason),
+/// overloaded (admission queue full, no id for the same reason; or a
+/// router that cannot make a socket to a replica, with the id),
 /// shutting_down (submitted after drain began), deadline_exceeded (the
 /// request's `deadline_ms` — or the server's `--request-timeout` default —
 /// elapsed before a result was produced; see DESIGN.md §10), reload_failed

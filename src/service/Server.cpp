@@ -741,10 +741,13 @@ int Server::serveStream(std::istream &In, std::ostream &Out) {
 
 int Server::serveUnixSocket(const std::string &Path,
                             const volatile int *StopFlag,
-                            volatile int *ReloadFlag) {
+                            volatile int *ReloadFlag,
+                            const std::function<void()> &OnListening) {
   LineServer Lines;
   if (!Lines.bind(Path))
     return 1;
+  if (OnListening)
+    OnListening();
   auto ReloadOnSignal = [&] {
     if (!ReloadFlag || !*ReloadFlag)
       return;

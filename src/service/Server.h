@@ -44,6 +44,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <deque>
+#include <functional>
 #include <future>
 #include <iosfwd>
 #include <memory>
@@ -194,11 +195,13 @@ public:
   /// \p StopFlag (a SIGTERM handler sets it). A nonzero \p ReloadFlag (the
   /// CLI's SIGHUP handler sets it) is cleared and the model reloaded from
   /// ServerConfig::ModelPath on the accept thread, never a worker; a failed
-  /// reload logs to stderr and the old model keeps serving. Returns 0 on a
-  /// clean drain, 1 when \p Path cannot be bound.
+  /// reload logs to stderr and the old model keeps serving. \p OnListening,
+  /// when set, runs once \p Path is bound. Returns 0 on a clean drain, 1
+  /// when \p Path cannot be bound.
   int serveUnixSocket(const std::string &Path,
                       const volatile int *StopFlag = nullptr,
-                      volatile int *ReloadFlag = nullptr);
+                      volatile int *ReloadFlag = nullptr,
+                      const std::function<void()> &OnListening = nullptr);
 
 private:
   using TimePoint = std::chrono::steady_clock::time_point;

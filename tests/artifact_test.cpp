@@ -459,7 +459,8 @@ std::unique_ptr<Trained> trainSmall(const LanguageProfile &Profile,
   T->Config.Seed = Seed ^ 0xABCDEFull;
   USpecLearner Learner(T->Strings, T->Config);
   T->Result = Learner.learn(Corpus.Programs);
-  T->Artifact = Learner.saveArtifacts(T->Result);
+  T->Artifact =
+      saveLearnArtifacts(T->Result, T->Config, T->Strings, CorpusManifest());
   return T;
 }
 
@@ -475,7 +476,7 @@ TEST(Checkpoint, SelectFromLoadedArtifactMatchesLearnAcrossSeedsAndProfiles) {
 
       StringInterner Loaded;
       ArtifactError Err;
-      auto A = USpecLearner::loadArtifacts(T->Artifact, Loaded, &Err);
+      auto A = loadLearnArtifacts(T->Artifact, Loaded, &Err);
       ASSERT_TRUE(A.has_value())
           << Profile.Name << " seed " << Seed << ": " << Err.str();
 
@@ -528,10 +529,10 @@ TEST(Checkpoint, ManifestTravelsWithArtifact) {
   CorpusManifest Manifest;
   for (size_t I = 0; I < Corpus.Programs.size(); ++I)
     Manifest.Entries.push_back({"p" + std::to_string(I), 1000 + I});
-  std::string Bytes = Learner.saveArtifacts(Result, &Manifest);
+  std::string Bytes = saveLearnArtifacts(Result, Cfg, Strings, Manifest);
 
   StringInterner Loaded;
-  auto A = USpecLearner::loadArtifacts(Bytes, Loaded);
+  auto A = loadLearnArtifacts(Bytes, Loaded);
   ASSERT_TRUE(A.has_value());
   EXPECT_EQ(A->Manifest, Manifest);
 }
@@ -547,7 +548,7 @@ TEST(ArtifactFuzz, TruncationAtEveryPrefixNeverCrashes) {
   for (size_t Len = 0; Len < Bytes.size(); ++Len) {
     StringInterner S;
     ArtifactError Err;
-    auto A = USpecLearner::loadArtifacts(
+    auto A = loadLearnArtifacts(
         std::string_view(Bytes).substr(0, Len), S, &Err);
     if (!A) {
       ++Failures;
@@ -559,7 +560,7 @@ TEST(ArtifactFuzz, TruncationAtEveryPrefixNeverCrashes) {
   EXPECT_EQ(Failures, Bytes.size());
 
   StringInterner S;
-  EXPECT_TRUE(USpecLearner::loadArtifacts(Bytes, S).has_value());
+  EXPECT_TRUE(loadLearnArtifacts(Bytes, S).has_value());
 }
 
 TEST(ArtifactFuzz, RandomMutationsNeverCrash) {
@@ -576,7 +577,7 @@ TEST(ArtifactFuzz, RandomMutationsNeverCrash) {
     }
     StringInterner S;
     ArtifactError Err;
-    auto A = USpecLearner::loadArtifacts(Mutated, S, &Err);
+    auto A = loadLearnArtifacts(Mutated, S, &Err);
     if (A) {
       // A no-op mutation (same byte value) can legitimately load; anything
       // else is caught by the section checksums.
@@ -602,6 +603,6 @@ TEST(ArtifactFuzz, RandomGarbageNeverCrashes) {
       Garbage.replace(0, 4, ArtifactMagic);
     StringInterner S;
     ArtifactError Err;
-    EXPECT_FALSE(USpecLearner::loadArtifacts(Garbage, S, &Err).has_value());
+    EXPECT_FALSE(loadLearnArtifacts(Garbage, S, &Err).has_value());
   }
 }

@@ -138,8 +138,8 @@ TEST(Cli, NoArgumentsPrintsUsage) {
   EXPECT_NE(R.Output.find("usage:"), std::string::npos) << R.Output;
 }
 
-// A socket that cannot be bound is named with the OS reason, not left to a
-// bare exit status after "listening on".
+// A socket that cannot be bound is named with the OS reason, and nothing
+// claims to be listening on it.
 TEST(Cli, ServeBindFailureNamesPathAndReason) {
   RunResult Missing = runCli("serve --socket /nonexistent/dir/x.sock");
   EXPECT_EQ(Missing.ExitCode, 1) << Missing.Output;
@@ -148,12 +148,16 @@ TEST(Cli, ServeBindFailureNamesPathAndReason) {
                                 "or directory"),
             std::string::npos)
       << Missing.Output;
+  EXPECT_EQ(Missing.Output.find("listening on"), std::string::npos)
+      << Missing.Output;
 
   std::string Long = "/tmp/" + std::string(114, 'a') + ".sock"; // 124 chars
   RunResult TooLong = runCli("serve --socket " + Long);
   EXPECT_EQ(TooLong.ExitCode, 1) << TooLong.Output;
   EXPECT_NE(TooLong.Output.find("error: socket path too long: " + Long),
             std::string::npos)
+      << TooLong.Output;
+  EXPECT_EQ(TooLong.Output.find("listening on"), std::string::npos)
       << TooLong.Output;
 }
 
@@ -166,6 +170,8 @@ TEST(Cli, RouteBindFailureNamesPathAndReason) {
                                 "or directory"),
             std::string::npos)
       << Missing.Output;
+  EXPECT_EQ(Missing.Output.find("listening on"), std::string::npos)
+      << Missing.Output;
 
   std::string Long = "/tmp/" + std::string(114, 'r') + ".sock"; // 124 chars
   RunResult TooLong =
@@ -173,6 +179,8 @@ TEST(Cli, RouteBindFailureNamesPathAndReason) {
   EXPECT_EQ(TooLong.ExitCode, 1) << TooLong.Output;
   EXPECT_NE(TooLong.Output.find("error: socket path too long: " + Long),
             std::string::npos)
+      << TooLong.Output;
+  EXPECT_EQ(TooLong.Output.find("listening on"), std::string::npos)
       << TooLong.Output;
 }
 

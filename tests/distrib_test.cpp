@@ -34,9 +34,11 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <future>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <pthread.h>
 #include <sys/socket.h>
 #include <sys/time.h>
 #include <sys/un.h>
@@ -488,32 +490,50 @@ TEST(DistribRouter, UnframedOversizedLineGetsTheReplicaAnswer) {
 
 namespace {
 
-/// VmSize of this process in kB, from /proc/self/status.
-long vmSizeKb() {
-  std::ifstream Status("/proc/self/status");
+/// Thread stacks mapped in this process: the read-write mappings of
+/// exactly the default thread-stack size in /proc/self/maps. A thread that
+/// exited keeps its stack mapped until it is joined; a joined thread's
+/// stack is unmapped or parked in glibc's stack cache (40 MiB, a handful
+/// of stacks) for the next thread. Malloc arenas, which glibc reserves in
+/// 64 MiB steps as threads allocate, do not count.
+int threadStacks() {
+  pthread_attr_t Attr;
+  size_t StackSize = 0;
+  if (pthread_getattr_default_np(&Attr) == 0) {
+    pthread_attr_getstacksize(&Attr, &StackSize);
+    pthread_attr_destroy(&Attr);
+  }
+  if (StackSize == 0)
+    ADD_FAILURE() << "cannot read the default thread-stack size";
+  std::ifstream Maps("/proc/self/maps");
   std::string Line;
-  while (std::getline(Status, Line))
-    if (Line.rfind("VmSize:", 0) == 0)
-      return std::atol(Line.c_str() + 7);
-  return 0;
+  int Stacks = 0;
+  while (std::getline(Maps, Line)) {
+    unsigned long Lo = 0, Hi = 0;
+    char Perms[5] = {};
+    if (std::sscanf(Line.c_str(), "%lx-%lx %4s", &Lo, &Hi, Perms) == 3 &&
+        Hi - Lo == StackSize && std::strcmp(Perms, "rw-p") == 0)
+      ++Stacks;
+  }
+  return Stacks;
 }
 
 /// Runs \p Cycles connect–analyze–close cycles against \p SockPath and
-/// returns how far VmSize grew across them, in MB. Every connection costs
-/// the server a thread with an 8 MiB stack; unjoined, 300 of them add
-/// about 2.4 GB of address space.
-double vmGrowthMb(const std::string &SockPath, int Cycles) {
+/// returns how many thread stacks they left mapped. Every connection costs
+/// the server a thread; unjoined, 300 cycles leave 300 stacks behind.
+int stackGrowth(const std::string &SockPath, int Cycles) {
   const std::string Line = analyzeRequest("c", miniProgram(0));
   std::string Response, Err;
   for (int I = 0; I < 5; ++I) // warm-up: first threads, cache entry
     clientRoundTrip(SockPath, Line, Response, &Err);
-  long Before = vmSizeKb();
+  int Before = threadStacks();
+  EXPECT_GT(Before, 0) << "the server's threads show no stack";
   for (int I = 0; I < Cycles; ++I) {
     Response.clear();
     EXPECT_TRUE(clientRoundTrip(SockPath, Line, Response, &Err)) << Err;
     EXPECT_NE(Response.find("\"ok\":true"), std::string::npos) << Response;
   }
-  return (vmSizeKb() - Before) / 1024.0;
+  return threadStacks() - Before;
 }
 
 } // namespace
@@ -524,7 +544,7 @@ TEST(DistribConnections, ServeJoinsFinishedConnectionThreads) {
   writeFile(SpecPath, "RetSame(Map.get/1)\n");
   TestReplica RA;
   ASSERT_TRUE(RA.start(Dir + "/ra.sock", SpecPath));
-  EXPECT_LT(vmGrowthMb(RA.Path, 300), 128.0);
+  EXPECT_LT(stackGrowth(RA.Path, 300), 32);
 }
 
 TEST(DistribConnections, RouteJoinsFinishedConnectionThreads) {
@@ -544,7 +564,7 @@ TEST(DistribConnections, RouteJoinsFinishedConnectionThreads) {
 
   // Each routed request costs a router thread and, for its forward, a
   // replica thread: both loops must join theirs.
-  EXPECT_LT(vmGrowthMb(RouterPath, 300), 128.0);
+  EXPECT_LT(stackGrowth(RouterPath, 300), 32);
 
   std::string Resp, Err;
   EXPECT_TRUE(clientRoundTrip(RouterPath, "{\"verb\":\"shutdown\"}", Resp,
@@ -682,6 +702,22 @@ bool waitForSocket(const std::string &SockPath) {
   return access(SockPath.c_str(), F_OK) == 0;
 }
 
+/// Sends \p RequestLine on the connected \p Fd and reads one response
+/// line; "" when none comes within 5 s.
+std::string requestOn(int Fd, const std::string &RequestLine) {
+  timeval Timeout{5, 0};
+  ::setsockopt(Fd, SOL_SOCKET, SO_RCVTIMEO, &Timeout, sizeof(Timeout));
+  std::string Framed = RequestLine + '\n';
+  if (::send(Fd, Framed.data(), Framed.size(), MSG_NOSIGNAL) !=
+      static_cast<ssize_t>(Framed.size()))
+    return "";
+  std::string Response;
+  char C;
+  while (::recv(Fd, &C, 1, 0) == 1 && C != '\n')
+    Response += C;
+  return Response;
+}
+
 } // namespace
 
 // Out of fds, accept() fails with EMFILE while the backlog keeps the
@@ -705,6 +741,73 @@ TEST(DistribConnections, RouteSurvivesAcceptErrors) {
   EXPECT_NE(Stats.find("\"router\""), std::string::npos) << Stats;
   roundTripWithin3s(Sock, "{\"verb\":\"shutdown\"}");
   EXPECT_TRUE(Route.waitExit(5000));
+}
+
+namespace {
+
+/// Runs `route` over \p NumReplicas healthy in-process replicas, plus
+/// \p Flags, under `ulimit -n 24` and holds 40 connections, so that the
+/// router cannot make the socket a forward needs. That is its own failure,
+/// not a replica's: the request gets `overloaded`, which `query --retries`
+/// retries, and no replica is marked down, so a fresh request answers
+/// once fds free up.
+void checkRouteOutOfFds(const std::string &Name, int NumReplicas,
+                        const std::string &Flags) {
+  std::string Dir = scratchDir(Name);
+  std::string SpecPath = Dir + "/specs.txt";
+  writeFile(SpecPath, "RetSame(Map.get/1)\n");
+  std::vector<std::unique_ptr<TestReplica>> Replicas;
+  std::string List;
+  for (int I = 0; I < NumReplicas; ++I) {
+    std::string Path = Dir + "/r" + std::to_string(I) + ".sock";
+    Replicas.push_back(std::make_unique<TestReplica>());
+    ASSERT_TRUE(Replicas.back()->start(Path, SpecPath));
+    List += (I ? "," : "") + Path;
+  }
+  std::string Sock = Dir + "/router.sock";
+  FdLimitedProcess Route;
+  ASSERT_TRUE(Route.start(
+      Dir, "route --socket " + Sock + " --replicas " + List + Flags));
+  ASSERT_TRUE(waitForSocket(Sock)) << "route never bound";
+  warmUp(Route, Sock, "\"router\"");
+  const std::string Analyze = analyzeRequest("a", miniProgram(0));
+  EXPECT_NE(roundTripWithin3s(Sock, Analyze).find("\"ok\":true"),
+            std::string::npos);
+
+  std::vector<int> Held = holdConnections(Sock, 40);
+  ASSERT_EQ(Held.size(), 40u);
+  std::this_thread::sleep_for(std::chrono::milliseconds(500));
+  // The first held connection was accepted before the router ran out.
+  std::string Answer = requestOn(Held.front(), Analyze);
+  EXPECT_NE(Answer.find("\"kind\":\"overloaded\""), std::string::npos)
+      << Answer;
+  closeAll(Held);
+
+  // Fresh connections, before any `stats` (its fan-out would re-probe a
+  // replica marked down). `overloaded` may repeat while the router is
+  // still closing the held connections.
+  std::string After;
+  for (int I = 0; I < 30; ++I) {
+    After = roundTripWithin3s(Sock, Analyze);
+    if (After.find("\"kind\":\"overloaded\"") == std::string::npos)
+      break;
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  }
+  EXPECT_NE(After.find("\"ok\":true"), std::string::npos) << After;
+  roundTripWithin3s(Sock, "{\"verb\":\"shutdown\"}");
+  EXPECT_TRUE(Route.waitExit(5000));
+}
+
+} // namespace
+
+TEST(DistribConnections, RouteOutOfFdsAnswersOverloadedAndMarksNothingDown) {
+  {
+    SCOPED_TRACE("plain forward");
+    checkRouteOutOfFds("conn_route_local_emfile", 1, "");
+  }
+  // Hedged: the primary leg fails to make its socket, then the hedge leg.
+  SCOPED_TRACE("hedged forward");
+  checkRouteOutOfFds("conn_route_local_emfile_hedged", 2, " --hedge-ms 20");
 }
 
 // The same EMFILE must not make `serve` spin on a poll that returns at once:
@@ -955,14 +1058,19 @@ TEST(DistribSelfHeal, HedgeWinsByteIdenticalWhenPrimaryIsWedged) {
   // Give the blockers time to occupy both workers.
   std::this_thread::sleep_for(std::chrono::milliseconds(100));
 
-  std::string Routed = R.handleLine(Line);
-  EXPECT_EQ(Routed, Direct) << "hedged answer must be byte-identical";
-  EXPECT_GE(R.hedgedCount(), 1u);
-  EXPECT_GE(R.hedgedWinsCount(), 1u);
-
+  // The primary stays parked until the answer is in, so only the hedge can
+  // give it; a broken hedge fails here instead of hanging the suite.
+  std::future<std::string> Routed =
+      std::async(std::launch::async, [&] { return R.handleLine(Line); });
+  bool Answered = Routed.wait_for(std::chrono::seconds(2)) ==
+                  std::future_status::ready;
   PrimaryServer->releaseTestGate();
   Block1.join();
   Block2.join();
+  ASSERT_TRUE(Answered) << "no answer within 2 s while the primary was parked";
+  EXPECT_EQ(Routed.get(), Direct) << "hedged answer must be byte-identical";
+  EXPECT_GE(R.hedgedCount(), 1u);
+  EXPECT_GE(R.hedgedWinsCount(), 1u);
 }
 
 // Fault sites: `router.probe` makes a healthy replica look dead for one

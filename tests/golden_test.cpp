@@ -59,7 +59,7 @@ GoldenRun trainSeedCorpus(unsigned Threads) {
   USpecLearner Learner(S, Cfg);
   GoldenRun Run;
   Run.Result = Learner.learn(Corpus.Programs);
-  Run.ArtifactBytes = Learner.saveArtifacts(Run.Result);
+  Run.ArtifactBytes = saveLearnArtifacts(Run.Result, Cfg, S, CorpusManifest());
   for (const ScoredCandidate &C : Run.Result.Candidates)
     Run.CandidateText.push_back(C.S.str(S));
   Run.SelectedText = serializeSpecs(Run.Result.Selected, S);

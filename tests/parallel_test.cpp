@@ -223,7 +223,7 @@ FullRun runPipelineWith(unsigned Threads) {
     Run.NumConfidences.push_back(C.NumConfidences);
   }
   Run.SelectedText = serializeSpecs(Result.Selected, S);
-  Run.ArtifactBytes = Learner.saveArtifacts(Result, &Manifest);
+  Run.ArtifactBytes = saveLearnArtifacts(Result, Cfg, S, Manifest);
   Run.Stats = Result.Stats;
   return Run;
 }

@@ -12,11 +12,13 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "artifact/Checkpoint.h"
 #include "core/USpec.h"
 #include "corpus/Generator.h"
 #include "corpus/Profiles.h"
 #include "incremental/Trainer.h"
 #include "service/Server.h"
+#include "support/EventLog.h"
 #include "support/Random.h"
 #include "support/Stats.h"
 #include "support/Telemetry.h"
@@ -26,13 +28,17 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <future>
 #include <new>
 #include <set>
 #include <sstream>
 #include <thread>
 #include <vector>
+
+#include <unistd.h>
 
 using namespace uspec;
 using namespace uspec::telemetry;
@@ -114,7 +120,7 @@ std::string learnArtifactBytes(unsigned Threads) {
   Cfg.Threads = Threads;
   USpecLearner Learner(Strings, Cfg);
   LearnResult Result = Learner.learn(Corpus);
-  return Learner.saveArtifacts(Result);
+  return saveLearnArtifacts(Result, Cfg, Strings, CorpusManifest());
 }
 
 } // namespace
@@ -640,9 +646,9 @@ TEST(TelemetryTrace, DisarmedSpanAllocatesNothing) {
 }
 
 TEST(TelemetryDeterminism, ArtifactsBitIdenticalWithTracingOnOrOff) {
-  // The determinism contract: tracing observes, never perturbs. The learned
-  // artifact must be byte-identical with tracing on or off, serial or
-  // parallel.
+  // The determinism contract: tracing and the event log observe, never
+  // perturb. The learned artifact must be byte-identical with either armed
+  // or not, serial or parallel.
   std::string Plain1 = learnArtifactBytes(/*Threads=*/1);
   std::string Plain8 = learnArtifactBytes(/*Threads=*/8);
   trace::start();
@@ -655,6 +661,22 @@ TEST(TelemetryDeterminism, ArtifactsBitIdenticalWithTracingOnOrOff) {
   EXPECT_EQ(Plain1, Plain8);
   EXPECT_EQ(Plain1, Traced1);
   EXPECT_EQ(Plain1, Traced8);
+
+  // An armed event log costs learn() nothing: only the router and the
+  // server emit events, so the log must not grow across a learn().
+  std::string LogPath = testing::TempDir() + "telemetry_events_" +
+                        std::to_string(getpid()) + ".jsonl";
+  std::string Err;
+  ASSERT_TRUE(events::startToFile(LogPath, 0, &Err)) << Err;
+  for (unsigned Threads : {1u, 8u}) {
+    auto Before = std::filesystem::file_size(LogPath);
+    EXPECT_EQ(learnArtifactBytes(Threads), Plain1)
+        << "event log armed, " << Threads << " threads";
+    EXPECT_EQ(std::filesystem::file_size(LogPath), Before)
+        << "learn() wrote events at " << Threads << " threads";
+  }
+  events::finish();
+  std::remove(LogPath.c_str());
 }
 
 //===----------------------------------------------------------------------===//

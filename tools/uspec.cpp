@@ -612,7 +612,7 @@ int cmdLearnOrTrain(Args &A, bool Train) {
         return 1;
       StringInterner OldStrings;
       ArtifactError Err;
-      auto Old = USpecLearner::loadArtifacts(*Bytes, OldStrings, &Err);
+      auto Old = loadLearnArtifacts(*Bytes, OldStrings, &Err);
       if (Old && Old->Manifest.sameCorpus(Manifest) &&
           Old->Config.Tau == Tau && Old->Config.Seed == Seed) {
         std::fprintf(stderr,
@@ -649,7 +649,8 @@ int cmdLearnOrTrain(Args &A, bool Train) {
 
   if (Train) {
     std::string WriteErr;
-    if (!writeFileAtomic(OutPath, Learner.saveArtifacts(Result, &Manifest),
+    if (!writeFileAtomic(OutPath,
+                         saveLearnArtifacts(Result, Cfg, Strings, Manifest),
                          &WriteErr)) {
       std::fprintf(stderr, "error: %s\n", WriteErr.c_str());
       return 1;
@@ -764,7 +765,7 @@ int cmdSelect(Args &A) {
     return 1;
   StringInterner Strings;
   ArtifactError Err;
-  auto Artifacts = USpecLearner::loadArtifacts(*Bytes, Strings, &Err);
+  auto Artifacts = loadLearnArtifacts(*Bytes, Strings, &Err);
   if (!Artifacts) {
     std::fprintf(stderr, "error: %s: %s\n", ArtifactPath.c_str(),
                  Err.str().c_str());
@@ -818,7 +819,7 @@ int cmdInfo(Args &A) {
                 std::string(S.Name).c_str(), S.Bytes.size());
 
   StringInterner Strings;
-  auto Artifacts = USpecLearner::loadArtifacts(*Bytes, Strings, &Err);
+  auto Artifacts = loadLearnArtifacts(*Bytes, Strings, &Err);
   if (!Artifacts) {
     std::fprintf(stderr, "error: %s: %s\n", Path, Err.str().c_str());
     return 1;
@@ -869,7 +870,7 @@ loadServiceSpecs(const std::string &SpecsPath, const std::string &ModelPath) {
       return std::nullopt;
     StringInterner Strings;
     ArtifactError Err;
-    auto Artifacts = USpecLearner::loadArtifacts(*Bytes, Strings, &Err);
+    auto Artifacts = loadLearnArtifacts(*Bytes, Strings, &Err);
     if (!Artifacts) {
       std::fprintf(stderr, "error: %s: %s\n", ModelPath.c_str(),
                    Err.str().c_str());
@@ -976,7 +977,7 @@ int cmdAnalyze(Args &A) {
     if (!Bytes)
       return 1;
     ArtifactError Err;
-    auto Artifacts = USpecLearner::loadArtifacts(*Bytes, Strings, &Err);
+    auto Artifacts = loadLearnArtifacts(*Bytes, Strings, &Err);
     if (!Artifacts) {
       std::fprintf(stderr, "error: %s: %s\n", ModelPath.c_str(),
                    Err.str().c_str());
@@ -1205,13 +1206,14 @@ int cmdServe(Args &A) {
     // interrupt a stream-mode stdin getline, which would end the session.
     GReloadRequested = 0;
     installSignalHandler({SIGHUP}, onReloadSignal);
-    std::fprintf(stderr,
-                 "uspec serve: %zu specs (generation %llu), listening on "
-                 "%s\n",
-                 NumSpecs, static_cast<unsigned long long>(Generation),
-                 SocketPath.c_str());
-    return Server.serveUnixSocket(SocketPath, &GStopRequested,
-                                  &GReloadRequested);
+    return Server.serveUnixSocket(
+        SocketPath, &GStopRequested, &GReloadRequested, [&] {
+          std::fprintf(stderr,
+                       "uspec serve: %zu specs (generation %llu), listening "
+                       "on %s\n",
+                       NumSpecs, static_cast<unsigned long long>(Generation),
+                       SocketPath.c_str());
+        });
   }
   std::fprintf(stderr, "uspec serve: %zu specs, reading stdin\n", NumSpecs);
   return Server.serveStream(std::cin, std::cout);
@@ -1354,21 +1356,22 @@ int cmdRoute(Args &A) {
   distrib::Router Router(Cfg);
   GStopRequested = 0;
   installSignalHandler({SIGTERM, SIGINT}, onStopSignal);
-  std::fprintf(stderr,
-               "uspec route: %zu replicas, %llu vnodes each, listening on "
-               "%s%s%s%s\n",
-               Cfg.Replicas.size(), static_cast<unsigned long long>(Vnodes),
-               SocketPath.c_str(),
-               Cfg.Supervise ? (Cfg.RespawnCmd.empty()
-                                    ? " (supervise: probe/rejoin)"
-                                    : " (supervise: respawn)")
-                             : "",
-               Cfg.HedgeAuto ? " (hedge: auto-p95)" : "",
-               !Cfg.HedgeAuto && Cfg.HedgeMs
-                   ? (" (hedge: " + std::to_string(Cfg.HedgeMs) + " ms)")
-                         .c_str()
-                   : "");
-  return Router.serveUnixSocket(SocketPath, &GStopRequested);
+  return Router.serveUnixSocket(SocketPath, &GStopRequested, [&] {
+    std::fprintf(stderr,
+                 "uspec route: %zu replicas, %llu vnodes each, listening on "
+                 "%s%s%s%s\n",
+                 Cfg.Replicas.size(), static_cast<unsigned long long>(Vnodes),
+                 SocketPath.c_str(),
+                 Cfg.Supervise ? (Cfg.RespawnCmd.empty()
+                                      ? " (supervise: probe/rejoin)"
+                                      : " (supervise: respawn)")
+                               : "",
+                 Cfg.HedgeAuto ? " (hedge: auto-p95)" : "",
+                 !Cfg.HedgeAuto && Cfg.HedgeMs
+                     ? (" (hedge: " + std::to_string(Cfg.HedgeMs) + " ms)")
+                           .c_str()
+                     : "");
+  });
 }
 
 //===----------------------------------------------------------------------===//
