@@ -14,7 +14,6 @@
 #include "support/Trace.h"
 
 #include <algorithm>
-#include <memory>
 #include <unordered_set>
 
 using namespace uspec;
@@ -22,8 +21,8 @@ using namespace uspec;
 namespace {
 
 /// Phase 2b (§4): concatenates \p Parts in order (one sample set per
-/// program) into one training set, continues SGD on \p Model over it, and
-/// records the training counters and in-sample accuracy in \p Result
+/// phase-1 chunk) into one training set, continues SGD on \p Model over it,
+/// and records the training counters and in-sample accuracy in \p Result
 /// (NumTrainingSamples = \p BaseSamples + the set's size). Every sample is
 /// released before it returns, so a phase lap taken right after covers the
 /// release too.
@@ -95,28 +94,34 @@ LearnResult USpecLearner::runPhases(const std::vector<IRProgram> &Programs,
   // indices are *global corpus positions* (Base + I): exactly what a full
   // replay of the grown corpus uses for the same slots, so per-program
   // sampling decisions agree between the incremental and replay pipelines.
+  // Each program's AnalysisResult dies as soon as its graph is built: the
+  // graph owns every fact phases 2–3 read.
+  //
+  // Phase 2a (§4.2): per-program training samples, seeded per program so
+  // results do not depend on scheduling. Programs run in contiguous chunks,
+  // one per worker (the shard ranges of Phase 3), and each chunk appends its
+  // programs' samples to one SampleSet in program order, so the chunk sets
+  // concatenate to the same training set at any thread count.
   //
   // Per-program isolation (DESIGN.md §10): an analysis that throws or blows
   // its step budget quarantines that one program instead of aborting the
   // run. Quarantine is IN PLACE — the program keeps its slot with an empty
-  // graph and no samples — so sample seeds hashValues(Seed, Base + I) and
-  // Phase-3 shard boundaries are exactly those of the full corpus, keeping
-  // the result bit-identical at any thread count.
-  std::vector<std::unique_ptr<AnalysisResult>> Analyses(N);
+  // graph, and its chunk's set is cut back to where the program began — so
+  // sample seeds hashValues(Seed, Base + I) and Phase-3 shard boundaries are
+  // exactly those of the full corpus, keeping the result bit-identical at
+  // any thread count.
+  unsigned NumChunks = effectiveThreads(N, Config.Threads);
   std::vector<EventGraph> Graphs(N);
   std::vector<std::string> QReason(N);
-  // Phase 2a (§4.2): per-program training samples, seeded per program so
-  // results do not depend on scheduling.
-  std::vector<SampleSet> PerProgramSamples(N);
-  {
-  TraceSpan PhaseSpan("learn.phase1_analyze");
-  parallelFor(N, Config.Threads, [&](size_t I) {
+  std::vector<SampleSet> ChunkSamples(NumChunks);
+  auto RunProgram = [&](size_t I, SampleSet &Samples) {
     TraceSpan ProgramSpan("learn.program");
     if (ProgramSpan.active()) {
       ProgramSpan.arg("index", std::to_string(Base + I));
       if (!Programs[I].Name.empty())
         ProgramSpan.arg("name", Programs[I].Name);
     }
+    size_t Mark = Samples.size();
     try {
       if (faultFiresAt("learn.analyze", Base + I))
         throw FaultInjected("learn.analyze");
@@ -124,29 +129,40 @@ LearnResult USpecLearner::runPhases(const std::vector<IRProgram> &Programs,
       AnalysisOptions Opts = Config.Analysis;
       if (Config.ProgramStepBudget != 0)
         Opts.StepBudget = &B;
-      Analyses[I] = std::make_unique<AnalysisResult>(
-          analyzeProgram(Programs[I], Strings, Opts));
-      if (Analyses[I]->Bounded) {
-        QReason[I] = std::string("analysis:") + B.reason();
-        if (QReason[I] == "analysis:") // injected exhaustion, not the budget
-          QReason[I] = "analysis:bounded";
-        Analyses[I] = std::make_unique<AnalysisResult>();
-        return;
+      {
+        AnalysisResult R = analyzeProgram(Programs[I], Strings, Opts);
+        if (R.Bounded) {
+          QReason[I] = std::string("analysis:") + B.reason();
+          if (QReason[I] == "analysis:") // injected exhaustion, not the budget
+            QReason[I] = "analysis:bounded";
+          return;
+        }
+        TraceSpan GraphSpan("eventgraph.build");
+        Graphs[I] = EventGraph::build(R);
       }
-      Graphs[I] = EventGraph::build(*Analyses[I]);
-      Rng Rand(hashValues(Config.Seed, Base + I));
-      collectTrainingSamples(Graphs[I], Rand, PerProgramSamples[I]);
+      {
+        TraceSpan SampleSpan("learn.samples");
+        Rng Rand(hashValues(Config.Seed, Base + I));
+        collectTrainingSamples(Graphs[I], Rand, Samples);
+      }
+      if (faultFiresAt("learn.sample", Base + I))
+        throw FaultInjected("learn.sample");
     } catch (const FaultInjected &F) {
       QReason[I] = "fault:" + F.site();
-      Analyses[I] = std::make_unique<AnalysisResult>();
-      Graphs[I] = EventGraph();
-      PerProgramSamples[I] = SampleSet();
     } catch (const std::exception &E) {
       QReason[I] = std::string("error:") + E.what();
-      Analyses[I] = std::make_unique<AnalysisResult>();
-      Graphs[I] = EventGraph();
-      PerProgramSamples[I] = SampleSet();
     }
+    if (!QReason[I].empty()) {
+      Graphs[I] = EventGraph();
+      Samples.truncate(Mark);
+    }
+  };
+  {
+  TraceSpan PhaseSpan("learn.phase1_analyze");
+  parallelFor(NumChunks, Config.Threads, [&](size_t C) {
+    auto [Lo, Hi] = shardRange(N, static_cast<unsigned>(C), NumChunks);
+    for (size_t I = Lo; I < Hi; ++I)
+      RunProgram(I, ChunkSamples[C]);
   });
   for (const EventGraph &G : Graphs)
     if (!G.callSites().empty())
@@ -159,7 +175,7 @@ LearnResult USpecLearner::runPhases(const std::vector<IRProgram> &Programs,
   // a warm start's restored weights are the optimization's starting point.
   // Accuracy is measured on this run's samples (a warm start's base samples
   // are gone); the sample count reported is cumulative.
-  trainOnSamples(std::move(PerProgramSamples), Prev.BaseTrainingSamples,
+  trainOnSamples(std::move(ChunkSamples), Prev.BaseTrainingSamples,
                  Result.Model, Result);
   Result.Stats.TrainSeconds = Phase.lap();
 
@@ -171,16 +187,15 @@ LearnResult USpecLearner::runPhases(const std::vector<IRProgram> &Programs,
   // to a serial pass at any shard count. The merged table then folds into
   // the carried ledger: known candidates keep their slots, new ones append
   // in first-seen order (from an empty ledger that is the table itself).
-  unsigned NumShards = effectiveThreads(N, Config.Threads);
   {
   TraceSpan PhaseSpan("learn.phase3_extract");
   std::vector<CandidateCollector> Shards;
-  Shards.reserve(std::max(1u, NumShards));
-  for (unsigned S = 0; S < std::max(1u, NumShards); ++S)
+  Shards.reserve(NumChunks);
+  for (unsigned S = 0; S < NumChunks; ++S)
     Shards.emplace_back(Result.Model, Config.DistanceBound,
                         Config.ExperimentalPatterns);
-  parallelFor(NumShards, Config.Threads, [&](size_t S) {
-    auto [Lo, Hi] = shardRange(N, static_cast<unsigned>(S), NumShards);
+  parallelFor(NumChunks, Config.Threads, [&](size_t S) {
+    auto [Lo, Hi] = shardRange(N, static_cast<unsigned>(S), NumChunks);
     for (size_t I = Lo; I < Hi; ++I) {
       if (!QReason[I].empty())
         continue; // quarantined in Phase 1; default graph has no analysis
@@ -201,6 +216,8 @@ LearnResult USpecLearner::runPhases(const std::vector<IRProgram> &Programs,
         QReason[I] = "extract:steps";
     }
   });
+  // Phase 3 is the graphs' last reader: free them inside its span.
+  std::vector<EventGraph>().swap(Graphs);
   for (const CandidateCollector &Shard : Shards)
     Result.Stats.PeakCandidates += Shard.candidates().size();
   for (size_t S = 1; S < Shards.size(); ++S)

@@ -16,9 +16,8 @@ namespace {
 /// Origin description for a synthetic root-allocation event: the abstract
 /// object allocated there knows where it came from (parameter slot, external
 /// source, receiver class), so render that instead of a bare label.
-std::string rootOrigin(const EventGraph &G, const StringInterner &Strings,
+std::string rootOrigin(const AnalysisResult &R, const StringInterner &Strings,
                        EventId E) {
-  const AnalysisResult &R = G.analysis();
   for (ObjectId Obj = 0; Obj < R.Objects.size(); ++Obj) {
     const AbstractObject &AO = R.Objects.get(Obj);
     if (AO.AllocEvent != E)
@@ -38,8 +37,8 @@ std::string rootOrigin(const EventGraph &G, const StringInterner &Strings,
   return "";
 }
 
-std::string eventLabel(const EventGraph &G, const StringInterner &Strings,
-                       EventId E) {
+std::string eventLabel(const EventGraph &G, const AnalysisResult &R,
+                       const StringInterner &Strings, EventId E) {
   const Event &Ev = G.event(E);
   std::string Name = Strings.str(Ev.Method.Name);
   switch (Ev.Kind) {
@@ -50,7 +49,7 @@ std::string eventLabel(const EventGraph &G, const StringInterner &Strings,
     Name = "lc";
     break;
   case EventKind::RootAlloc: {
-    std::string Origin = rootOrigin(G, Strings, E);
+    std::string Origin = rootOrigin(R, Strings, E);
     Name = Origin.empty() ? "root:" + Name : Origin;
     break;
   }
@@ -65,7 +64,8 @@ std::string eventLabel(const EventGraph &G, const StringInterner &Strings,
 
 } // namespace
 
-std::string uspec::toDot(const EventGraph &G, const StringInterner &Strings,
+std::string uspec::toDot(const EventGraph &G, const AnalysisResult &R,
+                         const StringInterner &Strings,
                          const std::string &Name) {
   std::ostringstream Out;
   Out << "digraph " << Name << " {\n";
@@ -86,12 +86,12 @@ std::string uspec::toDot(const EventGraph &G, const StringInterner &Strings,
     Out << "  subgraph cluster_site" << Site << " {\n";
     Out << "    label=\"" << Strings.str(CS.Method.Name) << "\";\n";
     for (EventId E : Events)
-      Out << "    e" << E << " [label=\"" << eventLabel(G, Strings, E)
+      Out << "    e" << E << " [label=\"" << eventLabel(G, R, Strings, E)
           << "\"];\n";
     Out << "  }\n";
   }
   for (EventId E : Loose)
-    Out << "  e" << E << " [label=\"" << eventLabel(G, Strings, E)
+    Out << "  e" << E << " [label=\"" << eventLabel(G, R, Strings, E)
         << "\", style=dashed];\n";
 
   for (EventId E = 0; E < G.numEvents(); ++E)

@@ -21,8 +21,10 @@
 
 namespace uspec {
 
-/// Renders \p G as a DOT digraph named \p Name.
-std::string toDot(const EventGraph &G, const StringInterner &Strings,
+/// Renders \p G, built from \p R, as a DOT digraph named \p Name. \p R
+/// supplies the origins of root-allocation events.
+std::string toDot(const EventGraph &G, const AnalysisResult &R,
+                  const StringInterner &Strings,
                   const std::string &Name = "event_graph");
 
 } // namespace uspec

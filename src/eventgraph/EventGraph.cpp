@@ -35,11 +35,71 @@ void fillCsr(Rows &Out, size_t NumRows, const Pairs &Sorted) {
 
 } // namespace
 
+std::vector<CallSite> uspec::groupCallSites(const AnalysisResult &R) {
+  // Ordered by (Site, Ctx) — the same deterministic order the old std::map
+  // produced; candidate extraction (first-seen order) depends on it.
+  size_t N = R.Events.size();
+  std::vector<uint64_t> SiteKeys;
+  for (EventId E = 0; E < N; ++E) {
+    const Event &Ev = R.Events.get(E);
+    if (Ev.Kind == EventKind::ApiCall)
+      SiteKeys.push_back((static_cast<uint64_t>(Ev.Site) << 32) | Ev.Ctx);
+  }
+  std::sort(SiteKeys.begin(), SiteKeys.end());
+  SiteKeys.erase(std::unique(SiteKeys.begin(), SiteKeys.end()),
+                 SiteKeys.end());
+  auto SiteIndexOf = [&](uint32_t Site, uint32_t Ctx) {
+    uint64_t K = (static_cast<uint64_t>(Site) << 32) | Ctx;
+    return static_cast<uint32_t>(
+        std::lower_bound(SiteKeys.begin(), SiteKeys.end(), K) -
+        SiteKeys.begin());
+  };
+
+  std::vector<CallSite> Sites(SiteKeys.size());
+  for (EventId E = 0; E < N; ++E) {
+    const Event &Ev = R.Events.get(E);
+    if (Ev.Kind != EventKind::ApiCall)
+      continue;
+    CallSite &CS = Sites[SiteIndexOf(Ev.Site, Ev.Ctx)];
+    CS.Site = Ev.Site;
+    CS.Ctx = Ev.Ctx;
+    CS.Method = Ev.Method;
+    CS.Guard = Ev.Guard;
+    if (Ev.Pos == PosReceiver) {
+      CS.Recv = E;
+    } else if (Ev.Pos == PosRet) {
+      CS.Ret = E;
+    } else {
+      if (CS.Args.size() < Ev.Pos)
+        CS.Args.resize(Ev.Pos, InvalidEvent);
+      CS.Args[Ev.Pos - 1] = E;
+    }
+  }
+  for (CallSite &CS : Sites)
+    CS.Args.resize(CS.Method.Arity, InvalidEvent);
+  return Sites;
+}
+
 EventGraph EventGraph::build(const AnalysisResult &R) {
   EventGraph G;
-  G.R = &R;
   size_t N = R.Events.size();
-  G.NumEvents = N;
+  G.Events.reserve(N);
+  for (EventId E = 0; E < N; ++E)
+    G.Events.push_back(R.Events.get(E));
+  G.ObjectKinds.reserve(R.Objects.size());
+  for (ObjectId Obj = 0; Obj < R.Objects.size(); ++Obj)
+    G.ObjectKinds.push_back(R.Objects.get(Obj).Kind);
+
+  // The histories, copied into exactly sized CSR rows.
+  size_t NumHistories = 0, HistoryEvents = 0;
+  for (const HistorySet &Set : R.Histories) {
+    NumHistories += Set.size();
+    for (const History &H : Set)
+      HistoryEvents += H.size();
+  }
+  G.Histories.Off.reserve(NumHistories + 1);
+  G.Histories.Pool.reserve(HistoryEvents);
+  G.Histories.Off.push_back(0);
 
   // Order votes: Forward[(a,b)] set iff some history has a before b.
   // An edge (a,b) exists iff Forward(a,b) and not Forward(b,a).
@@ -54,6 +114,9 @@ EventGraph EventGraph::build(const AnalysisResult &R) {
   std::vector<std::pair<uint32_t, ObjectId>> PartPairs;
   for (ObjectId Obj = 0; Obj < R.Histories.size(); ++Obj) {
     for (const History &H : R.Histories[Obj]) {
+      G.Histories.Pool.insert(G.Histories.Pool.end(), H.begin(), H.end());
+      G.Histories.Off.push_back(
+          static_cast<uint32_t>(G.Histories.Pool.size()));
       for (size_t I = 0; I < H.size(); ++I) {
         PartPairs.emplace_back(H[I], Obj);
         for (size_t J = I + 1; J < H.size(); ++J) {
@@ -144,49 +207,10 @@ EventGraph EventGraph::build(const AnalysisResult &R) {
     G.Vals.Off[E + 1] = static_cast<uint32_t>(G.Vals.Pool.size());
   }
 
-  // Group ApiCall events into call sites, ordered by (Site, Ctx) — the same
-  // deterministic order the old std::map produced; candidate extraction
-  // (first-seen order) depends on it.
-  std::vector<uint64_t> SiteKeys;
-  for (EventId E = 0; E < N; ++E) {
-    const Event &Ev = R.Events.get(E);
-    if (Ev.Kind == EventKind::ApiCall)
-      SiteKeys.push_back((static_cast<uint64_t>(Ev.Site) << 32) | Ev.Ctx);
-  }
-  std::sort(SiteKeys.begin(), SiteKeys.end());
-  SiteKeys.erase(std::unique(SiteKeys.begin(), SiteKeys.end()),
-                 SiteKeys.end());
-  auto SiteIndexOf = [&](uint32_t Site, uint32_t Ctx) {
-    uint64_t K = (static_cast<uint64_t>(Site) << 32) | Ctx;
-    return static_cast<uint32_t>(
-        std::lower_bound(SiteKeys.begin(), SiteKeys.end(), K) -
-        SiteKeys.begin());
-  };
-
-  G.Sites.resize(SiteKeys.size());
-  for (EventId E = 0; E < N; ++E) {
-    const Event &Ev = R.Events.get(E);
-    if (Ev.Kind != EventKind::ApiCall)
-      continue;
-    CallSite &CS = G.Sites[SiteIndexOf(Ev.Site, Ev.Ctx)];
-    CS.Site = Ev.Site;
-    CS.Ctx = Ev.Ctx;
-    CS.Method = Ev.Method;
-    CS.Guard = Ev.Guard;
-    if (Ev.Pos == PosReceiver) {
-      CS.Recv = E;
-    } else if (Ev.Pos == PosRet) {
-      CS.Ret = E;
-    } else {
-      if (CS.Args.size() < Ev.Pos)
-        CS.Args.resize(Ev.Pos, InvalidEvent);
-      CS.Args[Ev.Pos - 1] = E;
-    }
-  }
+  G.Sites = groupCallSites(R);
   G.EventToSite.assign(N, -1);
   for (uint32_t Index = 0; Index < G.Sites.size(); ++Index) {
-    CallSite &CS = G.Sites[Index];
-    CS.Args.resize(CS.Method.Arity, InvalidEvent);
+    const CallSite &CS = G.Sites[Index];
     if (CS.Recv != InvalidEvent)
       G.EventToSite[CS.Recv] = static_cast<int32_t>(Index);
     if (CS.Ret != InvalidEvent)
@@ -247,30 +271,29 @@ EventGraph::receiverPairs(unsigned DistanceBound) const {
   // Positions of receiver events within one history; hoisted so the buffer
   // is allocated once per graph, not once per history.
   std::vector<std::pair<size_t, uint32_t>> RecvAt; // (index, site idx)
-  for (ObjectId Obj = 0; Obj < R->Histories.size(); ++Obj) {
-    for (const History &H : R->Histories[Obj]) {
-      RecvAt.clear();
-      for (size_t I = 0; I < H.size(); ++I) {
-        const Event &Ev = R->Events.get(H[I]);
-        if (Ev.Kind != EventKind::ApiCall || Ev.Pos != PosReceiver)
+  for (size_t Row = 0; Row + 1 < Histories.Off.size(); ++Row) {
+    Span<EventId> H = Histories.row(Row);
+    RecvAt.clear();
+    for (size_t I = 0; I < H.size(); ++I) {
+      const Event &Ev = Events[H[I]];
+      if (Ev.Kind != EventKind::ApiCall || Ev.Pos != PosReceiver)
+        continue;
+      int SiteIdx = callSiteOf(H[I]);
+      if (SiteIdx >= 0)
+        RecvAt.emplace_back(I, static_cast<uint32_t>(SiteIdx));
+    }
+    for (size_t A = 0; A < RecvAt.size(); ++A) {
+      for (size_t B = A + 1; B < RecvAt.size(); ++B) {
+        if (RecvAt[B].first - RecvAt[A].first > DistanceBound)
+          break;
+        if (RecvAt[A].second == RecvAt[B].second)
           continue;
-        int SiteIdx = callSiteOf(H[I]);
-        if (SiteIdx >= 0)
-          RecvAt.emplace_back(I, static_cast<uint32_t>(SiteIdx));
-      }
-      for (size_t A = 0; A < RecvAt.size(); ++A) {
-        for (size_t B = A + 1; B < RecvAt.size(); ++B) {
-          if (RecvAt[B].first - RecvAt[A].first > DistanceBound)
-            break;
-          if (RecvAt[A].second == RecvAt[B].second)
-            continue;
-          // (Later, Earlier) = (m1, m2).
-          uint64_t Key = (static_cast<uint64_t>(RecvAt[B].second) << 32) |
-                         RecvAt[A].second;
-          if (!Seen.insert(Key))
-            continue;
-          Pairs.emplace_back(RecvAt[B].second, RecvAt[A].second);
-        }
+        // (Later, Earlier) = (m1, m2).
+        uint64_t Key = (static_cast<uint64_t>(RecvAt[B].second) << 32) |
+                       RecvAt[A].second;
+        if (!Seen.insert(Key))
+          continue;
+        Pairs.emplace_back(RecvAt[B].second, RecvAt[A].second);
       }
     }
   }

@@ -19,11 +19,17 @@
 /// It also groups events back into call sites, which candidate extraction
 /// (Alg. 1) iterates over.
 ///
+/// The graph owns every fact its readers need: a copy of the event records,
+/// one kind byte per abstract object, and the histories. It holds no
+/// reference to the analysis it was built from, so the learner frees each
+/// program's AnalysisResult as soon as its graph is built (DESIGN.md §8).
+///
 /// Storage is struct-of-arrays: every per-event list (parents, children,
-/// alloc sets, values, participants) lives in one contiguous pool with a
-/// compressed-sparse-row offset table, handed out as Span views. Feature
-/// extraction walks these lists for every candidate pair, so the win from
-/// contiguity lands on the hottest read path of learn().
+/// alloc sets, values, participants) and the histories live in one
+/// contiguous pool each with a compressed-sparse-row offset table, handed
+/// out as Span views. Feature extraction walks these lists for every
+/// candidate pair, so the win from contiguity lands on the hottest read path
+/// of learn().
 ///
 //===----------------------------------------------------------------------===//
 
@@ -53,17 +59,22 @@ struct CallSite {
   uint8_t nargs() const { return Method.Arity; }
 };
 
+/// Groups the ApiCall events of \p R into call sites, ordered by (Site,
+/// Ctx); each site's Args has one entry per parameter of its method.
+std::vector<CallSite> groupCallSites(const AnalysisResult &R);
+
 /// Immutable event graph built from an analysis result.
 class EventGraph {
 public:
-  /// Builds the graph for \p R. The result references \p R — it must stay
-  /// alive as long as the graph is used.
+  /// Builds the graph for \p R. The graph copies what it reads, so \p R
+  /// may be destroyed right after.
   static EventGraph build(const AnalysisResult &R);
 
-  const AnalysisResult &analysis() const { return *R; }
+  size_t numEvents() const { return Events.size(); }
+  const Event &event(EventId Id) const { return Events[Id]; }
 
-  size_t numEvents() const { return NumEvents; }
-  const Event &event(EventId Id) const { return R->Events.get(Id); }
+  /// Kind of abstract object \p Obj.
+  ObjectKind objectKind(ObjectId Obj) const { return ObjectKinds[Obj]; }
 
   Span<EventId> parents(EventId Id) const { return Parents.row(Id); }
   Span<EventId> children(EventId Id) const { return Children.row(Id); }
@@ -113,8 +124,10 @@ private:
     }
   };
 
-  const AnalysisResult *R = nullptr;
-  size_t NumEvents = 0;
+  std::vector<Event> Events;
+  std::vector<ObjectKind> ObjectKinds;
+  /// One row per history, object-major in the analysis's order.
+  CsrRows<EventId> Histories;
   CsrRows<EventId> Parents;
   CsrRows<EventId> Children;
   CsrRows<EventId> AllocSets;

@@ -40,7 +40,7 @@ uint64_t eventLabel(const Event &Ev) {
 uint32_t participantClassMask(const EventGraph &G, EventId E) {
   uint32_t Mask = 0;
   for (ObjectId Obj : G.participants(E)) {
-    switch (G.analysis().Objects.get(Obj).Kind) {
+    switch (G.objectKind(Obj)) {
     case ObjectKind::LiteralStr:
       Mask |= 1;
       break;

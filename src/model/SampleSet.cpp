@@ -34,6 +34,8 @@ void SampleSet::append(const SampleSet &Other) {
 }
 
 SampleSet SampleSet::concat(std::vector<SampleSet> Parts) {
+  if (Parts.size() == 1)
+    return std::move(Parts.front());
   size_t Samples = 0, Hashes = 0;
   for (const SampleSet &P : Parts) {
     Samples += P.size();

@@ -10,9 +10,10 @@
 /// the pool slice ending at Ends[I] (starting where sample I-1 ended). The
 /// model selector and label of each sample live in parallel arrays.
 ///
-/// Sampling appends rows in place (no per-sample heap vector), Phase 2b
-/// concatenates the per-program sets once into a presized set, and SGD reads
-/// rows through a shuffled permutation (DESIGN.md §13).
+/// Sampling appends rows in place (no per-sample heap vector), one set per
+/// phase-1 chunk; Phase 2b concatenates the chunk sets once into a presized
+/// set (a single set is moved, not copied), and SGD reads rows through a
+/// shuffled permutation (DESIGN.md §13).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -79,13 +80,22 @@ public:
     closeRow(PosKey, Label);
   }
 
+  /// Drops every sample from index \p Samples on, and any open row.
+  void truncate(size_t Samples) {
+    assert(Samples <= size() && "truncate() past the end");
+    Ends.resize(Samples);
+    PosKeys.resize(Samples);
+    Labels.resize(Samples);
+    Pool.resize(numHashes());
+  }
+
   /// Makes room for \p Samples more samples holding \p Hashes more hashes.
   /// Capacity grows at least geometrically, so repeated calls on a growing
   /// set stay amortized linear.
   void reserve(size_t Samples, size_t Hashes);
 
   /// Concatenates \p Parts in order into one presized set, releasing each
-  /// part as soon as it is copied.
+  /// part as soon as it is copied. A single part is moved.
   static SampleSet concat(std::vector<SampleSet> Parts);
 
 private:

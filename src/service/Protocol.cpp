@@ -660,18 +660,20 @@ service::finishAnalysis(ParsedProgram &&Parsed, const ServiceSpecs &Specs,
   // Canonical spec text parses into the program's private interner: both the
   // CLI and every service worker intern the same byte sequence after the
   // same program, so symbol numbering — and with it every downstream
-  // iteration — is reproduced exactly.
+  // iteration — is reproduced exactly. Only the analysis reads the parsed
+  // set; the entry keeps its size.
   size_t ErrorLine = 0;
-  PA->Specs = parseSpecs(Specs.Text, PA->Strings, &ErrorLine);
+  SpecSet Interned = parseSpecs(Specs.Text, PA->Strings, &ErrorLine);
   (void)ErrorLine; // canonical text cannot be malformed
+  PA->NumSpecs = Interned.size();
   AnalysisOptions Options;
-  Options.ApiAware = !PA->Specs.empty();
-  Options.Specs = &PA->Specs;
+  Options.ApiAware = !Interned.empty();
+  Options.Specs = &Interned;
   Options.CoverageExtension = Coverage;
   Options.StepBudget = B;
   PA->Result = std::make_unique<AnalysisResult>(
       analyzeProgram(*PA->Program, PA->Strings, Options));
-  PA->Graph = std::make_unique<EventGraph>(EventGraph::build(*PA->Result));
+  PA->CallSites = groupCallSites(*PA->Result);
   PA->AnalyzeJson = analyzePayload(*PA);
   return PA;
 }
@@ -714,13 +716,12 @@ void appendHex64(std::string &Out, uint64_t V) {
 
 std::string service::analyzePayload(const ProgramAnalysis &PA) {
   const AnalysisResult &R = *PA.Result;
-  const EventGraph &G = *PA.Graph;
-  const std::vector<CallSite> &Sites = G.callSites();
+  const std::vector<CallSite> &Sites = PA.CallSites;
 
   std::string Out = "{\"specs\":";
-  appendSize(Out, PA.Specs.size());
+  appendSize(Out, PA.NumSpecs);
   Out += ",\"api_aware\":";
-  Out += PA.Specs.empty() ? "false" : "true";
+  Out += PA.NumSpecs ? "true" : "false";
   Out += ",\"coverage\":";
   Out += PA.Coverage ? "true" : "false";
   Out += ",\"fingerprint\":";
@@ -769,7 +770,7 @@ std::string service::aliasPayload(const ProgramAnalysis &PA,
                                   const std::string &A,
                                   const std::string &B) {
   const AnalysisResult &R = *PA.Result;
-  const std::vector<CallSite> &Sites = PA.Graph->callSites();
+  const std::vector<CallSite> &Sites = PA.CallSites;
   // Const name resolution: a name that never occurs in the program cannot
   // match any call site.
   std::optional<Symbol> SymA = PA.Strings.lookup(A);

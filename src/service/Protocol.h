@@ -253,11 +253,11 @@ struct ProgramAnalysis {
   StringInterner Strings;
   std::unique_ptr<IRProgram> Program;
   uint64_t Fingerprint = 0;
-  SpecSet Specs;          ///< The canonical spec set, re-interned locally.
+  size_t NumSpecs = 0; ///< Size of the spec set the analysis ran under.
   bool Coverage = false;
   std::unique_ptr<AnalysisResult> Result;
-  std::unique_ptr<EventGraph> Graph; ///< References *Result.
-  std::string AnalyzeJson;           ///< Memoized analyze payload.
+  std::vector<CallSite> CallSites; ///< groupCallSites(*Result).
+  std::string AnalyzeJson;         ///< Memoized analyze payload.
 };
 
 /// Runs the API-aware (or unaware, when \p Specs is empty) analysis over an

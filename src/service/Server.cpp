@@ -145,12 +145,16 @@ Server::~Server() {
 std::future<std::string> Server::submit(std::string Line) {
   auto State = std::make_shared<JobState>();
   std::future<std::string> Future = State->Promise.get_future();
+  // The raw id is scanned up front so every answer issued without a parse
+  // (rejection at admission, watchdog deadline, worker death, an escaped
+  // exception) can still echo it.
+  State->Id = scanRequestId(Line);
   {
     std::lock_guard<std::mutex> Lock(QueueMutex);
     if (Draining) {
       Metrics.recordRejectedDraining();
-      State->answer(errorResponse(
-          "", "shutting_down", "server is draining; request rejected"));
+      State->answer(errorResponse(State->Id, "shutting_down",
+                                  "server is draining; request rejected"));
       return Future;
     }
     if (Queue.size() >= Config.QueueCapacity) {
@@ -158,7 +162,7 @@ std::future<std::string> Server::submit(std::string Line) {
       // grow the queue past its bound.
       Metrics.recordOverloaded();
       State->answer(errorResponse(
-          "", "overloaded",
+          State->Id, "overloaded",
           "admission queue full (capacity " +
               std::to_string(Config.QueueCapacity) + "); retry later"));
       return Future;
@@ -169,9 +173,6 @@ std::future<std::string> Server::submit(std::string Line) {
     // scan — a queued request must be able to expire without ever being
     // parsed) or the server default.
     uint64_t Ms = scanDeadlineMs(Line).value_or(Config.RequestTimeoutMs);
-    // The raw id is scanned up front so error responses issued without a
-    // parse (watchdog deadline, worker death) can still echo it.
-    State->Id = scanRequestId(Line);
     if (Ms != 0) {
       State->Deadline = Now + std::chrono::milliseconds(Ms);
       State->HasDeadline = true;
@@ -345,7 +346,7 @@ void Server::workerLoop() {
         return;
       } catch (const std::exception &E) {
         // Any other escape is answered `internal`; the worker survives.
-        Response = errorResponse("", "internal",
+        Response = errorResponse(TheJob.State->Id, "internal",
                                  std::string("request failed: ") + E.what());
       }
       if (Span.active()) {

@@ -18,12 +18,15 @@
 
 #include "support/Hashing.h"
 
+#include <array>
+#include <bit>
 #include <cassert>
 #include <cstdint>
-#include <deque>
+#include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 namespace uspec {
@@ -54,15 +57,24 @@ private:
 /// are interned during parsing/lowering, before learn() fans out.
 class StringInterner {
 public:
-  StringInterner() { Storage.emplace_back(); /* Symbol 0 = "" */ }
+  /// Symbol 0 (the empty string) is implicit, so a fresh interner holds no
+  /// heap memory until its first non-empty intern().
+  StringInterner() = default;
 
   // Copying is still disabled to keep move-only semantics uniform across
-  // call sites. Moving steals the deque chunks and the index vector, so
-  // element addresses (and thus str() references) survive.
+  // call sites. Moving steals the chunks and the index vector, so element
+  // addresses (and thus str() references) survive.
   StringInterner(const StringInterner &) = delete;
   StringInterner &operator=(const StringInterner &) = delete;
-  StringInterner(StringInterner &&) = default;
-  StringInterner &operator=(StringInterner &&) = default;
+  StringInterner(StringInterner &&O) noexcept
+      : Chunks(std::move(O.Chunks)), Index(std::move(O.Index)),
+        IndexCount(std::exchange(O.IndexCount, 0)) {}
+  StringInterner &operator=(StringInterner &&O) noexcept {
+    Chunks = std::move(O.Chunks);
+    Index = std::move(O.Index);
+    IndexCount = std::exchange(O.IndexCount, 0);
+    return *this;
+  }
 
   /// Interns \p Str and returns its Symbol; repeated calls with equal
   /// contents return the same Symbol. Lookup is heterogeneous — a probe for
@@ -76,10 +88,14 @@ public:
     size_t SlotIdx = probe(Str, Hash);
     if (Index[SlotIdx].Id != 0)
       return Symbol(Index[SlotIdx].Id);
-    uint32_t Id = static_cast<uint32_t>(Storage.size());
-    // Deque storage never relocates existing elements, so every reference
-    // handed out by str() stays valid across arbitrary later intern() calls.
-    Storage.emplace_back(Str);
+    uint32_t Id = static_cast<uint32_t>(IndexCount + 1);
+    // Chunks never relocate their elements, so every reference handed out
+    // by str() stays valid across arbitrary later intern() calls.
+    auto [Chunk, Offset] = locate(Id);
+    if (!Chunks[Chunk])
+      Chunks[Chunk] = std::make_unique<std::string[]>(size_t(1)
+                                                     << (Chunk + ChunkBits));
+    Chunks[Chunk][Offset] = Str;
     Index[SlotIdx] = IndexSlot{Hash, Id};
     ++IndexCount;
     return Symbol(Id);
@@ -101,19 +117,20 @@ public:
   }
 
   /// Returns the string for \p Sym. The reference is stable for the lifetime
-  /// of the interner — storage is chunked (std::deque), so growth never
-  /// invalidates previously returned references.
+  /// of the interner — storage is chunked, so growth never invalidates
+  /// previously returned references.
   const std::string &str(Symbol Sym) const {
-    assert(Sym.id() < Storage.size() && "symbol from a different interner");
-    return Storage[Sym.id()];
+    assert(Sym.id() < size() && "symbol from a different interner");
+    static const std::string Empty;
+    return Sym.isEmpty() ? Empty : stored(Sym.id());
   }
 
   /// Number of interned strings, including the reserved empty string.
-  size_t size() const { return Storage.size(); }
+  size_t size() const { return IndexCount + 1; }
 
 private:
   /// One open-addressed slot: cached wide hash (so rehash and most probe
-  /// misses never touch Storage) plus the symbol id. Id 0 is the vacant
+  /// misses never touch the strings) plus the symbol id. Id 0 is the vacant
   /// marker — the empty string short-circuits before reaching the table, so
   /// Symbol 0 never occupies a slot.
   struct IndexSlot {
@@ -129,7 +146,7 @@ private:
     size_t Mask = Index.size() - 1;
     for (size_t I = Hash & Mask;; I = (I + 1) & Mask) {
       const IndexSlot &S = Index[I];
-      if (S.Id == 0 || (S.Hash == Hash && Storage[S.Id] == Str))
+      if (S.Id == 0 || (S.Hash == Hash && stored(S.Id) == Str))
         return I;
     }
   }
@@ -149,7 +166,23 @@ private:
     }
   }
 
-  std::deque<std::string> Storage;
+  /// Symbol Id ≥ 1 lives in chunk K at offset O, where chunk K holds
+  /// 2^(K + ChunkBits) strings: chunks double in size, so the chunk table
+  /// is a fixed array and a lookup is one bit scan.
+  static std::pair<unsigned, size_t> locate(uint32_t Id) {
+    uint64_t Slot = uint64_t(Id - 1) + (uint64_t(1) << ChunkBits);
+    unsigned Chunk = std::bit_width(Slot) - 1 - ChunkBits;
+    return {Chunk, Slot - (uint64_t(1) << (Chunk + ChunkBits))};
+  }
+
+  const std::string &stored(uint32_t Id) const {
+    auto [Chunk, Offset] = locate(Id);
+    return Chunks[Chunk][Offset];
+  }
+
+  static constexpr unsigned ChunkBits = 4;
+  /// Ids below 2^32 give slots below 2^33: chunks 0 .. 32 - ChunkBits.
+  std::array<std::unique_ptr<std::string[]>, 33 - ChunkBits> Chunks;
   /// Flat open-addressed (hash, id) table; probes touch one contiguous
   /// array instead of chasing unordered_map buckets.
   std::vector<IndexSlot> Index;

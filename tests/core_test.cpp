@@ -16,7 +16,6 @@ namespace {
 struct CoreFixture {
   StringInterner Strings;
   std::vector<IRProgram> Programs;
-  std::vector<std::unique_ptr<AnalysisResult>> Analyses;
   std::vector<EventGraph> Graphs;
 
   EventGraph &addGraph(const std::string &Source) {
@@ -25,9 +24,8 @@ struct CoreFixture {
                            Strings, Diags);
     EXPECT_TRUE(P.has_value()) << Diags.render();
     Programs.push_back(std::move(*P));
-    Analyses.push_back(std::make_unique<AnalysisResult>(
+    Graphs.push_back(EventGraph::build(
         analyzeProgram(Programs.back(), Strings, AnalysisOptions())));
-    Graphs.push_back(EventGraph::build(*Analyses.back()));
     return Graphs.back();
   }
 

@@ -4,10 +4,16 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "core/Candidates.h"
+#include "corpus/Generator.h"
+#include "corpus/Profiles.h"
 #include "eventgraph/EventGraph.h"
 #include "ir/Lowering.h"
+#include "model/EdgeModel.h"
 
 #include <gtest/gtest.h>
+
+#include <memory>
 
 using namespace uspec;
 
@@ -278,4 +284,66 @@ TEST(EventGraphTest, ParticipantsTrackObjects) {
   const auto &Objs = G.participants(Put->Recv);
   ASSERT_EQ(Objs.size(), 1u);
   EXPECT_EQ(F.Result.Objects.get(Objs[0]).Kind, ObjectKind::New);
+}
+
+TEST(EventGraphTest, GraphOutlivesItsAnalysis) {
+  // The graph owns what its readers use: sampling, receiver pairs and
+  // candidate extraction read the same facts from a graph whose analysis
+  // was destroyed as from one whose analysis is still alive.
+  StringInterner Strings;
+  LanguageProfile Profile = javaProfile();
+  GeneratorConfig Gen;
+  Rng Sources(41);
+  std::vector<IRProgram> Programs;
+  for (int I = 0; I < 6; ++I) {
+    DiagnosticSink Diags;
+    auto P = parseAndLower(generateProgramSource(Profile, Gen, Sources),
+                           "p" + std::to_string(I), Strings, Diags);
+    ASSERT_TRUE(P.has_value()) << Diags.render();
+    Programs.push_back(std::move(*P));
+  }
+  std::vector<AnalysisResult> Alive;
+  std::vector<EventGraph> Orphaned;
+  for (const IRProgram &P : Programs) {
+    Alive.push_back(analyzeProgram(P, Strings, AnalysisOptions()));
+    auto Dead = std::make_unique<AnalysisResult>(
+        analyzeProgram(P, Strings, AnalysisOptions()));
+    Orphaned.push_back(EventGraph::build(*Dead));
+  }
+  std::vector<EventGraph> Kept;
+  for (const AnalysisResult &R : Alive)
+    Kept.push_back(EventGraph::build(R));
+
+  SampleSet KeptSamples, OrphanSamples;
+  for (size_t I = 0; I < Programs.size(); ++I) {
+    Rng A(I), B(I);
+    collectTrainingSamples(Kept[I], A, KeptSamples);
+    collectTrainingSamples(Orphaned[I], B, OrphanSamples);
+    EXPECT_EQ(Kept[I].receiverPairs(10), Orphaned[I].receiverPairs(10))
+        << "program " << I;
+  }
+  ASSERT_GT(KeptSamples.size(), 0u);
+  ASSERT_EQ(KeptSamples.size(), OrphanSamples.size());
+  for (size_t S = 0; S < KeptSamples.size(); ++S) {
+    EXPECT_EQ(KeptSamples.posKey(S), OrphanSamples.posKey(S)) << S;
+    EXPECT_EQ(KeptSamples.label(S), OrphanSamples.label(S)) << S;
+    auto HA = KeptSamples.hashes(S), HB = OrphanSamples.hashes(S);
+    EXPECT_TRUE(std::equal(HA.begin(), HA.end(), HB.begin(), HB.end())) << S;
+  }
+
+  EdgeModel Model;
+  Model.train(KeptSamples);
+  CandidateCollector FromKept(Model), FromOrphans(Model);
+  for (size_t I = 0; I < Programs.size(); ++I) {
+    FromKept.addGraph(Kept[I], static_cast<uint32_t>(I));
+    FromOrphans.addGraph(Orphaned[I], static_cast<uint32_t>(I));
+  }
+  ASSERT_FALSE(FromKept.candidates().empty());
+  ASSERT_EQ(FromKept.candidates(), FromOrphans.candidates());
+  for (const Spec &S : FromKept.candidates()) {
+    const CandidateStats &A = FromKept.stats().at(S);
+    const CandidateStats &B = FromOrphans.stats().at(S);
+    EXPECT_EQ(A.Confidences, B.Confidences) << S.str(Strings);
+    EXPECT_EQ(A.Matches, B.Matches) << S.str(Strings);
+  }
 }

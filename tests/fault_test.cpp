@@ -341,6 +341,44 @@ TEST_F(FaultLearner, InjectedQuarantineIsDeterministicAcrossThreadCounts) {
   EXPECT_EQ(R8.Stats.Quarantined[0].Reason, "fault:learn.analyze");
 }
 
+TEST_F(FaultLearner, SampleFaultLeavesNoRowsBehind) {
+  // `learn.sample` fires after program 3's samples were appended to its
+  // chunk's training set. Quarantine must cut them back out, so the run
+  // equals one whose program 3 failed before it was analyzed. With 20
+  // programs, program 3 sits mid-chunk at 1 thread and at 8 ([2, 5)).
+  StringInterner Strings;
+  auto Corpus = parseCorpus(makeSources(20, 23), Strings);
+  auto Run = [&](const char *Site, unsigned Threads) {
+    disarmFaults();
+    if (Site)
+      armFault(Site, 3);
+    LearnerConfig Cfg;
+    Cfg.Threads = Threads;
+    return USpecLearner(Strings, Cfg).learn(Corpus);
+  };
+  size_t CleanSamples = Run(nullptr, 1).NumTrainingSamples;
+  for (unsigned Threads : {1u, 8u}) {
+    LearnResult A = Run("learn.analyze", Threads);
+    LearnResult S = Run("learn.sample", Threads);
+    EXPECT_LT(A.NumTrainingSamples, CleanSamples);
+    EXPECT_EQ(S.NumTrainingSamples, A.NumTrainingSamples) << Threads;
+    EXPECT_EQ(S.TrainAccuracy, A.TrainAccuracy) << Threads;
+    EXPECT_EQ(serializeSpecs(S.Selected, Strings),
+              serializeSpecs(A.Selected, Strings))
+        << Threads;
+    ASSERT_EQ(S.Candidates.size(), A.Candidates.size()) << Threads;
+    for (size_t I = 0; I < S.Candidates.size(); ++I) {
+      EXPECT_EQ(S.Candidates[I].S.str(Strings), A.Candidates[I].S.str(Strings));
+      EXPECT_EQ(S.Candidates[I].Score, A.Candidates[I].Score);
+      EXPECT_EQ(S.Candidates[I].Matches, A.Candidates[I].Matches);
+      EXPECT_EQ(S.Candidates[I].Programs, A.Candidates[I].Programs);
+    }
+    ASSERT_EQ(S.Stats.Quarantined.size(), 1u) << Threads;
+    EXPECT_EQ(S.Stats.Quarantined[0].Program, 3u);
+    EXPECT_EQ(S.Stats.Quarantined[0].Reason, "fault:learn.sample");
+  }
+}
+
 TEST_F(FaultLearner, QuarantiningLastProgramEqualsHandPrunedCorpus) {
   // Quarantine is in-place (per-program sample seeds are index-keyed), so
   // knocking out the LAST program must give exactly the specs of a corpus

@@ -228,7 +228,6 @@ TEST(EdgeModel, AssignsHighProbabilityToFamiliarMissingEdges) {
   // through an (unknown) Map. The model should consider it likely — that is
   // the key insight enabling specification learning.
   StringInterner Strings;
-  std::vector<std::unique_ptr<AnalysisResult>> Keep;
   std::vector<EventGraph> Graphs;
 
   auto AddProgram = [&](const std::string &Source) -> EventGraph & {
@@ -236,9 +235,8 @@ TEST(EdgeModel, AssignsHighProbabilityToFamiliarMissingEdges) {
     auto P = parseAndLower(Source, "p" + std::to_string(Graphs.size()),
                            Strings, Diags);
     EXPECT_TRUE(P.has_value()) << Diags.render();
-    Keep.push_back(std::make_unique<AnalysisResult>(
-        analyzeProgram(*P, Strings, AnalysisOptions())));
-    Graphs.push_back(EventGraph::build(*Keep.back()));
+    Graphs.push_back(
+        EventGraph::build(analyzeProgram(*P, Strings, AnalysisOptions())));
     return Graphs.back();
   };
 
@@ -339,10 +337,9 @@ TEST(EdgeModel, UnseenPosKeyFallsBackToHalf) {
 
 namespace {
 
-/// Event graphs of a small generated Java corpus, kept with their analyses.
+/// Event graphs of a small generated Java corpus.
 struct CorpusGraphs {
   StringInterner Strings;
-  std::vector<std::unique_ptr<AnalysisResult>> Analyses;
   std::vector<EventGraph> Graphs;
 
   CorpusGraphs(size_t Programs, uint64_t Seed) {
@@ -350,11 +347,9 @@ struct CorpusGraphs {
     Cfg.NumPrograms = Programs;
     Cfg.Seed = Seed;
     GeneratedCorpus Corpus = generateCorpus(javaProfile(), Cfg, Strings);
-    for (const IRProgram &P : Corpus.Programs) {
-      Analyses.push_back(std::make_unique<AnalysisResult>(
-          analyzeProgram(P, Strings, AnalysisOptions())));
-      Graphs.push_back(EventGraph::build(*Analyses.back()));
-    }
+    for (const IRProgram &P : Corpus.Programs)
+      Graphs.push_back(
+          EventGraph::build(analyzeProgram(P, Strings, AnalysisOptions())));
   }
 
   SampleSet samples(uint64_t Seed) const {

@@ -189,13 +189,10 @@ TEST_P(ModelProperties, PredictionsAreProbabilitiesAndBeatChance) {
   GenCfg.Seed = Seed;
   GeneratedCorpus Corpus = generateCorpus(Profile, GenCfg, S);
 
-  std::vector<std::unique_ptr<AnalysisResult>> Keep;
   std::vector<EventGraph> Graphs;
-  for (const IRProgram &P : Corpus.Programs) {
-    Keep.push_back(std::make_unique<AnalysisResult>(
-        analyzeProgram(P, S, AnalysisOptions())));
-    Graphs.push_back(EventGraph::build(*Keep.back()));
-  }
+  for (const IRProgram &P : Corpus.Programs)
+    Graphs.push_back(
+        EventGraph::build(analyzeProgram(P, S, AnalysisOptions())));
   Rng Rand(Seed);
   SampleSet Samples;
   for (const EventGraph &G : Graphs)

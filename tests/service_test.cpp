@@ -519,6 +519,7 @@ TEST(ServiceBackpressure, FullQueueAnswersOverloaded) {
             std::future_status::ready);
   std::string Resp = Rejected.get();
   EXPECT_NE(Resp.find("\"kind\":\"overloaded\""), std::string::npos) << Resp;
+  EXPECT_EQ(Resp.rfind("{\"id\":3,", 0), 0u) << Resp;
   EXPECT_GE(S.metrics().overloadedCount(), 1u);
 
   // Opening the gate lets everything admitted complete normally.
@@ -552,6 +553,22 @@ TEST(ServiceDrain, ShutdownCompletesInFlightAndRejectsNew) {
   // ...and the drain itself terminates.
   S.drain();
   EXPECT_TRUE(S.draining());
+}
+
+TEST(ServiceDrain, RejectionAfterDrainEchoesTheRequestId) {
+  // A request refused at admission is never parsed; its answer still
+  // carries the id it was sent with, numeric or string.
+  ServerConfig Cfg;
+  Cfg.Workers = 1;
+  Server S(Cfg, ServiceSpecs());
+  S.drain();
+  const std::string Why = "server is draining; request rejected";
+  EXPECT_EQ(S.handle("{\"id\":10,\"verb\":\"specs\"}"),
+            errorResponse("10", "shutting_down", Why));
+  EXPECT_EQ(S.handle("{\"verb\":\"specs\",\"id\":\"q-7\"}"),
+            errorResponse("\"q-7\"", "shutting_down", Why));
+  EXPECT_EQ(S.handle("{\"verb\":\"specs\"}"),
+            errorResponse("", "shutting_down", Why));
 }
 
 TEST(ServiceDrain, StreamServesInOrderAndDrainsOnShutdown) {

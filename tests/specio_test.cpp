@@ -172,7 +172,7 @@ TEST(Dot, RendersClustersAndEdges) {
   ASSERT_TRUE(P.has_value());
   AnalysisResult R = analyzeProgram(*P, S, AnalysisOptions());
   EventGraph G = EventGraph::build(R);
-  std::string Dot = toDot(G, S, "fig");
+  std::string Dot = toDot(G, R, S, "fig");
   EXPECT_NE(Dot.find("digraph fig"), std::string::npos);
   EXPECT_NE(Dot.find("subgraph cluster_site"), std::string::npos);
   EXPECT_NE(Dot.find("label=\"put\""), std::string::npos);

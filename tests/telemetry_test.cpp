@@ -645,6 +645,59 @@ TEST(TelemetryTrace, DisarmedSpanAllocatesNothing) {
   EXPECT_EQ(TlAllocs, Before);
 }
 
+TEST(TelemetryAlloc, FreshStringInternerAllocatesNothing) {
+  // Every service request and every ingested program parses into a fresh
+  // interner; until something is interned it costs no heap allocation,
+  // neither to build, nor to move, nor to destroy.
+  size_t Before = TlAllocs;
+  {
+    StringInterner Strings;
+    EXPECT_EQ(Strings.size(), 1u);
+    EXPECT_EQ(Strings.str(Symbol()), "");
+    EXPECT_EQ(Strings.intern(""), Symbol());
+    StringInterner Moved = std::move(Strings);
+    EXPECT_EQ(Moved.size(), 1u);
+  }
+  EXPECT_EQ(TlAllocs, Before);
+}
+
+TEST(TelemetryTrace, EveryProgramSpansItsGraphAndSamples) {
+  // Phase 1's layers below analysis.run: each learn.program span holds
+  // exactly one eventgraph.build and one learn.samples span.
+  service::JsonValue Doc = tracedLearnDoc(/*Threads=*/2);
+  const std::vector<service::JsonValue> &Events =
+      Doc.find("traceEvents")->Items;
+  auto NameOf = [](const service::JsonValue &E) {
+    return E.find("name")->StringValue;
+  };
+  auto Encloses = [](const service::JsonValue &Outer,
+                     const service::JsonValue &Inner) {
+    return numField(Inner, "tid") == numField(Outer, "tid") &&
+           numField(Inner, "ts") + 0.01 >= numField(Outer, "ts") &&
+           numField(Inner, "ts") + numField(Inner, "dur") <=
+               numField(Outer, "ts") + numField(Outer, "dur") + 0.01;
+  };
+  std::vector<const service::JsonValue *> Programs;
+  for (const service::JsonValue &E : Events)
+    if (NameOf(E) == "learn.program")
+      Programs.push_back(&E);
+  ASSERT_EQ(Programs.size(), 8u);
+  for (const char *Layer : {"eventgraph.build", "learn.samples"}) {
+    std::vector<int> Inside(Programs.size(), 0);
+    size_t Count = 0;
+    for (const service::JsonValue &E : Events) {
+      if (NameOf(E) != Layer)
+        continue;
+      ++Count;
+      for (size_t P = 0; P < Programs.size(); ++P)
+        Inside[P] += Encloses(*Programs[P], E);
+    }
+    EXPECT_EQ(Count, Programs.size()) << Layer;
+    for (size_t P = 0; P < Programs.size(); ++P)
+      EXPECT_EQ(Inside[P], 1) << Layer << " in learn.program #" << P;
+  }
+}
+
 TEST(TelemetryDeterminism, ArtifactsBitIdenticalWithTracingOnOrOff) {
   // The determinism contract: tracing and the event log observe, never
   // perturb. The learned artifact must be byte-identical with either armed

@@ -1018,7 +1018,7 @@ int cmdAnalyze(Args &A) {
               R.Events.size(), R.Objects.size());
 
   if (!DotPath.empty()) {
-    if (writeFile(DotPath, toDot(G, Strings)))
+    if (writeFile(DotPath, toDot(G, R, Strings)))
       std::printf("event graph written to %s\n", DotPath.c_str());
   }
   return 0;
