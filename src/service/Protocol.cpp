@@ -652,9 +652,10 @@ std::optional<ParsedProgram> service::parseProgram(std::string_view Source,
 std::shared_ptr<const ProgramAnalysis>
 service::finishAnalysis(ParsedProgram &&Parsed, const ServiceSpecs &Specs,
                         bool Coverage, Budget *B) {
+  // The IR is read by the analysis only, and dies on return.
+  std::unique_ptr<IRProgram> Program = std::move(Parsed.Program);
   auto PA = std::make_shared<ProgramAnalysis>();
   PA->Strings = std::move(Parsed.Strings);
-  PA->Program = std::move(Parsed.Program);
   PA->Fingerprint = Parsed.Fingerprint;
   PA->Coverage = Coverage;
   // Canonical spec text parses into the program's private interner: both the
@@ -672,7 +673,7 @@ service::finishAnalysis(ParsedProgram &&Parsed, const ServiceSpecs &Specs,
   Options.CoverageExtension = Coverage;
   Options.StepBudget = B;
   PA->Result = std::make_unique<AnalysisResult>(
-      analyzeProgram(*PA->Program, PA->Strings, Options));
+      analyzeProgram(*Program, PA->Strings, Options));
   PA->CallSites = groupCallSites(*PA->Result);
   PA->AnalyzeJson = analyzePayload(*PA);
   return PA;

@@ -251,7 +251,6 @@ std::optional<ParsedProgram> parseProgram(std::string_view Source,
 /// threads at once), never mutated.
 struct ProgramAnalysis {
   StringInterner Strings;
-  std::unique_ptr<IRProgram> Program;
   uint64_t Fingerprint = 0;
   size_t NumSpecs = 0; ///< Size of the spec set the analysis ran under.
   bool Coverage = false;
@@ -269,8 +268,8 @@ std::shared_ptr<const ProgramAnalysis>
 finishAnalysis(ParsedProgram &&Parsed, const ServiceSpecs &Specs,
                bool Coverage, Budget *B = nullptr);
 
-/// parseProgram + finishAnalysis — the single entry point `uspec analyze
-/// --json` uses; the server composes the two steps around cache probes.
+/// parseProgram + finishAnalysis in one call. `uspec analyze` and the
+/// server call the two steps themselves (the server around cache probes).
 std::shared_ptr<const ProgramAnalysis>
 analyzeSource(std::string_view Source, std::string_view Name,
               const ServiceSpecs &Specs, bool Coverage, std::string *Error,

@@ -12,7 +12,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
+#include <sstream>
 #include <string>
 #include <sys/wait.h>
 
@@ -49,6 +51,22 @@ std::string writeTinyProgram() {
   Out << "class Main { def main() { var m = new Map(); m.put(\"k\", 1); "
          "var a = m.get(\"k\"); var b = m.get(\"k\"); } }\n";
   return Path;
+}
+
+std::string readAll(const std::string &Path) {
+  std::ifstream In(Path, std::ios::binary);
+  std::ostringstream Out;
+  Out << In.rdbuf();
+  return Out.str();
+}
+
+/// Runs `uspec <args>` and expects exit status 2 with \p Message in the
+/// output.
+void expectRejected(const std::string &Args, const char *Message) {
+  RunResult R = runCli(Args);
+  EXPECT_EQ(R.ExitCode, 2) << Args << ": " << R.Output;
+  EXPECT_NE(R.Output.find(Message), std::string::npos)
+      << Args << ": " << R.Output;
 }
 
 } // namespace
@@ -130,6 +148,50 @@ TEST(Cli, MissingOptionValuesAreNamed) {
     EXPECT_NE(R.Output.find("requires a value"), std::string::npos)
         << C.Args << ": " << R.Output;
   }
+}
+
+// A negative value does not wrap to 2^64-1.
+TEST(Cli, NegativeSeedIsRejected) {
+  std::string Artifact = testing::TempDir() + "cli_test_negative_seed.uspb";
+  std::filesystem::remove(Artifact);
+  expectRejected("train " + writeTinyProgram() + " -o " + Artifact +
+                     " --seed -1",
+                 "error: --seed expects an unsigned integer, got '-1'");
+  EXPECT_FALSE(std::filesystem::exists(Artifact));
+}
+
+// A value past the target's width is not truncated (to 1 thread here).
+TEST(Cli, ThreadsPastTheirWidthAreRejected) {
+  expectRejected("learn " + writeTinyProgram() + " --threads 4294967297",
+                 "error: --threads must be at most 4294967295");
+}
+
+// Truncated, 2^32 vnodes would pass the lower bound and become 0.
+TEST(Cli, VnodesPastTheirWidthAreRejected) {
+  expectRejected("route --socket /nonexistent/dir/r.sock --replicas "
+                 "/nonexistent/dir/a.sock --vnodes 4294967296",
+                 "error: --vnodes must be at most 4294967295");
+}
+
+// No threshold is NaN: it would select nothing and never compare equal.
+TEST(Cli, TauMustBeFinite) {
+  expectRejected("learn " + writeTinyProgram() + " --tau nan",
+                 "error: --tau expects a finite number, got 'nan'");
+}
+
+// An unknown profile is an error, not the Java profile.
+TEST(Cli, GenProfileIsJavaOrPython) {
+  std::string Dir = testing::TempDir() + "cli_test_rust";
+  std::filesystem::remove_all(Dir);
+  expectRejected("gen --profile rust -n 2 -o " + Dir,
+                 "error: --profile expects java|python, got 'rust'");
+  EXPECT_FALSE(std::filesystem::exists(Dir));
+}
+
+// The lower bound is named before any connect.
+TEST(Cli, ObsTopIntervalMustBeAtLeastOne) {
+  expectRejected("obs top --socket /nonexistent/dir/o.sock --interval-ms 0",
+                 "error: --interval-ms must be at least 1");
 }
 
 TEST(Cli, NoArgumentsPrintsUsage) {
@@ -222,4 +284,34 @@ TEST(Cli, AnalyzeJsonReportsParseErrorsAsJson) {
   EXPECT_NE(R.Output.find("\"error\":{\"kind\":\"parse_error\""),
             std::string::npos)
       << R.Output;
+}
+
+// `--specs S` and `--model M` of the same selection print the same pairs
+// and write the same event graph: both run the service engine on the
+// canonical spec text.
+TEST(Cli, AnalyzeSpecsAndModelOfOneSelectionAgree) {
+  std::string Dir = testing::TempDir() + "cli_test_select";
+  std::filesystem::remove_all(Dir);
+  std::string Model = Dir + "/run.uspb", Specs = Dir + "/specs.txt",
+              Dot = Dir + "/g.dot", Prog = Dir + "/corpus/prog1.mini";
+  ASSERT_EQ(runCli("gen --profile java -n 30 --seed 3 -o " + Dir + "/corpus")
+                .ExitCode,
+            0);
+  ASSERT_EQ(runCli("train " + Dir + "/corpus/*.mini -o " + Model).ExitCode, 0);
+  ASSERT_EQ(runCli("select " + Model + " -o " + Specs).ExitCode, 0);
+
+  RunResult FromSpecs = runCli("analyze " + Prog + " --specs " + Specs +
+                               " --dot " + Dot);
+  ASSERT_EQ(FromSpecs.ExitCode, 0) << FromSpecs.Output;
+  std::string SpecsDot = readAll(Dot);
+  RunResult FromModel = runCli("analyze " + Prog + " --model " + Model +
+                               " --dot " + Dot);
+  ASSERT_EQ(FromModel.ExitCode, 0) << FromModel.Output;
+  EXPECT_EQ(FromSpecs.Output.find("loaded 0 "), std::string::npos)
+      << FromSpecs.Output;
+  // Only the first line differs: it names where the specs came from.
+  auto Body = [](const std::string &Out) { return Out.substr(Out.find('\n')); };
+  EXPECT_EQ(Body(FromSpecs.Output), Body(FromModel.Output));
+  EXPECT_FALSE(SpecsDot.empty());
+  EXPECT_EQ(SpecsDot, readAll(Dot));
 }

@@ -138,8 +138,8 @@
 #include "support/EventLog.h"
 #include "support/Trace.h"
 
+#include <cctype>
 #include <cerrno>
-#include <string_view>
 #include <chrono>
 #include <cmath>
 #include <csignal>
@@ -151,9 +151,13 @@
 #include <initializer_list>
 #include <iostream>
 #include <iterator>
+#include <limits>
 #include <map>
+#include <span>
 #include <sstream>
+#include <string_view>
 #include <thread>
+#include <variant>
 
 #include <unistd.h>
 
@@ -161,61 +165,207 @@ using namespace uspec;
 
 namespace {
 
-int usage() {
-  std::fprintf(
-      stderr,
-      "usage:\n"
-      "  uspec gen --profile java|python -n N -o DIR [--seed S]\n"
-      "  uspec learn FILES... [-o specs.txt] [--tau X] [--seed S] [--dedup]\n"
-      "              [--threads N] [--stats] [--strict] [--step-budget N]\n"
-      "              [--trace t.json]\n"
-      "  uspec train FILES... -o run.uspb [--tau X] [--seed S] [--dedup]\n"
-      "              [--threads N] [--stats] [--strict] [--step-budget N]\n"
-      "              [--resume] [--trace t.json]\n"
-      "  uspec train --journal corpus.uspj -o run.uspb [--replay]\n"
-      "              [--tau X] [--seed S] [--threads N] [--stats]\n"
-      "              [--step-budget N] [--trace t.json]\n"
-      "  uspec route --socket PATH --replicas SOCK1,SOCK2,...\n"
-      "              [--vnodes N] [--supervise]\n"
-      "              [--respawn-cmd CMD | --model run.uspb]\n"
-      "              [--probe-interval-ms N] [--respawn-seed S]\n"
-      "              [--hedge-ms N | --hedge-auto] [--warm-keys K]\n"
-      "  uspec ingest FILES... -j corpus.uspj\n"
-      "  uspec select run.uspb [--tau X] [-o specs.txt]\n"
-      "  uspec info run.uspb\n"
-      "  uspec analyze FILE [--specs specs.txt | --model run.uspb]\n"
-      "               [--coverage] [--dot out] [--json] [--trace t.json]\n"
-      "  uspec serve [--model run.uspb | --specs specs.txt] [--workers N]\n"
-      "              [--queue N] [--cache N] [--socket PATH]\n"
-      "              [--request-timeout MS] [--step-budget N]\n"
-      "              [--trace t.json] [--slow-ms N]\n"
-      "  uspec query --socket PATH [--retries N] [--trace-id ID]\n"
-      "              VERB [ARGS...]\n"
-      "  uspec obs stitch OUT.json SHARD...\n"
-      "  uspec obs top --socket PATH [--watch] [--interval-ms N]\n"
-      "  uspec obs events FILE [--follow] [--type T]\n"
-      "  uspec check FILES...\n"
-      "(USPEC_TRACE=t.json arms --trace for any subcommand;\n"
-      " USPEC_EVENTS=e.jsonl arms --events the same way; serve, route and\n"
-      " learn/train also take --events FILE directly)\n");
-  return 2;
-}
+//===----------------------------------------------------------------------===//
+// Command lines: one option table per subcommand, one parse loop
+//===----------------------------------------------------------------------===//
 
-/// Unknown flag / stray positional: name the offending token and exit 2
-/// (never silently fall through to the generic usage text).
+/// Argument cursor over argv after the subcommand. In usage mode a
+/// subcommand does no work: Command::parse prints its usage line instead.
+struct Args {
+  int Argc;
+  char **Argv;
+  int Pos = 2;
+  bool UsageOnly = false;
+
+  const char *next() { return Pos < Argc ? Argv[Pos++] : nullptr; }
+};
+
+/// Prints the usage of subcommand \p Only (every subcommand when null),
+/// each line generated from its option table. Returns exit status 2.
+int usage(const char *Only = nullptr);
+
+/// Unknown flag / stray positional: name the offending token, print the
+/// subcommand's usage and exit 2.
 int unknownToken(const char *Cmd, const char *Token) {
   std::fprintf(stderr, "error: unknown %s '%s' for 'uspec %s'\n",
                Token[0] == '-' ? "option" : "argument", Token, Cmd);
-  usage();
-  return 2;
+  return usage(Cmd);
 }
 
-/// An option that expects a value hit the end of the argument list.
-int missingValue(const char *Cmd, const char *Opt) {
-  std::fprintf(stderr, "error: option '%s' for 'uspec %s' requires a value\n",
-               Opt, Cmd);
-  return 2;
+/// A value from a fixed set: one of the '|'-separated words of the row's
+/// metavariable (`--profile java|python`).
+struct Choice {
+  std::string *Out;
+};
+
+/// One row of an option table: the flag (an alias gets its own row), what it
+/// sets, and the value's name in the usage text. A bool target is a bare
+/// flag; every other target takes the next token verbatim as its value. An
+/// unsigned target takes digits only, within its own width and at least
+/// Min; a double must be finite; a vector collects a repeated option.
+struct Opt {
+  const char *Flag;
+  std::variant<bool *, std::string *, std::vector<std::string> *, Choice,
+               unsigned *, unsigned long *, unsigned long long *, double *>
+      Target;
+  const char *Meta = "";
+  uint64_t Min = 0;
+
+  bool takesValue() const { return !std::holds_alternative<bool *>(Target); }
+  /// Stores \p V (null for a bare flag); false after printing why not.
+  bool set(const char *V) const;
+};
+
+template <class... Fs> struct Overload : Fs... {
+  using Fs::operator()...;
+};
+
+/// Parses digits into \p Out, checked against T's range and \p O.Min.
+template <class T> bool parseUnsigned(const Opt &O, const char *V, T &Out) {
+  char *End = nullptr;
+  errno = 0;
+  unsigned long long Val = std::strtoull(V, &End, 10);
+  // strtoull skips blanks and negates after a '-': demand digits only.
+  if (!std::isdigit(static_cast<unsigned char>(*V)) || *End) {
+    std::fprintf(stderr, "error: %s expects an unsigned integer, got '%s'\n",
+                 O.Flag, V);
+    return false;
+  }
+  constexpr unsigned long long Max = std::numeric_limits<T>::max();
+  if (errno == ERANGE || Val > Max) {
+    std::fprintf(stderr, "error: %s must be at most %llu\n", O.Flag, Max);
+    return false;
+  }
+  if (Val < O.Min) {
+    std::fprintf(stderr, "error: %s must be at least %llu\n", O.Flag,
+                 static_cast<unsigned long long>(O.Min));
+    return false;
+  }
+  Out = static_cast<T>(Val);
+  return true;
 }
+
+/// Rejects empty or partial parses, so `--tau banana` errors instead of
+/// silently becoming 0, and NaN or infinity, which no threshold means.
+bool parseFinite(const Opt &O, const char *V, double &Out) {
+  char *End = nullptr;
+  double Val = std::strtod(V, &End);
+  if (End == V || *End) {
+    std::fprintf(stderr, "error: %s expects a number, got '%s'\n", O.Flag, V);
+    return false;
+  }
+  if (!std::isfinite(Val)) {
+    std::fprintf(stderr, "error: %s expects a finite number, got '%s'\n",
+                 O.Flag, V);
+    return false;
+  }
+  Out = Val;
+  return true;
+}
+
+bool parseChoice(const Opt &O, const char *V, std::string &Out) {
+  for (std::string_view Words = O.Meta;;) {
+    size_t Bar = Words.find('|');
+    if (Words.substr(0, Bar) == V) {
+      Out = V;
+      return true;
+    }
+    if (Bar == std::string_view::npos)
+      break;
+    Words.remove_prefix(Bar + 1);
+  }
+  std::fprintf(stderr, "error: %s expects %s, got '%s'\n", O.Flag, O.Meta, V);
+  return false;
+}
+
+bool Opt::set(const char *V) const {
+  return std::visit(
+      Overload{
+          [](bool *Out) {
+            *Out = true;
+            return true;
+          },
+          [&](std::string *Out) {
+            *Out = V;
+            return true;
+          },
+          [&](std::vector<std::string> *Out) {
+            Out->push_back(V);
+            return true;
+          },
+          [&](Choice C) { return parseChoice(*this, V, *C.Out); },
+          [&](double *Out) { return parseFinite(*this, V, *Out); },
+          [&](auto *Out) { return parseUnsigned(*this, V, *Out); }},
+      Target);
+}
+
+/// A subcommand's command line: its name in messages, the positionals of
+/// its usage line, and its option table.
+struct Command {
+  const char *Name;
+  const char *Synopsis;
+  std::vector<Opt> Opts;
+
+  /// Prints `uspec NAME SYNOPSIS [FLAG META]...`, one item per row.
+  void printUsage() const {
+    std::string Line = std::string("  uspec ") + Name;
+    const size_t Indent = Line.size();
+    if (*Synopsis)
+      Line += std::string(" ") + Synopsis;
+    for (const Opt &O : Opts) {
+      std::string Item = std::string("[") + O.Flag;
+      if (O.takesValue())
+        Item += std::string(" ") + O.Meta;
+      Item += std::holds_alternative<std::vector<std::string> *>(O.Target)
+                  ? "]..."
+                  : "]";
+      if (Line.size() + 1 + Item.size() > 79 && Line.size() > Indent) {
+        std::fprintf(stderr, "%s\n", Line.c_str());
+        Line.assign(Indent, ' ');
+      }
+      Line += " " + Item;
+    }
+    std::fprintf(stderr, "%s\n", Line.c_str());
+  }
+
+  /// Reads the rest of \p A: sets each option's target and appends up to
+  /// \p MaxPos positionals to \p Pos (none without \p Pos). False after
+  /// printing the error, or in usage mode after printing the usage line.
+  bool parse(Args &A, std::vector<std::string> *Pos = nullptr,
+             size_t MaxPos = SIZE_MAX) const {
+    if (A.UsageOnly) {
+      printUsage();
+      return false;
+    }
+    while (const char *Arg = A.next()) {
+      const Opt *O = nullptr;
+      for (const Opt &Row : Opts)
+        if (std::string_view(Row.Flag) == Arg) {
+          O = &Row;
+          break;
+        }
+      if (!O) {
+        if ((Arg[0] == '-' && Arg[1] != '\0') || !Pos ||
+            Pos->size() >= MaxPos) {
+          unknownToken(Name, Arg);
+          return false;
+        }
+        Pos->push_back(Arg);
+        continue;
+      }
+      const char *V = O->takesValue() ? A.next() : nullptr;
+      if (O->takesValue() && !V) {
+        std::fprintf(stderr,
+                     "error: option '%s' for 'uspec %s' requires a value\n",
+                     Arg, Name);
+        return false;
+      }
+      if (!O->set(V))
+        return false;
+    }
+    return true;
+  }
+};
 
 /// Reads a whole file (binary-safe); on failure prints the path and the OS
 /// error and returns nullopt.
@@ -254,30 +404,6 @@ bool writeFile(const std::string &Path, const std::string &Content) {
   return true;
 }
 
-/// Parses a floating-point option value; rejects empty or partial parses so
-/// `--tau banana` errors instead of silently becoming 0.
-bool parseDouble(const char *Opt, const char *V, double &Out) {
-  char *End = nullptr;
-  Out = std::strtod(V, &End);
-  if (End == V || *End) {
-    std::fprintf(stderr, "error: %s expects a number, got '%s'\n", Opt, V);
-    return false;
-  }
-  return true;
-}
-
-/// Same for unsigned integer option values (-n, --seed).
-bool parseUInt(const char *Opt, const char *V, uint64_t &Out) {
-  char *End = nullptr;
-  Out = std::strtoull(V, &End, 10);
-  if (End == V || *End) {
-    std::fprintf(stderr, "error: %s expects an unsigned integer, got '%s'\n",
-                 Opt, V);
-    return false;
-  }
-  return true;
-}
-
 /// Starts the --trace and --events sinks that were asked for ("" = not).
 /// False, with the reason printed, when one cannot be opened.
 bool startTelemetry(const std::string &TracePath,
@@ -291,51 +417,22 @@ bool startTelemetry(const std::string &TracePath,
   return false;
 }
 
-/// Simple argument cursor.
-struct Args {
-  int Argc;
-  char **Argv;
-  int Pos = 2;
-
-  const char *next() { return Pos < Argc ? Argv[Pos++] : nullptr; }
-  bool has() const { return Pos < Argc; }
-};
-
 int cmdGen(Args &A) {
   std::string ProfileName = "java", OutDir;
   size_t N = 100;
   uint64_t Seed = 1;
-  while (const char *Arg = A.next()) {
-    if (!std::strcmp(Arg, "--profile")) {
-      const char *V = A.next();
-      if (!V)
-        return missingValue("gen", Arg);
-      ProfileName = V;
-    } else if (!std::strcmp(Arg, "-n")) {
-      const char *V = A.next();
-      if (!V)
-        return missingValue("gen", Arg);
-      uint64_t Val = 0;
-      if (!parseUInt("-n", V, Val))
-        return 2;
-      N = Val;
-    } else if (!std::strcmp(Arg, "-o")) {
-      const char *V = A.next();
-      if (!V)
-        return missingValue("gen", Arg);
-      OutDir = V;
-    } else if (!std::strcmp(Arg, "--seed")) {
-      const char *V = A.next();
-      if (!V)
-        return missingValue("gen", Arg);
-      if (!parseUInt("--seed", V, Seed))
-        return 2;
-    } else {
-      return unknownToken("gen", Arg);
-    }
+  const Command C{"gen",
+                  "",
+                  {{"--profile", Choice{&ProfileName}, "java|python"},
+                   {"-n", &N, "N"},
+                   {"-o", &OutDir, "DIR"},
+                   {"--seed", &Seed, "S"}}};
+  if (!C.parse(A))
+    return 2;
+  if (OutDir.empty()) {
+    std::fprintf(stderr, "error: gen requires -o DIR\n");
+    return usage("gen");
   }
-  if (OutDir.empty())
-    return usage();
   LanguageProfile Profile =
       ProfileName == "python" ? pythonProfile() : javaProfile();
   std::filesystem::create_directories(OutDir);
@@ -420,79 +517,33 @@ void printCandidates(const StringInterner &Strings, size_t NumPrograms,
 int cmdLearnOrTrain(Args &A, bool Train) {
   std::vector<std::string> Files;
   std::string OutPath, TracePath, EventsPath, JournalPath;
-  double Tau = 0.6;
-  uint64_t Seed = 0xC0FFEE;
-  uint64_t Threads = 0; // 0 = hardware concurrency
-  uint64_t StepBudget = 0;
+  LearnerConfig Cfg; // --threads 0 = hardware concurrency
   bool Dedup = false, Stats = false, Strict = false, Resume = false;
   bool Replay = false;
   const char *Cmd = Train ? "train" : "learn";
-  while (const char *Arg = A.next()) {
-    if (!std::strcmp(Arg, "--dedup")) {
-      Dedup = true;
-    } else if (!std::strcmp(Arg, "--stats")) {
-      Stats = true;
-    } else if (!std::strcmp(Arg, "--strict")) {
-      Strict = true;
-    } else if (Train && !std::strcmp(Arg, "--resume")) {
-      Resume = true;
-    } else if (Train && !std::strcmp(Arg, "--journal")) {
-      const char *V = A.next();
-      if (!V)
-        return missingValue(Cmd, Arg);
-      JournalPath = V;
-    } else if (Train && !std::strcmp(Arg, "--replay")) {
-      Replay = true;
-    } else if (!std::strcmp(Arg, "--trace")) {
-      const char *V = A.next();
-      if (!V)
-        return missingValue(Cmd, Arg);
-      TracePath = V;
-    } else if (!std::strcmp(Arg, "--events")) {
-      const char *V = A.next();
-      if (!V)
-        return missingValue(Cmd, Arg);
-      EventsPath = V;
-    } else if (!std::strcmp(Arg, "--step-budget")) {
-      const char *V = A.next();
-      if (!V)
-        return missingValue(Cmd, Arg);
-      if (!parseUInt("--step-budget", V, StepBudget))
-        return 2;
-    } else if (!std::strcmp(Arg, "--threads")) {
-      const char *V = A.next();
-      if (!V)
-        return missingValue(Cmd, Arg);
-      if (!parseUInt("--threads", V, Threads))
-        return 2;
-    } else if (!std::strcmp(Arg, "-o")) {
-      const char *V = A.next();
-      if (!V)
-        return missingValue(Cmd, Arg);
-      OutPath = V;
-    } else if (!std::strcmp(Arg, "--tau")) {
-      const char *V = A.next();
-      if (!V)
-        return missingValue(Cmd, Arg);
-      if (!parseDouble("--tau", V, Tau))
-        return 2;
-    } else if (!std::strcmp(Arg, "--seed")) {
-      const char *V = A.next();
-      if (!V)
-        return missingValue(Cmd, Arg);
-      if (!parseUInt("--seed", V, Seed))
-        return 2;
-    } else if (Arg[0] == '-' && Arg[1] != '\0') {
-      return unknownToken(Cmd, Arg);
-    } else {
-      Files.push_back(Arg);
-    }
-  }
+  Command C{Cmd,
+            "FILES...",
+            {{"-o", &OutPath, Train ? "run.uspb" : "specs.txt"},
+             {"--tau", &Cfg.Tau, "X"},
+             {"--seed", &Cfg.Seed, "S"},
+             {"--dedup", &Dedup},
+             {"--threads", &Cfg.Threads, "N"},
+             {"--stats", &Stats},
+             {"--strict", &Strict},
+             {"--step-budget", &Cfg.ProgramStepBudget, "N"},
+             {"--trace", &TracePath, "t.json"},
+             {"--events", &EventsPath, "e.jsonl"}}};
+  if (Train)
+    C.Opts.insert(C.Opts.end(), {{"--resume", &Resume},
+                                 {"--journal", &JournalPath, "corpus.uspj"},
+                                 {"--replay", &Replay}});
+  if (!C.parse(A, &Files))
+    return 2;
   if (Files.empty() && JournalPath.empty())
-    return usage();
+    return usage(Cmd);
   if (Train && OutPath.empty()) {
     std::fprintf(stderr, "error: train requires -o ARTIFACT\n");
-    return usage();
+    return usage(Cmd);
   }
   if (!JournalPath.empty()) {
     if (!Files.empty())
@@ -530,11 +581,6 @@ int cmdLearnOrTrain(Args &A, bool Train) {
       PrevBytes = std::move(*Bytes);
     }
     StringInterner Strings;
-    LearnerConfig Cfg;
-    Cfg.Tau = Tau;
-    Cfg.Seed = Seed;
-    Cfg.Threads = static_cast<unsigned>(Threads);
-    Cfg.ProgramStepBudget = StepBudget;
     auto Outcome = incremental::trainFromJournal(J, Cfg, Strings, PrevBytes,
                                                  Replay, &Err);
     if (!Outcome) {
@@ -553,7 +599,7 @@ int cmdLearnOrTrain(Args &A, bool Train) {
       return 0;
     }
     printCandidates(Strings, J.Entries.size(), Outcome->Result.Candidates,
-                    Outcome->Result.Selected.size(), Tau);
+                    Outcome->Result.Selected.size(), Cfg.Tau);
     if (Stats)
       std::fprintf(stderr, "%s\n", Outcome->Result.Stats.json().c_str());
     // Warm runs quantify the spec-level change against the prior artifact
@@ -614,7 +660,7 @@ int cmdLearnOrTrain(Args &A, bool Train) {
       ArtifactError Err;
       auto Old = loadLearnArtifacts(*Bytes, OldStrings, &Err);
       if (Old && Old->Manifest.sameCorpus(Manifest) &&
-          Old->Config.Tau == Tau && Old->Config.Seed == Seed) {
+          Old->Config.Tau == Cfg.Tau && Old->Config.Seed == Cfg.Seed) {
         std::fprintf(stderr,
                      "resume: %s is up to date (same corpus, tau, seed); "
                      "skipping retrain\n",
@@ -627,15 +673,10 @@ int cmdLearnOrTrain(Args &A, bool Train) {
     }
   }
 
-  LearnerConfig Cfg;
-  Cfg.Tau = Tau;
-  Cfg.Seed = Seed;
-  Cfg.Threads = static_cast<unsigned>(Threads);
-  Cfg.ProgramStepBudget = StepBudget;
   USpecLearner Learner(Strings, Cfg);
   LearnResult Result = Learner.learn(Corpus);
   printCandidates(Strings, Corpus.size(), Result.Candidates,
-                  Result.Selected.size(), Tau);
+                  Result.Selected.size(), Cfg.Tau);
   // Specs/artifacts go to stdout or -o; stats stay on stderr so pipelines
   // that consume the primary output are unaffected.
   if (Stats) {
@@ -678,21 +719,15 @@ int cmdLearnOrTrain(Args &A, bool Train) {
 int cmdIngest(Args &A) {
   std::vector<std::string> Files;
   std::string JournalPath;
-  while (const char *Arg = A.next()) {
-    if (!std::strcmp(Arg, "-j") || !std::strcmp(Arg, "--journal")) {
-      const char *V = A.next();
-      if (!V)
-        return missingValue("ingest", Arg);
-      JournalPath = V;
-    } else if (Arg[0] == '-' && Arg[1] != '\0') {
-      return unknownToken("ingest", Arg);
-    } else {
-      Files.push_back(Arg);
-    }
-  }
+  const Command C{"ingest",
+                  "FILES...",
+                  {{"-j", &JournalPath, "corpus.uspj"},
+                   {"--journal", &JournalPath, "corpus.uspj"}}};
+  if (!C.parse(A, &Files))
+    return 2;
   if (Files.empty() || JournalPath.empty()) {
     std::fprintf(stderr, "error: ingest requires FILES... and -j JOURNAL\n");
-    return usage();
+    return usage("ingest");
   }
 
   incremental::CorpusJournal J;
@@ -733,32 +768,17 @@ int cmdIngest(Args &A) {
 }
 
 int cmdSelect(Args &A) {
-  std::string ArtifactPath, OutPath;
-  std::optional<double> Tau;
-  while (const char *Arg = A.next()) {
-    if (!std::strcmp(Arg, "-o")) {
-      const char *V = A.next();
-      if (!V)
-        return missingValue("select", Arg);
-      OutPath = V;
-    } else if (!std::strcmp(Arg, "--tau")) {
-      const char *V = A.next();
-      if (!V)
-        return missingValue("select", Arg);
-      double Val = 0;
-      if (!parseDouble("--tau", V, Val))
-        return 2;
-      Tau = Val;
-    } else if (Arg[0] == '-' && Arg[1] != '\0') {
-      return unknownToken("select", Arg);
-    } else if (ArtifactPath.empty()) {
-      ArtifactPath = Arg;
-    } else {
-      return unknownToken("select", Arg);
-    }
-  }
-  if (ArtifactPath.empty())
-    return usage();
+  std::vector<std::string> Pos;
+  std::string OutPath;
+  double Tau = NAN; // not given: a --tau value is always finite
+  const Command C{"select",
+                  "run.uspb",
+                  {{"--tau", &Tau, "X"}, {"-o", &OutPath, "specs.txt"}}};
+  if (!C.parse(A, &Pos, 1))
+    return 2;
+  if (Pos.empty())
+    return usage("select");
+  const std::string &ArtifactPath = Pos[0];
 
   auto Bytes = readFile(ArtifactPath);
   if (!Bytes)
@@ -773,9 +793,9 @@ int cmdSelect(Args &A) {
   }
 
   const LearnResult &R = Artifacts->Result;
-  double UseTau = Tau.value_or(Artifacts->Config.Tau);
+  double UseTau = std::isnan(Tau) ? Artifacts->Config.Tau : Tau;
   SpecSet Selected;
-  if (Tau && *Tau != Artifacts->Config.Tau)
+  if (UseTau != Artifacts->Config.Tau)
     Selected = USpecLearner::select(R.Candidates, UseTau,
                                     Artifacts->Config.ExtendConsistency);
   else
@@ -795,13 +815,12 @@ int cmdSelect(Args &A) {
 }
 
 int cmdInfo(Args &A) {
-  const char *Path = A.next();
-  if (!Path)
-    return usage();
-  if (Path[0] == '-' && Path[1] != '\0')
-    return unknownToken("info", Path);
-  if (A.has())
-    return unknownToken("info", A.next());
+  std::vector<std::string> Pos;
+  if (!Command{"info", "run.uspb", {}}.parse(A, &Pos, 1))
+    return 2;
+  if (Pos.empty())
+    return usage("info");
+  const char *Path = Pos[0].c_str();
   auto Bytes = readFile(Path);
   if (!Bytes)
     return 1;
@@ -846,7 +865,7 @@ int cmdInfo(Args &A) {
   return 0;
 }
 
-/// Loads the spec set for `analyze --json` / `serve` in canonical text form
+/// Loads the spec set for `analyze` / `serve` in canonical text form
 /// (see ServiceSpecs) from either a spec text file or a USPB artifact.
 /// Returns nullopt after printing a diagnostic.
 std::optional<service::ServiceSpecs>
@@ -883,125 +902,68 @@ loadServiceSpecs(const std::string &SpecsPath, const std::string &ModelPath) {
 }
 
 int cmdAnalyze(Args &A) {
-  std::string File, SpecsPath, ModelPath, DotPath, TracePath;
+  std::vector<std::string> Pos;
+  std::string SpecsPath, ModelPath, DotPath, TracePath;
   bool Coverage = false, Json = false;
-  while (const char *Arg = A.next()) {
-    if (!std::strcmp(Arg, "--specs")) {
-      const char *V = A.next();
-      if (!V)
-        return missingValue("analyze", Arg);
-      SpecsPath = V;
-    } else if (!std::strcmp(Arg, "--trace")) {
-      const char *V = A.next();
-      if (!V)
-        return missingValue("analyze", Arg);
-      TracePath = V;
-    } else if (!std::strcmp(Arg, "--model")) {
-      const char *V = A.next();
-      if (!V)
-        return missingValue("analyze", Arg);
-      ModelPath = V;
-    } else if (!std::strcmp(Arg, "--dot")) {
-      const char *V = A.next();
-      if (!V)
-        return missingValue("analyze", Arg);
-      DotPath = V;
-    } else if (!std::strcmp(Arg, "--coverage")) {
-      Coverage = true;
-    } else if (!std::strcmp(Arg, "--json")) {
-      Json = true;
-    } else if (Arg[0] == '-' && Arg[1] != '\0') {
-      return unknownToken("analyze", Arg);
-    } else if (File.empty()) {
-      File = Arg;
-    } else {
-      return unknownToken("analyze", Arg);
-    }
-  }
-  if (File.empty() || (!SpecsPath.empty() && !ModelPath.empty()))
-    return usage();
+  const Command C{"analyze",
+                  "FILE",
+                  {{"--specs", &SpecsPath, "specs.txt"},
+                   {"--model", &ModelPath, "run.uspb"},
+                   {"--coverage", &Coverage},
+                   {"--dot", &DotPath, "out.dot"},
+                   {"--json", &Json},
+                   {"--trace", &TracePath, "t.json"}}};
+  if (!C.parse(A, &Pos, 1))
+    return 2;
+  if (Pos.empty() || (!SpecsPath.empty() && !ModelPath.empty()))
+    return usage("analyze");
   if (!startTelemetry(TracePath, ""))
     return 2;
 
+  const std::string &File = Pos[0];
   auto Source = readFile(File);
   if (!Source)
     return 1;
 
-  if (Json) {
-    // The service engine: same specs canonicalization, same analysis, same
-    // serializer as the `analyze` verb of `uspec serve` — byte-identical by
-    // construction (and pinned by tests/service_test.cpp).
-    auto Specs = loadServiceSpecs(SpecsPath, ModelPath);
-    if (!Specs)
-      return 1;
-    std::string Error;
-    auto PA = service::analyzeSource(*Source, File, *Specs, Coverage, &Error);
-    if (!PA) {
-      std::string Out = "{\"error\":";
-      Out += service::errorBody("parse_error", Error);
-      Out += "}";
-      std::fprintf(stdout, "%s\n", Out.c_str());
-      return 1;
-    }
-    std::fprintf(stdout, "%s\n", PA->AnalyzeJson.c_str());
-    return 0;
-  }
-  StringInterner Strings;
-  DiagnosticSink Diags;
-  auto P = parseAndLower(*Source, File, Strings, Diags);
-  if (!P) {
-    std::fprintf(stderr, "%s", Diags.render().c_str());
+  // Both modes run the service engine: the same spec canonicalization,
+  // analysis and (with --json) serializer as the `analyze` verb of `uspec
+  // serve`, byte-identical by construction (pinned by
+  // tests/service_test.cpp). Program diagnostics come before spec errors.
+  std::string Error;
+  auto Parsed = service::parseProgram(*Source, File, &Error);
+  if (!Parsed) {
+    if (Json)
+      std::printf("{\"error\":%s}\n",
+                  service::errorBody("parse_error", Error).c_str());
+    else
+      std::fprintf(stderr, "%s", Error.c_str());
     return 1;
   }
-
-  SpecSet Specs;
-  AnalysisOptions Options;
-  if (!SpecsPath.empty()) {
-    auto Text = readFile(SpecsPath);
-    if (!Text)
-      return 1;
-    size_t ErrorLine = 0;
-    Specs = parseSpecs(*Text, Strings, &ErrorLine);
-    if (ErrorLine) {
-      std::fprintf(stderr, "%s:%zu: malformed specification\n",
-                   SpecsPath.c_str(), ErrorLine);
-      return 1;
-    }
-    Options.ApiAware = true;
-    Options.Specs = &Specs;
-    Options.CoverageExtension = Coverage;
-    std::printf("loaded %zu specifications (API-aware analysis%s)\n",
-                Specs.size(), Coverage ? " + coverage extension" : "");
-  } else if (!ModelPath.empty()) {
-    auto Bytes = readFile(ModelPath);
-    if (!Bytes)
-      return 1;
-    ArtifactError Err;
-    auto Artifacts = loadLearnArtifacts(*Bytes, Strings, &Err);
-    if (!Artifacts) {
-      std::fprintf(stderr, "error: %s: %s\n", ModelPath.c_str(),
-                   Err.str().c_str());
-      return 1;
-    }
-    Specs = std::move(Artifacts->Result.Selected);
-    Options.ApiAware = true;
-    Options.Specs = &Specs;
-    Options.CoverageExtension = Coverage;
-    std::printf("loaded %zu specifications from artifact %s (API-aware "
-                "analysis%s)\n",
-                Specs.size(), ModelPath.c_str(),
-                Coverage ? " + coverage extension" : "");
-  } else {
-    std::printf("no specifications (API-unaware baseline)\n");
+  auto Specs = loadServiceSpecs(SpecsPath, ModelPath);
+  if (!Specs)
+    return 1;
+  auto PA = service::finishAnalysis(std::move(*Parsed), *Specs, Coverage);
+  if (Json) {
+    std::printf("%s\n", PA->AnalyzeJson.c_str());
+    return 0;
   }
 
-  AnalysisResult R = analyzeProgram(*P, Strings, Options);
-  EventGraph G = EventGraph::build(R);
+  const char *Extension = Coverage ? " + coverage extension" : "";
+  if (!SpecsPath.empty())
+    std::printf("loaded %zu specifications (API-aware analysis%s)\n",
+                PA->NumSpecs, Extension);
+  else if (!ModelPath.empty())
+    std::printf("loaded %zu specifications from artifact %s (API-aware "
+                "analysis%s)\n",
+                PA->NumSpecs, ModelPath.c_str(), Extension);
+  else
+    std::printf("no specifications (API-unaware baseline)\n");
 
   // Report may-aliasing between call-site return values.
+  const AnalysisResult &R = *PA->Result;
+  const std::vector<CallSite> &Sites = PA->CallSites;
   std::printf("\nmay-alias call-site return pairs:\n");
   size_t Pairs = 0;
-  const auto &Sites = G.callSites();
   for (size_t I = 0; I < Sites.size(); ++I) {
     for (size_t J = I + 1; J < Sites.size(); ++J) {
       if (Sites[I].Ret == InvalidEvent || Sites[J].Ret == InvalidEvent)
@@ -1009,39 +971,39 @@ int cmdAnalyze(Args &A) {
       if (!R.retMayAlias(Sites[I].Ret, Sites[J].Ret))
         continue;
       std::printf("  %s  ~  %s\n",
-                  Sites[I].Method.str(Strings).c_str(),
-                  Sites[J].Method.str(Strings).c_str());
+                  Sites[I].Method.str(PA->Strings).c_str(),
+                  Sites[J].Method.str(PA->Strings).c_str());
       ++Pairs;
     }
   }
   std::printf("%zu aliasing pairs, %zu events, %zu objects\n", Pairs,
               R.Events.size(), R.Objects.size());
 
-  if (!DotPath.empty()) {
-    if (writeFile(DotPath, toDot(G, R, Strings)))
-      std::printf("event graph written to %s\n", DotPath.c_str());
-  }
+  if (!DotPath.empty() &&
+      writeFile(DotPath, toDot(EventGraph::build(R), R, PA->Strings)))
+    std::printf("event graph written to %s\n", DotPath.c_str());
   return 0;
 }
 
 int cmdCheck(Args &A) {
+  std::vector<std::string> Files;
+  if (!Command{"check", "FILES...", {}}.parse(A, &Files))
+    return 2;
   bool Ok = true;
-  while (const char *Arg = A.next()) {
-    if (Arg[0] == '-' && Arg[1] != '\0')
-      return unknownToken("check", Arg);
-    auto Source = readFile(Arg);
+  for (const std::string &Path : Files) {
+    auto Source = readFile(Path);
     if (!Source) {
       Ok = false;
       continue;
     }
     StringInterner Strings;
     DiagnosticSink Diags;
-    auto P = parseAndLower(*Source, Arg, Strings, Diags);
+    auto P = parseAndLower(*Source, Path, Strings, Diags);
     if (!P) {
-      std::fprintf(stderr, "%s:\n%s", Arg, Diags.render().c_str());
+      std::fprintf(stderr, "%s:\n%s", Path.c_str(), Diags.render().c_str());
       Ok = false;
     } else {
-      std::printf("%s: ok (%u sites, %u guards)\n", Arg, P->NumSites,
+      std::printf("%s: ok (%u sites, %u guards)\n", Path.c_str(), P->NumSites,
                   P->NumGuards);
     }
   }
@@ -1079,91 +1041,24 @@ void installSignalHandler(std::initializer_list<int> Signals,
 }
 
 int cmdServe(Args &A) {
-  std::string ModelPath, SpecsPath, SocketPath, TracePath, EventsPath;
+  std::string SpecsPath, SocketPath, TracePath, EventsPath;
   service::ServerConfig Cfg;
-  while (const char *Arg = A.next()) {
-    if (!std::strcmp(Arg, "--trace")) {
-      const char *V = A.next();
-      if (!V)
-        return missingValue("serve", Arg);
-      TracePath = V;
-    } else if (!std::strcmp(Arg, "--events")) {
-      const char *V = A.next();
-      if (!V)
-        return missingValue("serve", Arg);
-      EventsPath = V;
-    } else if (!std::strcmp(Arg, "--slow-ms")) {
-      const char *V = A.next();
-      if (!V)
-        return missingValue("serve", Arg);
-      uint64_t Val = 0;
-      if (!parseUInt("--slow-ms", V, Val))
-        return 2;
-      Cfg.SlowRequestMs = static_cast<unsigned>(Val);
-    } else if (!std::strcmp(Arg, "--model")) {
-      const char *V = A.next();
-      if (!V)
-        return missingValue("serve", Arg);
-      ModelPath = V;
-    } else if (!std::strcmp(Arg, "--specs")) {
-      const char *V = A.next();
-      if (!V)
-        return missingValue("serve", Arg);
-      SpecsPath = V;
-    } else if (!std::strcmp(Arg, "--socket")) {
-      const char *V = A.next();
-      if (!V)
-        return missingValue("serve", Arg);
-      SocketPath = V;
-    } else if (!std::strcmp(Arg, "--workers")) {
-      const char *V = A.next();
-      if (!V)
-        return missingValue("serve", Arg);
-      uint64_t Val = 0;
-      if (!parseUInt("--workers", V, Val))
-        return 2;
-      Cfg.Workers = static_cast<unsigned>(Val);
-    } else if (!std::strcmp(Arg, "--queue")) {
-      const char *V = A.next();
-      if (!V)
-        return missingValue("serve", Arg);
-      uint64_t Val = 0;
-      if (!parseUInt("--queue", V, Val))
-        return 2;
-      if (!Val) {
-        std::fprintf(stderr, "error: --queue must be at least 1\n");
-        return 2;
-      }
-      Cfg.QueueCapacity = Val;
-    } else if (!std::strcmp(Arg, "--cache")) {
-      const char *V = A.next();
-      if (!V)
-        return missingValue("serve", Arg);
-      uint64_t Val = 0;
-      if (!parseUInt("--cache", V, Val))
-        return 2;
-      Cfg.CacheCapacity = Val;
-    } else if (!std::strcmp(Arg, "--request-timeout")) {
-      const char *V = A.next();
-      if (!V)
-        return missingValue("serve", Arg);
-      uint64_t Val = 0;
-      if (!parseUInt("--request-timeout", V, Val))
-        return 2;
-      Cfg.RequestTimeoutMs = static_cast<unsigned>(Val);
-    } else if (!std::strcmp(Arg, "--step-budget")) {
-      const char *V = A.next();
-      if (!V)
-        return missingValue("serve", Arg);
-      uint64_t Val = 0;
-      if (!parseUInt("--step-budget", V, Val))
-        return 2;
-      Cfg.MaxStepsPerRequest = Val;
-    } else {
-      return unknownToken("serve", Arg);
-    }
-  }
-  if (!SpecsPath.empty() && !ModelPath.empty()) {
+  const Command C{"serve",
+                  "",
+                  {{"--model", &Cfg.ModelPath, "run.uspb"},
+                   {"--specs", &SpecsPath, "specs.txt"},
+                   {"--socket", &SocketPath, "PATH"},
+                   {"--workers", &Cfg.Workers, "N"},
+                   {"--queue", &Cfg.QueueCapacity, "N", 1},
+                   {"--cache", &Cfg.CacheCapacity, "N"},
+                   {"--request-timeout", &Cfg.RequestTimeoutMs, "MS"},
+                   {"--step-budget", &Cfg.MaxStepsPerRequest, "N"},
+                   {"--slow-ms", &Cfg.SlowRequestMs, "N"},
+                   {"--trace", &TracePath, "t.json"},
+                   {"--events", &EventsPath, "e.jsonl"}}};
+  if (!C.parse(A))
+    return 2;
+  if (!SpecsPath.empty() && !Cfg.ModelPath.empty()) {
     std::fprintf(stderr, "error: --specs and --model are mutually "
                          "exclusive\n");
     return 2;
@@ -1176,16 +1071,15 @@ int cmdServe(Args &A) {
   // path. ServerConfig::ModelPath is what SIGHUP / `reload` without an
   // explicit path re-reads.
   std::optional<service::ModelState> Model;
-  if (!ModelPath.empty()) {
-    Cfg.ModelPath = ModelPath;
+  if (!Cfg.ModelPath.empty()) {
     std::string Err;
-    Model = service::loadModelState(ModelPath, &Err);
+    Model = service::loadModelState(Cfg.ModelPath, &Err);
     if (!Model) {
       std::fprintf(stderr, "error: %s\n", Err.c_str());
       return 1;
     }
   } else {
-    auto Specs = loadServiceSpecs(SpecsPath, ModelPath);
+    auto Specs = loadServiceSpecs(SpecsPath, "");
     if (!Specs)
       return 1;
     Model = service::ModelState::make(
@@ -1233,102 +1127,28 @@ int cmdServe(Args &A) {
 /// socket path), or — when only `--model` is given — via a synthesized
 /// `<this binary> serve --socket {socket} --model PATH`.
 int cmdRoute(Args &A) {
-  std::string SocketPath, ReplicaList, RespawnCmd, ModelPath, TracePath,
-      EventsPath;
-  uint64_t Vnodes = 64, ProbeIntervalMs = 500, RespawnSeed = 0, HedgeMs = 0,
-           WarmKeys = 32;
-  bool Supervise = false, HedgeAuto = false;
-  while (const char *Arg = A.next()) {
-    if (!std::strcmp(Arg, "--socket")) {
-      const char *V = A.next();
-      if (!V)
-        return missingValue("route", Arg);
-      SocketPath = V;
-    } else if (!std::strcmp(Arg, "--replicas")) {
-      const char *V = A.next();
-      if (!V)
-        return missingValue("route", Arg);
-      ReplicaList = V;
-    } else if (!std::strcmp(Arg, "--vnodes")) {
-      const char *V = A.next();
-      if (!V)
-        return missingValue("route", Arg);
-      if (!parseUInt("--vnodes", V, Vnodes))
-        return 2;
-      if (!Vnodes) {
-        std::fprintf(stderr, "error: --vnodes must be at least 1\n");
-        return 2;
-      }
-    } else if (!std::strcmp(Arg, "--supervise")) {
-      Supervise = true;
-    } else if (!std::strcmp(Arg, "--respawn-cmd")) {
-      const char *V = A.next();
-      if (!V)
-        return missingValue("route", Arg);
-      RespawnCmd = V;
-    } else if (!std::strcmp(Arg, "--model")) {
-      const char *V = A.next();
-      if (!V)
-        return missingValue("route", Arg);
-      ModelPath = V;
-    } else if (!std::strcmp(Arg, "--probe-interval-ms")) {
-      const char *V = A.next();
-      if (!V)
-        return missingValue("route", Arg);
-      if (!parseUInt("--probe-interval-ms", V, ProbeIntervalMs))
-        return 2;
-      if (!ProbeIntervalMs) {
-        std::fprintf(stderr,
-                     "error: --probe-interval-ms must be at least 1\n");
-        return 2;
-      }
-    } else if (!std::strcmp(Arg, "--respawn-seed")) {
-      const char *V = A.next();
-      if (!V)
-        return missingValue("route", Arg);
-      if (!parseUInt("--respawn-seed", V, RespawnSeed))
-        return 2;
-    } else if (!std::strcmp(Arg, "--hedge-ms")) {
-      const char *V = A.next();
-      if (!V)
-        return missingValue("route", Arg);
-      if (!parseUInt("--hedge-ms", V, HedgeMs))
-        return 2;
-    } else if (!std::strcmp(Arg, "--hedge-auto")) {
-      HedgeAuto = true;
-    } else if (!std::strcmp(Arg, "--warm-keys")) {
-      const char *V = A.next();
-      if (!V)
-        return missingValue("route", Arg);
-      if (!parseUInt("--warm-keys", V, WarmKeys))
-        return 2;
-    } else if (!std::strcmp(Arg, "--trace")) {
-      const char *V = A.next();
-      if (!V)
-        return missingValue("route", Arg);
-      TracePath = V;
-    } else if (!std::strcmp(Arg, "--events")) {
-      const char *V = A.next();
-      if (!V)
-        return missingValue("route", Arg);
-      EventsPath = V;
-    } else {
-      return unknownToken("route", Arg);
-    }
-  }
+  std::string SocketPath, ReplicaList, ModelPath, TracePath, EventsPath;
+  distrib::RouterConfig Cfg;
+  const Command C{"route",
+                  "",
+                  {{"--socket", &SocketPath, "PATH"},
+                   {"--replicas", &ReplicaList, "SOCK1,SOCK2,..."},
+                   {"--vnodes", &Cfg.VirtualNodes, "N", 1},
+                   {"--supervise", &Cfg.Supervise},
+                   {"--respawn-cmd", &Cfg.RespawnCmd, "CMD"},
+                   {"--model", &ModelPath, "run.uspb"},
+                   {"--probe-interval-ms", &Cfg.ProbeIntervalMs, "N", 1},
+                   {"--respawn-seed", &Cfg.RespawnSeed, "S"},
+                   {"--hedge-ms", &Cfg.HedgeMs, "N"},
+                   {"--hedge-auto", &Cfg.HedgeAuto},
+                   {"--warm-keys", &Cfg.WarmKeys, "K"},
+                   {"--trace", &TracePath, "t.json"},
+                   {"--events", &EventsPath, "e.jsonl"}}};
+  if (!C.parse(A))
+    return 2;
   if (!startTelemetry(TracePath, EventsPath))
     return 2;
-  distrib::RouterConfig Cfg;
-  Cfg.VirtualNodes = static_cast<unsigned>(Vnodes);
-  Cfg.Supervise = Supervise;
-  Cfg.ProbeIntervalMs = static_cast<unsigned>(ProbeIntervalMs);
-  Cfg.RespawnSeed = RespawnSeed;
-  Cfg.HedgeMs = static_cast<unsigned>(HedgeMs);
-  Cfg.HedgeAuto = HedgeAuto;
-  Cfg.WarmKeys = static_cast<unsigned>(WarmKeys);
-  if (!RespawnCmd.empty()) {
-    Cfg.RespawnCmd = RespawnCmd;
-  } else if (Supervise && !ModelPath.empty()) {
+  if (Cfg.RespawnCmd.empty() && Cfg.Supervise && !ModelPath.empty()) {
     // Own the replica processes outright: respawn them as this very binary.
     char Self[4096];
     ssize_t N = ::readlink("/proc/self/exe", Self, sizeof(Self) - 1);
@@ -1358,10 +1178,9 @@ int cmdRoute(Args &A) {
   installSignalHandler({SIGTERM, SIGINT}, onStopSignal);
   return Router.serveUnixSocket(SocketPath, &GStopRequested, [&] {
     std::fprintf(stderr,
-                 "uspec route: %zu replicas, %llu vnodes each, listening on "
+                 "uspec route: %zu replicas, %u vnodes each, listening on "
                  "%s%s%s%s\n",
-                 Cfg.Replicas.size(), static_cast<unsigned long long>(Vnodes),
-                 SocketPath.c_str(),
+                 Cfg.Replicas.size(), Cfg.VirtualNodes, SocketPath.c_str(),
                  Cfg.Supervise ? (Cfg.RespawnCmd.empty()
                                       ? " (supervise: probe/rejoin)"
                                       : " (supervise: respawn)")
@@ -1388,61 +1207,23 @@ void appendField(std::string &Out, const char *Key, std::string_view Value) {
 
 int cmdQuery(Args &A) {
   std::string SocketPath, RawRequest, TraceId;
-  std::vector<const char *> Positional;
+  std::vector<std::string> Positional;
   bool Coverage = false;
   uint64_t Retries = 0, RetrySeed = 0;
   std::vector<std::string> Sources, Sinks, Sanitizers;
-  while (const char *Arg = A.next()) {
-    if (!std::strcmp(Arg, "--socket")) {
-      const char *V = A.next();
-      if (!V)
-        return missingValue("query", Arg);
-      SocketPath = V;
-    } else if (!std::strcmp(Arg, "--trace-id")) {
-      const char *V = A.next();
-      if (!V)
-        return missingValue("query", Arg);
-      TraceId = V;
-    } else if (!std::strcmp(Arg, "--retries")) {
-      const char *V = A.next();
-      if (!V)
-        return missingValue("query", Arg);
-      if (!parseUInt("--retries", V, Retries))
-        return 2;
-    } else if (!std::strcmp(Arg, "--retry-seed")) {
-      const char *V = A.next();
-      if (!V)
-        return missingValue("query", Arg);
-      if (!parseUInt("--retry-seed", V, RetrySeed))
-        return 2;
-    } else if (!std::strcmp(Arg, "--json")) {
-      const char *V = A.next();
-      if (!V)
-        return missingValue("query", Arg);
-      RawRequest = V;
-    } else if (!std::strcmp(Arg, "--coverage")) {
-      Coverage = true;
-    } else if (!std::strcmp(Arg, "--source")) {
-      const char *V = A.next();
-      if (!V)
-        return missingValue("query", Arg);
-      Sources.push_back(V);
-    } else if (!std::strcmp(Arg, "--sink")) {
-      const char *V = A.next();
-      if (!V)
-        return missingValue("query", Arg);
-      Sinks.push_back(V);
-    } else if (!std::strcmp(Arg, "--sanitizer")) {
-      const char *V = A.next();
-      if (!V)
-        return missingValue("query", Arg);
-      Sanitizers.push_back(V);
-    } else if (Arg[0] == '-' && Arg[1] != '\0') {
-      return unknownToken("query", Arg);
-    } else {
-      Positional.push_back(Arg);
-    }
-  }
+  const Command C{"query",
+                  "VERB [ARGS...]",
+                  {{"--socket", &SocketPath, "PATH"},
+                   {"--retries", &Retries, "N"},
+                   {"--retry-seed", &RetrySeed, "S"},
+                   {"--trace-id", &TraceId, "ID"},
+                   {"--json", &RawRequest, "REQUEST"},
+                   {"--coverage", &Coverage},
+                   {"--source", &Sources, "M"},
+                   {"--sink", &Sinks, "M"},
+                   {"--sanitizer", &Sanitizers, "M"}}};
+  if (!C.parse(A, &Positional))
+    return 2;
   if (SocketPath.empty()) {
     std::fprintf(stderr, "error: query requires --socket PATH\n");
     return 2;
@@ -1451,7 +1232,7 @@ int cmdQuery(Args &A) {
   std::string Request;
   if (!RawRequest.empty()) {
     if (!Positional.empty())
-      return unknownToken("query", Positional.front());
+      return unknownToken("query", Positional.front().c_str());
     Request = RawRequest;
   } else {
     if (Positional.empty()) {
@@ -1536,7 +1317,7 @@ int cmdQuery(Args &A) {
       // server's own --model, an explicit path is read *by the server*
       // (this is a server-side file name, not program content).
       if (Positional.size() > 2)
-        return unknownToken("query", Positional[2]);
+        return unknownToken("query", Positional[2].c_str());
       Request = "{\"verb\":\"reload\"";
       if (Positional.size() == 2)
         appendField(Request, "path", Positional[1]);
@@ -1548,7 +1329,7 @@ int cmdQuery(Args &A) {
         return 2;
       Request = "{\"verb\":\"" + VerbName + "\"}";
     } else {
-      return unknownToken("query", Positional.front());
+      return unknownToken("query", Positional.front().c_str());
     }
     if (!TraceId.empty()) {
       Request.pop_back(); // reopen the object to append the trace id
@@ -1703,8 +1484,11 @@ std::string obsSpanArg(const service::JsonValue &E, const char *Key) {
 /// from span-name prefixes) and source shard, and flow events connect
 /// router.forward spans to the replica service.request spans that carry the
 /// same trace_id / trace_ctx.
-int cmdObsStitch(const std::vector<const char *> &Pos) {
-  if (Pos.size() < 3) {
+int cmdObsStitch(Args &A) {
+  std::vector<std::string> Pos;
+  if (!Command{"obs", "stitch OUT.json SHARD...", {}}.parse(A, &Pos))
+    return 2;
+  if (Pos.size() < 2) {
     std::fprintf(stderr,
                  "error: usage: uspec obs stitch OUT.json SHARD...\n");
     return 2;
@@ -1716,23 +1500,24 @@ int cmdObsStitch(const std::vector<const char *> &Pos) {
   };
   std::vector<Shard> Shards;
   double MinBaseNs = -1;
-  for (size_t I = 2; I < Pos.size(); ++I) {
-    auto Text = readFile(Pos[I]);
+  for (size_t I = 1; I < Pos.size(); ++I) {
+    const char *Path = Pos[I].c_str();
+    auto Text = readFile(Path);
     if (!Text)
       return 1;
     Shard S;
     std::string Err;
     if (!service::parseJson(*Text, S.Doc, &Err) || !S.Doc.isObject()) {
-      std::fprintf(stderr, "error: %s: not a trace shard: %s\n", Pos[I],
+      std::fprintf(stderr, "error: %s: not a trace shard: %s\n", Path,
                    Err.empty() ? "not a JSON object" : Err.c_str());
       return 1;
     }
     const service::JsonValue *Events = S.Doc.find("traceEvents");
     if (!Events || !Events->isArray()) {
-      std::fprintf(stderr, "error: %s: no traceEvents array\n", Pos[I]);
+      std::fprintf(stderr, "error: %s: no traceEvents array\n", Path);
       return 1;
     }
-    S.Label = Pos[I];
+    S.Label = Path;
     size_t Slash = S.Label.find_last_of('/');
     if (Slash != std::string::npos)
       S.Label.erase(0, Slash + 1);
@@ -1880,12 +1665,12 @@ int cmdObsStitch(const std::vector<const char *> &Pos) {
       }
   }
   Out += "]}";
-  if (!writeFile(Pos[1], Out))
+  if (!writeFile(Pos[0], Out))
     return 1;
   std::fprintf(stderr,
                "stitched %zu shards: %zu processes, %llu flow links -> %s\n",
                Shards.size(), PidRole.size(),
-               static_cast<unsigned long long>(Flows), Pos[1]);
+               static_cast<unsigned long long>(Flows), Pos[0].c_str());
   return 0;
 }
 
@@ -1956,26 +1741,17 @@ void renderObsTop(const service::JsonValue &Payload) {
 /// `uspec obs top --socket PATH [--watch] [--interval-ms N]`: one-shot (or
 /// refreshing) fleet summary over the router's stats fan-out — or a single
 /// serve socket's stats.
-int cmdObsTop(const std::vector<const char *> &Pos) {
+int cmdObsTop(Args &A) {
   std::string SocketPath;
   bool Watch = false;
   uint64_t IntervalMs = 2000;
-  for (size_t I = 1; I < Pos.size(); ++I) {
-    if (!std::strcmp(Pos[I], "--socket")) {
-      if (++I == Pos.size())
-        return missingValue("obs", "--socket");
-      SocketPath = Pos[I];
-    } else if (!std::strcmp(Pos[I], "--watch")) {
-      Watch = true;
-    } else if (!std::strcmp(Pos[I], "--interval-ms")) {
-      if (++I == Pos.size())
-        return missingValue("obs", "--interval-ms");
-      if (!parseUInt("--interval-ms", Pos[I], IntervalMs) || !IntervalMs)
-        return 2;
-    } else {
-      return unknownToken("obs", Pos[I]);
-    }
-  }
+  const Command C{"obs",
+                  "top",
+                  {{"--socket", &SocketPath, "PATH"},
+                   {"--watch", &Watch},
+                   {"--interval-ms", &IntervalMs, "N", 1}}};
+  if (!C.parse(A))
+    return 2;
   if (SocketPath.empty()) {
     std::fprintf(stderr, "error: obs top requires --socket PATH\n");
     return 2;
@@ -2018,30 +1794,21 @@ int cmdObsTop(const std::vector<const char *> &Pos) {
 /// tail) a structured event log, filtered by event type. Torn or foreign
 /// lines are skipped, not fatal — the log is append-only JSONL from
 /// multiple processes.
-int cmdObsEvents(const std::vector<const char *> &Pos) {
-  std::string Path, Type;
+int cmdObsEvents(Args &A) {
+  std::vector<std::string> Pos;
+  std::string Type;
   bool Follow = false;
-  for (size_t I = 1; I < Pos.size(); ++I) {
-    if (!std::strcmp(Pos[I], "--follow")) {
-      Follow = true;
-    } else if (!std::strcmp(Pos[I], "--type")) {
-      if (++I == Pos.size())
-        return missingValue("obs", "--type");
-      Type = Pos[I];
-    } else if (Pos[I][0] == '-' && Pos[I][1] != '\0') {
-      return unknownToken("obs", Pos[I]);
-    } else if (Path.empty()) {
-      Path = Pos[I];
-    } else {
-      return unknownToken("obs", Pos[I]);
-    }
-  }
-  if (Path.empty()) {
+  const Command C{
+      "obs", "events FILE", {{"--follow", &Follow}, {"--type", &Type, "T"}}};
+  if (!C.parse(A, &Pos, 1))
+    return 2;
+  if (Pos.empty()) {
     std::fprintf(stderr,
                  "error: usage: uspec obs events FILE [--follow] "
                  "[--type T]\n");
     return 2;
   }
+  const std::string &Path = Pos[0];
   errno = 0;
   std::ifstream In(Path);
   if (!In) {
@@ -2076,52 +1843,69 @@ int cmdObsEvents(const std::vector<const char *> &Pos) {
   }
 }
 
+struct Subcommand {
+  const char *Name;
+  int (*Run)(Args &);
+};
+
+/// The entry of \p List named \p Name, or null.
+const Subcommand *findSubcommand(std::span<const Subcommand> List,
+                                 std::string_view Name) {
+  for (const Subcommand &S : List)
+    if (S.Name == Name)
+      return &S;
+  return nullptr;
+}
+
 /// `uspec obs (stitch|top|events) ...` dispatch.
 int cmdObs(Args &A) {
-  std::vector<const char *> Pos;
-  while (const char *Arg = A.next())
-    Pos.push_back(Arg);
-  if (Pos.empty()) {
+  static const Subcommand Modes[] = {
+      {"stitch", cmdObsStitch}, {"top", cmdObsTop}, {"events", cmdObsEvents}};
+  if (A.UsageOnly) {
+    for (const Subcommand &M : Modes)
+      M.Run(A);
+    return 2;
+  }
+  const char *Mode = A.next();
+  if (!Mode) {
     std::fprintf(stderr,
                  "error: obs requires a mode: stitch, top or events\n");
     return 2;
   }
-  if (!std::strcmp(Pos[0], "stitch"))
-    return cmdObsStitch(Pos);
-  if (!std::strcmp(Pos[0], "top"))
-    return cmdObsTop(Pos);
-  if (!std::strcmp(Pos[0], "events"))
-    return cmdObsEvents(Pos);
-  return unknownToken("obs", Pos[0]);
+  if (const Subcommand *M = findSubcommand(Modes, Mode))
+    return M->Run(A);
+  return unknownToken("obs", Mode);
 }
 
-int runSubcommand(Args &A, const char *Cmd) {
-  if (!std::strcmp(Cmd, "gen"))
-    return cmdGen(A);
-  if (!std::strcmp(Cmd, "learn"))
-    return cmdLearnOrTrain(A, /*Train=*/false);
-  if (!std::strcmp(Cmd, "train"))
-    return cmdLearnOrTrain(A, /*Train=*/true);
-  if (!std::strcmp(Cmd, "ingest"))
-    return cmdIngest(A);
-  if (!std::strcmp(Cmd, "select"))
-    return cmdSelect(A);
-  if (!std::strcmp(Cmd, "info"))
-    return cmdInfo(A);
-  if (!std::strcmp(Cmd, "analyze"))
-    return cmdAnalyze(A);
-  if (!std::strcmp(Cmd, "serve"))
-    return cmdServe(A);
-  if (!std::strcmp(Cmd, "route"))
-    return cmdRoute(A);
-  if (!std::strcmp(Cmd, "query"))
-    return cmdQuery(A);
-  if (!std::strcmp(Cmd, "obs"))
-    return cmdObs(A);
-  if (!std::strcmp(Cmd, "check"))
-    return cmdCheck(A);
-  std::fprintf(stderr, "error: unknown subcommand '%s'\n", Cmd);
-  return usage();
+const Subcommand Subcommands[] = {
+    {"gen", cmdGen},
+    {"learn", [](Args &A) { return cmdLearnOrTrain(A, /*Train=*/false); }},
+    {"train", [](Args &A) { return cmdLearnOrTrain(A, /*Train=*/true); }},
+    {"ingest", cmdIngest},
+    {"select", cmdSelect},
+    {"info", cmdInfo},
+    {"analyze", cmdAnalyze},
+    {"check", cmdCheck},
+    {"serve", cmdServe},
+    {"route", cmdRoute},
+    {"query", cmdQuery},
+    {"obs", cmdObs},
+};
+
+int usage(const char *Only) {
+  std::fprintf(stderr, "usage:\n");
+  for (const Subcommand &S : Subcommands) {
+    if (Only && S.Name != std::string_view(Only))
+      continue;
+    Args A{0, nullptr};
+    A.UsageOnly = true;
+    S.Run(A);
+  }
+  if (!Only)
+    std::fprintf(stderr, "(USPEC_TRACE=t.json arms --trace for any "
+                         "subcommand;\n USPEC_EVENTS=e.jsonl arms --events "
+                         "the same way)\n");
+  return 2;
 }
 
 } // namespace
@@ -2135,7 +1919,13 @@ int main(int Argc, char **Argv) {
   trace::loadFromEnv();
   events::loadFromEnv();
   Args A{Argc, Argv};
-  int Rc = runSubcommand(A, Argv[1]);
+  int Rc = 2;
+  if (const Subcommand *S = findSubcommand(Subcommands, Argv[1])) {
+    Rc = S->Run(A);
+  } else {
+    std::fprintf(stderr, "error: unknown subcommand '%s'\n", Argv[1]);
+    usage();
+  }
   std::string TraceErr;
   if (!trace::finish(&TraceErr))
     std::fprintf(stderr, "warning: failed to write trace: %s\n",
