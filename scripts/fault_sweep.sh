@@ -11,6 +11,10 @@
 #                    `train --resume` converges to the uninterrupted bytes;
 #   analysis.step /  a per-program soft fault quarantines that program
 #   learn.analyze    (reported in --stats) instead of sinking the run;
+#   --step-budget    a program whose candidate extraction outruns the
+#                    per-program budget is quarantined as extract:steps,
+#                    keeps its training samples, and the specs are the same
+#                    bytes at 1 and 4 threads;
 #   service.worker   a worker death mid-request yields a structured
 #                    `internal` error, the pool self-heals, and the server
 #                    still answers and drains cleanly;
@@ -92,6 +96,51 @@ for spec in analysis.step:1:soft learn.analyze:0; do
     echo "   $spec: quarantined 1 program, run survived"
   fi
 done
+
+echo "== extract step budget: a receiver-heavy program is quarantined"
+# 40 put/get pairs on one receiver: the analysis fits in 800 steps, Alg. 1
+# over the receiver pairs does not; every generated program fits both.
+"$USPEC" gen --profile java -n 30 -o "$WORK/bcorpus" --seed 19 >/dev/null 2>&1
+{
+  echo 'class Main {'
+  echo '  def main() {'
+  echo '    var m = new HashMap();'
+  echo '    var v = new File("cfg");'
+  for i in $(seq 0 39); do
+    echo "    m.put(\"k\", v); var f$i = m.get(\"k\");"
+  done
+  echo '  }'
+  echo '}'
+} > "$WORK/bcorpus/heavy.mini"
+samples() { grep -o '"training_samples": [0-9]*' "$1" | tail -1; }
+"$USPEC" learn "$WORK/bcorpus"/*.mini --threads 1 --stats \
+  -o "$WORK/nobudget.txt" 2> "$WORK/nobudget.err"
+for t in 1 4; do
+  "$USPEC" learn "$WORK/bcorpus"/*.mini --step-budget 800 --threads "$t" \
+    --stats -o "$WORK/budget$t.txt" 2> "$WORK/budget$t.err"
+  if ! grep -q '"quarantined_count": 1,' "$WORK/budget$t.err"; then
+    echo "FAIL: --step-budget 800 --threads $t: expected one quarantined" \
+         "program" >&2
+    cat "$WORK/budget$t.err" >&2
+    fail=1
+  fi
+  if ! grep -q 'heavy.mini", "reason": "extract:steps"' "$WORK/budget$t.err"
+  then
+    echo "FAIL: --threads $t: heavy.mini not quarantined as extract:steps" >&2
+    fail=1
+  fi
+  if [ "$(samples "$WORK/budget$t.err")" != \
+       "$(samples "$WORK/nobudget.err")" ]; then
+    echo "FAIL: --threads $t: training samples differ from the unbudgeted" \
+         "run" >&2
+    fail=1
+  fi
+done
+if ! cmp -s "$WORK/budget1.txt" "$WORK/budget4.txt"; then
+  echo "FAIL: --step-budget 800: specs differ between 1 and 4 threads" >&2
+  fail=1
+fi
+[ "$fail" -eq 0 ] && echo "   extract:steps quarantine, same bytes at 1 and 4 threads OK"
 
 echo "== service.worker death: structured error, pool self-heals"
 "$USPEC" train "$WORK/corpus"/*.mini -o "$WORK/run.uspb" --seed 19 \

@@ -8,8 +8,11 @@
 /// Alg. 1: for each event graph, enumerate call-site pairs with the same
 /// receiver (bounded history distance, §7.1), match the specification
 /// patterns, instantiate candidate specifications, and record the model's
-/// confidence on each single induced edge. Scoring functions (§5.2) turn
-/// the per-candidate confidence list ΓS into a score.
+/// confidence on each single induced edge. The evidence is one table,
+/// CandidateLedger: one entry per candidate in first-seen order, with one
+/// merge (append) that folds a run's shards and the ledger carried across
+/// incremental runs alike. Scoring (§5.2) turns an entry's confidence list
+/// ΓS into a score.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -22,21 +25,9 @@
 #include "support/Stats.h"
 
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 namespace uspec {
-
-/// Aggregated evidence for one candidate specification.
-struct CandidateStats {
-  /// ΓS: edge confidences from single-induced-edge matches.
-  std::vector<double> Confidences;
-  /// Total number of pattern matches (also multi-edge ones).
-  size_t Matches = 0;
-  /// Number of distinct programs with at least one match.
-  size_t Programs = 0;
-  std::unordered_set<uint32_t> ProgramIds;
-};
 
 /// The scoring alternatives discussed in §5.2/§7.2.
 enum class ScoreKind : uint8_t {
@@ -49,23 +40,34 @@ enum class ScoreKind : uint8_t {
                 ///< the §5.3 future-work direction (core/Naming.h).
 };
 
-/// Computes score(S) from aggregated stats.
-double scoreCandidate(const CandidateStats &Stats, ScoreKind Kind,
+/// The evidence for every candidate specification seen so far, one entry
+/// per candidate in first-seen order. A collector builds one table per
+/// shard; a run's ledger is its shard tables appended in shard order, and
+/// incremental runs carry it forward (DESIGN.md §12).
+struct CandidateLedger {
+  struct Entry {
+    Spec S;
+    std::vector<double> Confidences; ///< ΓS in global graph order.
+    size_t Matches = 0;  ///< Pattern matches (also multi-edge ones).
+    size_t Programs = 0; ///< Programs with at least one match.
+  };
+  std::vector<Entry> Entries; ///< First-seen candidate order.
+
+  /// Folds \p Later, evidence over strictly later programs, into this
+  /// table: known candidates keep their slots (ΓS concatenates in graph
+  /// order, matches and program counts add), new ones append in \p Later's
+  /// first-seen order. The fold is associative, so appending shard tables
+  /// in shard order equals one serial pass.
+  void append(CandidateLedger Later);
+};
+
+/// Computes score(S) from one candidate's evidence.
+double scoreCandidate(const CandidateLedger::Entry &E, ScoreKind Kind,
                       size_t TopK);
 
-/// Same scoring over bare evidence (the CandidateLedger representation,
-/// which stores counts instead of program-id sets).
-double scoreCandidate(const std::vector<double> &Confidences, size_t Matches,
-                      size_t Programs, ScoreKind Kind, size_t TopK);
-
-/// Collects candidate specifications across event graphs.
-///
-/// The collector is mergeable for sharded extraction: give each worker its
-/// own collector over a contiguous range of graphs, then merge the shards
-/// left-to-right (lowest graph range first) with merge(). The merged
-/// collector is bit-identical — candidate order, per-candidate confidence
-/// order, match/program counts — to one collector fed every graph serially
-/// in the same overall order.
+/// Runs Alg. 1 over event graphs into one CandidateLedger table. For
+/// sharded extraction give each worker its own collector over a contiguous
+/// range of programs and append the tables in shard order.
 class CandidateCollector {
 public:
   /// \p ExperimentalPatterns additionally instantiates the §5.3 extension
@@ -75,69 +77,47 @@ public:
       : Model(Model), DistanceBound(DistanceBound),
         Experimental(ExperimentalPatterns) {}
 
-  /// Processes one event graph (Alg. 1). \p ProgramId identifies the program
-  /// for per-program match statistics. With a budget, each receiver pair and
-  /// each pattern probe consumes steps; on exhaustion extraction stops and
-  /// returns false, leaving this collector with a PARTIAL contribution from
-  /// \p G — callers that need all-or-nothing semantics stage the graph into
-  /// a scratch collector and merge() only on success (see Learner Phase 3).
-  /// Returns true when the graph was processed completely.
+  /// Processes program \p ProgramId's event graph (Alg. 1), all or nothing:
+  /// the graph's matches are held and committed only once it completes.
+  /// With a budget, each receiver pair and each pattern probe consumes
+  /// steps; when it runs out this returns false and leaves the table and
+  /// counters as they were. Add each program's graph at most once: its
+  /// first match of a candidate counts the program.
   bool addGraph(const EventGraph &G, uint32_t ProgramId, Budget *B = nullptr);
 
-  /// Folds \p Other (a shard covering strictly later graphs) into this
-  /// collector deterministically: first-seen candidate order is preserved
-  /// (this shard's candidates keep their slots, Other's new ones append in
-  /// Other's order), confidences concatenate in graph order, matches sum and
-  /// program-id sets union. \p Other is consumed.
-  void merge(CandidateCollector &&Other);
+  /// The evidence so far.
+  const CandidateLedger &table() const { return Table; }
 
-  /// Aggregated candidates. Deterministic order is provided by candidates().
-  const std::unordered_map<Spec, CandidateStats, SpecHash> &stats() const {
-    return Candidates;
-  }
+  /// Moves the table out, leaving this collector's table empty.
+  CandidateLedger take();
 
-  /// Candidates in first-seen order.
-  const std::vector<Spec> &candidates() const { return Order; }
-
-  /// Receiver pairs enumerated / pattern matches recorded so far (Alg. 1
-  /// workload counters; both are invariant under sharding + merge).
+  /// Receiver pairs enumerated / pattern matches recorded so far over the
+  /// completed graphs (Alg. 1 workload counters; shard counters add up to
+  /// a serial run's).
   size_t numReceiverPairs() const { return ReceiverPairsSeen; }
   size_t numMatches() const { return TotalMatches; }
 
 private:
-  /// \p Labels is \p G's label table, built on the first scored match.
-  void recordMatch(const Spec &S, const EventGraph &G, EventLabels &Labels,
-                   const std::vector<InducedEdge> &Edges, uint32_t ProgramId);
+  /// One match of the graph in progress; scored when it induces one edge.
+  struct PendingMatch {
+    Spec S;
+    bool Scored;
+    double Confidence;
+  };
+  /// A candidate's entry in Table and the last program that matched it.
+  struct Slot {
+    size_t Index;
+    uint32_t LastProgram;
+  };
 
   const EdgeModel &Model;
   unsigned DistanceBound;
   bool Experimental;
-  std::unordered_map<Spec, CandidateStats, SpecHash> Candidates;
-  std::vector<Spec> Order;
+  CandidateLedger Table;
+  std::unordered_map<Spec, Slot, SpecHash> Slots;
+  std::vector<PendingMatch> Pending;
   size_t ReceiverPairsSeen = 0;
   size_t TotalMatches = 0;
-};
-
-/// A position-independent snapshot of the merged candidate evidence, carried
-/// across incremental training runs (DESIGN.md §12). Unlike the collector it
-/// keeps only the program *count* per candidate, not the id set — delta runs
-/// cover strictly later programs, so their id sets are disjoint from
-/// everything already folded in and the counts simply add.
-struct CandidateLedger {
-  struct Entry {
-    Spec S;
-    std::vector<double> Confidences; ///< ΓS in global graph order.
-    size_t Matches = 0;
-    size_t Programs = 0;
-  };
-  std::vector<Entry> Entries; ///< First-seen candidate order.
-
-  /// Folds a collector over strictly later graphs into the ledger with the
-  /// same semantics as CandidateCollector::merge: known candidates keep
-  /// their slots (confidences concatenate in graph order, matches and
-  /// program counts sum), new ones append in \p Delta's first-seen order.
-  /// Extending an empty ledger snapshots \p Delta as it stands.
-  void extendWith(const CandidateCollector &Delta);
 };
 
 } // namespace uspec

@@ -181,12 +181,12 @@ LearnResult USpecLearner::runPhases(const std::vector<IRProgram> &Programs,
 
   // Phase 3 (Alg. 1): candidate extraction and confidence collection,
   // sharded. Each worker runs Alg. 1 over its own contiguous range of
-  // graphs into a private collector (ϕ queries are read-only), then the
-  // shards fold left-to-right into shard 0. The merge preserves first-seen
-  // candidate order and graph-order ΓS, so the merged table is bit-identical
-  // to a serial pass at any shard count. The merged table then folds into
-  // the carried ledger: known candidates keep their slots, new ones append
-  // in first-seen order (from an empty ledger that is the table itself).
+  // graphs into a private collector (ϕ queries are read-only). A graph adds
+  // its evidence all or nothing: one whose step budget runs out adds none
+  // and quarantines its program. The shard tables then append to the
+  // carried ledger in shard order: known candidates keep their slots, new
+  // ones append in first-seen order, so the ledger is bit-identical to a
+  // serial pass at any shard count.
   {
   TraceSpan PhaseSpan("learn.phase3_extract");
   std::vector<CandidateCollector> Shards;
@@ -199,32 +199,19 @@ LearnResult USpecLearner::runPhases(const std::vector<IRProgram> &Programs,
     for (size_t I = Lo; I < Hi; ++I) {
       if (!QReason[I].empty())
         continue; // quarantined in Phase 1; default graph has no analysis
-      if (Config.ProgramStepBudget == 0) {
-        Shards[S].addGraph(Graphs[I], static_cast<uint32_t>(Base + I));
-        continue;
-      }
-      // Budgeted extraction is all-or-nothing per graph: stage into a
-      // scratch collector and merge only on completion, so a quarantined
-      // graph contributes nothing (deterministic at any shard count; merge
-      // is bit-identical to a direct addGraph, see parallel_test).
       Budget B = Budget::steps(Config.ProgramStepBudget);
-      CandidateCollector Tmp(Result.Model, Config.DistanceBound,
-                             Config.ExperimentalPatterns);
-      if (Tmp.addGraph(Graphs[I], static_cast<uint32_t>(Base + I), &B))
-        Shards[S].merge(std::move(Tmp));
-      else
+      if (!Shards[S].addGraph(Graphs[I], static_cast<uint32_t>(Base + I), &B))
         QReason[I] = "extract:steps";
     }
   });
   // Phase 3 is the graphs' last reader: free them inside its span.
   std::vector<EventGraph>().swap(Graphs);
-  for (const CandidateCollector &Shard : Shards)
-    Result.Stats.PeakCandidates += Shard.candidates().size();
-  for (size_t S = 1; S < Shards.size(); ++S)
-    Shards[0].merge(std::move(Shards[S]));
-  Result.Ledger.extendWith(Shards[0]);
-  Result.Stats.ReceiverPairs = Shards[0].numReceiverPairs();
-  Result.Stats.Matches = Shards[0].numMatches();
+  for (CandidateCollector &Shard : Shards) {
+    Result.Stats.PeakCandidates += Shard.table().Entries.size();
+    Result.Stats.ReceiverPairs += Shard.numReceiverPairs();
+    Result.Stats.Matches += Shard.numMatches();
+    Result.Ledger.append(Shard.take());
+  }
   }
   Result.Stats.Candidates = Result.Ledger.Entries.size();
   Result.Stats.ExtractSeconds = Phase.lap();
@@ -242,8 +229,7 @@ LearnResult USpecLearner::runPhases(const std::vector<IRProgram> &Programs,
     const CandidateLedger::Entry &E = Entries[I];
     ScoredCandidate C;
     C.S = E.S;
-    C.Score = scoreCandidate(E.Confidences, E.Matches, E.Programs,
-                             Config.Scoring, Config.TopK);
+    C.Score = scoreCandidate(E, Config.Scoring, Config.TopK);
     if (Config.Scoring == ScoreKind::NameAware)
       C.Score = blendWithNamingPrior(C.Score, namingPrior(E.S, Strings));
     C.Matches = E.Matches;

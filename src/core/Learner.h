@@ -69,9 +69,10 @@ struct LearnerConfig {
   /// (0 = unlimited). A program that exhausts its budget — or throws — is
   /// quarantined (recorded in PipelineStats::Quarantined with a reason)
   /// instead of aborting the run. Quarantine is in-place: the program keeps
-  /// its corpus slot (empty graph, no samples), so per-program sample seeds
-  /// hashValues(Seed, I) and shard boundaries are unchanged and the result
-  /// stays bit-identical at any thread count.
+  /// its corpus slot (empty graph, no samples; one whose extraction runs out
+  /// keeps its samples and adds no candidate evidence), so per-program
+  /// sample seeds hashValues(Seed, I) and shard boundaries are unchanged and
+  /// the result stays bit-identical at any thread count.
   uint64_t ProgramStepBudget = 0;
 };
 

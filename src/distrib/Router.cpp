@@ -164,30 +164,6 @@ std::string Router::statsJson() const {
 
 namespace {
 
-/// Recovers the byte-exact result payload from a serve envelope. The probe
-/// requests below carry no id, so the envelope is either the fixed prefix
-/// or — when the fan-out propagated a client trace id — that prefix after
-/// a leading `"trace_id"` member.
-bool stripOkEnvelope(const std::string &Response, std::string &Payload) {
-  static const std::string Marker = "\"ok\":true,\"result\":";
-  if (Response.size() <= Marker.size() + 2 || Response.front() != '{' ||
-      Response.back() != '}')
-    return false;
-  size_t Pos;
-  if (Response.compare(1, Marker.size(), Marker) == 0) {
-    Pos = 1 + Marker.size();
-  } else if (Response.compare(1, 11, "\"trace_id\":") == 0) {
-    size_t At = Response.find("," + Marker, 12);
-    if (At == std::string::npos)
-      return false;
-    Pos = At + 1 + Marker.size();
-  } else {
-    return false;
-  }
-  Payload.assign(Response, Pos, Response.size() - Pos - 1);
-  return true;
-}
-
 bool responseOk(const std::string &Response) {
   return Response.find("\"ok\":true") != std::string::npos;
 }
@@ -557,9 +533,13 @@ std::string Router::fanOut(const std::string &Id, std::string_view TraceId,
     // "down":true here instead of being silently listed as healthy.
     Payload += ",\"down\":";
     Payload += isDown(I) ? "true" : "false";
-    std::string Inner;
-    if (Results[I].first && stripOkEnvelope(Results[I].second, Inner)) {
-      Payload += ",\"ok\":true,\"stats\":" + Inner;
+    // The probes carry no id, only the client's trace id, if any.
+    std::optional<std::string_view> Inner;
+    if (Results[I].first)
+      Inner = service::okPayload(Results[I].second);
+    if (Inner) {
+      Payload += ",\"ok\":true,\"stats\":";
+      Payload += *Inner;
     } else {
       Payload += ",\"ok\":false";
     }

@@ -584,6 +584,23 @@ std::string service::okResponse(const std::string &Id,
   return Out;
 }
 
+std::optional<std::string_view> service::okPayload(std::string_view Response) {
+  static constexpr std::string_view Marker = ",\"ok\":true,\"result\":";
+  if (Response.size() < 3 || Response.front() != '{' || Response.back() != '}')
+    return std::nullopt;
+  size_t Pos;
+  if (Response.compare(1, Marker.size() - 1, Marker.substr(1)) == 0)
+    Pos = Marker.size();
+  else if (Response.compare(1, 11, "\"trace_id\":") == 0 &&
+           (Pos = Response.find(Marker, 12)) != std::string_view::npos)
+    Pos += Marker.size();
+  else
+    return std::nullopt;
+  if (Pos + 1 >= Response.size())
+    return std::nullopt;
+  return Response.substr(Pos, Response.size() - Pos - 1);
+}
+
 std::string service::errorBody(std::string_view Kind,
                                std::string_view Message) {
   std::string Out = "{\"kind\":";
@@ -677,16 +694,6 @@ service::finishAnalysis(ParsedProgram &&Parsed, const ServiceSpecs &Specs,
   PA->CallSites = groupCallSites(*PA->Result);
   PA->AnalyzeJson = analyzePayload(*PA);
   return PA;
-}
-
-std::shared_ptr<const ProgramAnalysis>
-service::analyzeSource(std::string_view Source, std::string_view Name,
-                       const ServiceSpecs &Specs, bool Coverage,
-                       std::string *Error, Budget *B) {
-  auto Parsed = parseProgram(Source, Name, Error);
-  if (!Parsed)
-    return nullptr;
-  return finishAnalysis(std::move(*Parsed), Specs, Coverage, B);
 }
 
 //===----------------------------------------------------------------------===//

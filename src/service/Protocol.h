@@ -192,6 +192,12 @@ std::string scanRequestId(std::string_view Line);
 std::string okResponse(const std::string &Id, std::string_view Payload,
                        std::string_view TraceId = {});
 
+/// Undoes okResponse for an id-less success: PAYLOAD of
+/// `{"ok":true,"result":PAYLOAD}` or `{"trace_id":"TID","ok":true,
+/// "result":PAYLOAD}`, byte-exact; nullopt for any other line (an error
+/// answer, an id, a malformed or empty payload).
+std::optional<std::string_view> okPayload(std::string_view Response);
+
 /// `{"kind":KIND,"message":MESSAGE}` — the error body, also printed by
 /// `uspec analyze --json` on failure (inside `{"error":...}`).
 std::string errorBody(std::string_view Kind, std::string_view Message);
@@ -267,13 +273,6 @@ struct ProgramAnalysis {
 std::shared_ptr<const ProgramAnalysis>
 finishAnalysis(ParsedProgram &&Parsed, const ServiceSpecs &Specs,
                bool Coverage, Budget *B = nullptr);
-
-/// parseProgram + finishAnalysis in one call. `uspec analyze` and the
-/// server call the two steps themselves (the server around cache probes).
-std::shared_ptr<const ProgramAnalysis>
-analyzeSource(std::string_view Source, std::string_view Name,
-              const ServiceSpecs &Specs, bool Coverage, std::string *Error,
-              Budget *B = nullptr);
 
 /// Hard ceiling on one retry/backoff delay: base + jitter never exceeds
 /// this, so a long retry loop (or a supervisor respawn schedule built on

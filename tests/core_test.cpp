@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 using namespace uspec;
 
 namespace {
@@ -227,16 +229,96 @@ TEST(Candidates, CollectsAndAggregates) {
   Spec Expected = Spec::retArg(
       {F.Strings.intern("Map"), F.Strings.intern("get"), 1},
       {F.Strings.intern("Map"), F.Strings.intern("put"), 2}, 2);
-  auto It = Collector.stats().find(Expected);
-  ASSERT_NE(It, Collector.stats().end()) << "RetArg(get, put, 2) must arise";
-  EXPECT_EQ(It->second.Matches, 2u);
-  EXPECT_EQ(It->second.Programs, 2u);
-  EXPECT_EQ(It->second.Confidences.size(), 2u) << "single-edge matches scored";
-  EXPECT_DOUBLE_EQ(It->second.Confidences[0], 0.5);
+  const auto &Entries = Collector.table().Entries;
+  auto It = std::find_if(
+      Entries.begin(), Entries.end(),
+      [&](const CandidateLedger::Entry &E) { return E.S == Expected; });
+  ASSERT_NE(It, Entries.end()) << "RetArg(get, put, 2) must arise";
+  EXPECT_EQ(It->Matches, 2u);
+  EXPECT_EQ(It->Programs, 2u);
+  EXPECT_EQ(It->Confidences.size(), 2u) << "single-edge matches scored";
+  EXPECT_DOUBLE_EQ(It->Confidences[0], 0.5);
+}
+
+namespace {
+
+bool sameTable(const CandidateLedger &A, const CandidateLedger &B) {
+  if (A.Entries.size() != B.Entries.size())
+    return false;
+  for (size_t I = 0; I < A.Entries.size(); ++I) {
+    const CandidateLedger::Entry &X = A.Entries[I], &Y = B.Entries[I];
+    if (!(X.S == Y.S) || X.Confidences != Y.Confidences ||
+        X.Matches != Y.Matches || X.Programs != Y.Programs)
+      return false;
+  }
+  return true;
+}
+
+} // namespace
+
+TEST(Candidates, ExhaustedBudgetLeavesTheTableAsItWas) {
+  // addGraph is all or nothing: wherever in Alg. 1 the budget runs out
+  // (a receiver pair, a pattern probe, the RetRecv loop), the table and
+  // counters stay as they were, and adding the graph in full afterwards
+  // gives a serial run's table.
+  CoreFixture F;
+  F.addGraph(R"(
+    class Main {
+      def main() {
+        var map = new Map();
+        map.put("k", someApi.getFile());
+        var f = map.get("k");
+        f.getName();
+      }
+    }
+  )");
+  F.addGraph(R"(
+    class Main {
+      def main() {
+        var map = new Map();
+        map.put("a", db.getFile("x"));
+        map.put("b", db.getFile("y"));
+        var f = map.get("a");
+        var g = map.get("b");
+        var list = new ArrayList();
+        list.add(f);
+        var h = list.get(0);
+        h.getName();
+      }
+    }
+  )");
+
+  EdgeModel Model;
+  CandidateCollector Serial(Model, 10, /*ExperimentalPatterns=*/true);
+  ASSERT_TRUE(Serial.addGraph(F.Graphs[0], 0));
+  Budget Unlimited;
+  ASSERT_TRUE(Serial.addGraph(F.Graphs[1], 1, &Unlimited));
+  const uint64_t Steps = Unlimited.used();
+  ASSERT_GT(Steps, 1u);
+
+  for (uint64_t Limit = 1; Limit <= Steps; ++Limit) {
+    CandidateCollector C(Model, 10, /*ExperimentalPatterns=*/true);
+    ASSERT_TRUE(C.addGraph(F.Graphs[0], 0));
+    CandidateLedger Before = C.table();
+    size_t Pairs = C.numReceiverPairs(), Matches = C.numMatches();
+
+    Budget B = Budget::steps(Limit);
+    bool Done = C.addGraph(F.Graphs[1], 1, &B);
+    EXPECT_EQ(Done, Limit == Steps) << "budget " << Limit;
+    if (!Done) {
+      EXPECT_TRUE(sameTable(C.table(), Before)) << "budget " << Limit;
+      EXPECT_EQ(C.numReceiverPairs(), Pairs) << "budget " << Limit;
+      EXPECT_EQ(C.numMatches(), Matches) << "budget " << Limit;
+      ASSERT_TRUE(C.addGraph(F.Graphs[1], 1));
+    }
+    EXPECT_TRUE(sameTable(C.table(), Serial.table())) << "budget " << Limit;
+    EXPECT_EQ(C.numReceiverPairs(), Serial.numReceiverPairs());
+    EXPECT_EQ(C.numMatches(), Serial.numMatches());
+  }
 }
 
 TEST(Candidates, ScoreKinds) {
-  CandidateStats Stats;
+  CandidateLedger::Entry Stats;
   Stats.Confidences = {0.9, 0.2, 0.8};
   Stats.Matches = 50;
   Stats.Programs = 10;

@@ -338,12 +338,14 @@ TEST(EventGraphTest, GraphOutlivesItsAnalysis) {
     FromKept.addGraph(Kept[I], static_cast<uint32_t>(I));
     FromOrphans.addGraph(Orphaned[I], static_cast<uint32_t>(I));
   }
-  ASSERT_FALSE(FromKept.candidates().empty());
-  ASSERT_EQ(FromKept.candidates(), FromOrphans.candidates());
-  for (const Spec &S : FromKept.candidates()) {
-    const CandidateStats &A = FromKept.stats().at(S);
-    const CandidateStats &B = FromOrphans.stats().at(S);
-    EXPECT_EQ(A.Confidences, B.Confidences) << S.str(Strings);
-    EXPECT_EQ(A.Matches, B.Matches) << S.str(Strings);
+  const auto &KeptTable = FromKept.table().Entries;
+  const auto &OrphanTable = FromOrphans.table().Entries;
+  ASSERT_FALSE(KeptTable.empty());
+  ASSERT_EQ(KeptTable.size(), OrphanTable.size());
+  for (size_t I = 0; I < KeptTable.size(); ++I) {
+    const CandidateLedger::Entry &A = KeptTable[I], &B = OrphanTable[I];
+    ASSERT_EQ(A.S, B.S) << "slot " << I;
+    EXPECT_EQ(A.Confidences, B.Confidences) << A.S.str(Strings);
+    EXPECT_EQ(A.Matches, B.Matches) << A.S.str(Strings);
   }
 }

@@ -27,6 +27,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
@@ -34,6 +35,7 @@
 #include <future>
 #include <string>
 #include <sys/wait.h>
+#include <unordered_map>
 #include <vector>
 
 using namespace uspec;
@@ -399,6 +401,113 @@ TEST_F(FaultLearner, QuarantiningLastProgramEqualsHandPrunedCorpus) {
   EXPECT_EQ(serializeSpecs(RFull.Selected, SA),
             serializeSpecs(RPruned.Selected, SB));
   EXPECT_EQ(RFull.Candidates.size(), RPruned.Candidates.size());
+}
+
+namespace {
+
+/// \p Prog's own Alg. 1 evidence under \p Model: a collector fed only its
+/// graph.
+CandidateLedger ownEvidence(const IRProgram &Prog, StringInterner &Strings,
+                            const EdgeModel &Model, uint32_t ProgramId) {
+  EventGraph G =
+      EventGraph::build(analyzeProgram(Prog, Strings, AnalysisOptions()));
+  CandidateCollector C(Model, LearnerConfig().DistanceBound);
+  EXPECT_TRUE(C.addGraph(G, ProgramId));
+  return C.take();
+}
+
+void expectSameEntry(const CandidateLedger::Entry &A,
+                     const CandidateLedger::Entry &B,
+                     const StringInterner &Strings) {
+  EXPECT_EQ(A.S.str(Strings), B.S.str(Strings));
+  EXPECT_EQ(A.Matches, B.Matches) << A.S.str(Strings);
+  EXPECT_EQ(A.Programs, B.Programs) << A.S.str(Strings);
+  EXPECT_EQ(A.Confidences, B.Confidences) << A.S.str(Strings);
+}
+
+} // namespace
+
+TEST_F(FaultLearner, ExtractBudgetDropsAllOfOneProgramsEvidence) {
+  // One receiver with 40 put/get pairs: its analysis fits in 800 steps,
+  // Alg. 1 over its receiver pairs does not, and every generated program
+  // fits both. The program keeps its samples (Phase 2 already ran) and adds
+  // no evidence, identically at 1 and 8 threads.
+  std::vector<std::string> Sources = makeSources(111, 41);
+  std::string Heavy = "class Main { def main() {\n  var m = new HashMap();\n"
+                      "  var v = new File(\"cfg\");\n";
+  for (int I = 0; I < 40; ++I)
+    Heavy += "  m.put(\"k\", v); var f" + std::to_string(I) +
+             " = m.get(\"k\");\n";
+  Heavy += "} }\n";
+  Sources.push_back(Heavy);
+  StringInterner Strings;
+  auto Corpus = parseCorpus(Sources, Strings);
+  ASSERT_EQ(Corpus.size(), Sources.size());
+  const size_t Last = Corpus.size() - 1;
+
+  auto Run = [&](uint64_t StepBudget, unsigned Threads) {
+    LearnerConfig Cfg;
+    Cfg.ProgramStepBudget = StepBudget;
+    Cfg.Threads = Threads;
+    return USpecLearner(Strings, Cfg).learn(Corpus);
+  };
+  LearnResult Full = Run(0, 1);
+  LearnResult R1 = Run(800, 1);
+  ASSERT_TRUE(Full.Stats.Quarantined.empty());
+  ASSERT_EQ(R1.Stats.Quarantined.size(), 1u);
+  EXPECT_EQ(R1.Stats.Quarantined[0].Program, Last);
+  EXPECT_EQ(R1.Stats.Quarantined[0].Reason, "extract:steps");
+  EXPECT_EQ(R1.NumTrainingSamples, Full.NumTrainingSamples);
+  EXPECT_LT(R1.Stats.Matches, Full.Stats.Matches);
+
+  // Full's ledger minus the program's own evidence. The program is last,
+  // so its ΓS is the tail of Full's, and a candidate only it matched was
+  // appended last and drops out.
+  CandidateLedger Own = ownEvidence(Corpus[Last], Strings, R1.Model,
+                                    static_cast<uint32_t>(Last));
+  ASSERT_FALSE(Own.Entries.empty());
+  std::unordered_map<Spec, const CandidateLedger::Entry *, SpecHash> OwnOf;
+  for (const CandidateLedger::Entry &E : Own.Entries)
+    OwnOf.emplace(E.S, &E);
+  size_t Next = 0;
+  for (const CandidateLedger::Entry &E : Full.Ledger.Entries) {
+    CandidateLedger::Entry Want = E;
+    auto It = OwnOf.find(E.S);
+    if (It != OwnOf.end()) {
+      const CandidateLedger::Entry &O = *It->second;
+      ASSERT_GE(E.Matches, O.Matches);
+      ASSERT_GE(E.Confidences.size(), O.Confidences.size());
+      EXPECT_TRUE(std::equal(O.Confidences.begin(), O.Confidences.end(),
+                             E.Confidences.end() - O.Confidences.size()))
+          << E.S.str(Strings);
+      Want.Matches -= O.Matches;
+      Want.Programs -= O.Programs;
+      Want.Confidences.resize(E.Confidences.size() - O.Confidences.size());
+      if (Want.Matches == 0)
+        continue;
+    }
+    ASSERT_LT(Next, R1.Ledger.Entries.size()) << E.S.str(Strings);
+    expectSameEntry(R1.Ledger.Entries[Next++], Want, Strings);
+  }
+  EXPECT_EQ(Next, R1.Ledger.Entries.size());
+
+  LearnResult R8 = Run(800, 8);
+  ASSERT_EQ(R8.Stats.Quarantined.size(), 1u);
+  EXPECT_EQ(R8.Stats.Quarantined[0].Program, Last);
+  EXPECT_EQ(R8.Stats.Quarantined[0].Reason, "extract:steps");
+  EXPECT_EQ(R8.NumTrainingSamples, R1.NumTrainingSamples);
+  EXPECT_EQ(R8.Stats.ReceiverPairs, R1.Stats.ReceiverPairs);
+  EXPECT_EQ(R8.Stats.Matches, R1.Stats.Matches);
+  ASSERT_EQ(R8.Ledger.Entries.size(), R1.Ledger.Entries.size());
+  for (size_t I = 0; I < R1.Ledger.Entries.size(); ++I)
+    expectSameEntry(R8.Ledger.Entries[I], R1.Ledger.Entries[I], Strings);
+  ASSERT_EQ(R8.Candidates.size(), R1.Candidates.size());
+  for (size_t I = 0; I < R1.Candidates.size(); ++I) {
+    EXPECT_EQ(R8.Candidates[I].S.str(Strings), R1.Candidates[I].S.str(Strings));
+    EXPECT_EQ(R8.Candidates[I].Score, R1.Candidates[I].Score);
+  }
+  EXPECT_EQ(serializeSpecs(R8.Selected, Strings),
+            serializeSpecs(R1.Selected, Strings));
 }
 
 //===----------------------------------------------------------------------===//

@@ -28,6 +28,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cctype>
 #include <cstdio>
 #include <cstdlib>
@@ -513,4 +514,110 @@ TEST(ObsProm, LargeCounterRoundTripsWithoutTruncation) {
   Out.clear();
   telemetry::appendPromValue(Out, 0.125);
   EXPECT_EQ(Out, "0.125");
+}
+
+//===----------------------------------------------------------------------===//
+// ObsQuery: the request bytes `uspec query` sends for each verb
+//===----------------------------------------------------------------------===//
+
+TEST(ObsQuery, VerbRequestBytesArePinned) {
+  // An in-process line server answers every request with the request line
+  // itself as the result (echoing its trace id, if any), so `uspec query`
+  // prints exactly the bytes it sent.
+  std::string Dir = scratchDir("query_bytes");
+  std::string Sock = Dir + "/echo.sock";
+  std::string Prog = Dir + "/p.mini";
+  writeWholeFile(Prog, "var m = new Map();\nm.put(\"k\", 1);\n");
+  service::LineServer Echo;
+  ASSERT_TRUE(Echo.bind(Sock));
+  std::atomic<bool> Stop{false};
+  std::thread Server([&] {
+    Echo.serve(
+        20, [&] { return Stop.load(); },
+        [](std::string Line) {
+          service::JsonValue Doc;
+          std::string TraceId;
+          if (service::parseJson(Line, Doc, nullptr))
+            TraceId = stringOf(Doc, "trace_id");
+          return service::okResponse("", Line, TraceId);
+        });
+  });
+
+  const std::string P =
+      "\"program\":\"var m = new Map();\\nm.put(\\\"k\\\", 1);\\n\"";
+  const std::string Q = "query --socket " + Sock + " ";
+  struct Case {
+    std::string Args, Request;
+  } Cases[] = {
+      {"analyze " + Prog, "{\"verb\":\"analyze\"," + P + "}"},
+      {"analyze " + Prog + " --coverage",
+       "{\"verb\":\"analyze\"," + P + ",\"coverage\":true}"},
+      {"alias " + Prog + " Map.get/1 Map.put/2",
+       "{\"verb\":\"alias\"," + P +
+           ",\"a\":\"Map.get/1\",\"b\":\"Map.put/2\"}"},
+      {"alias " + Prog + " a b --coverage",
+       "{\"verb\":\"alias\"," + P + ",\"a\":\"a\",\"b\":\"b\"}"},
+      {"typestate " + Prog + " hasNext next",
+       "{\"verb\":\"typestate\"," + P + ",\"check\":\"hasNext\",\"use\":"
+       "\"next\"}"},
+      {"taint " + Prog,
+       "{\"verb\":\"taint\"," + P +
+           ",\"sources\":[],\"sinks\":[],\"sanitizers\":[]}"},
+      {"taint " + Prog + " --source s1 --sink k1 --source s2 --sanitizer z "
+                         "--coverage",
+       "{\"verb\":\"taint\"," + P +
+           ",\"sources\":[\"s1\",\"s2\"],\"sinks\":[\"k1\"],\"sanitizers\":"
+           "[\"z\"]}"},
+      {"reload", "{\"verb\":\"reload\"}"},
+      {"reload /m.uspb", "{\"verb\":\"reload\",\"path\":\"/m.uspb\"}"},
+      {"specs", "{\"verb\":\"specs\"}"},
+      {"cachekeys", "{\"verb\":\"cachekeys\"}"},
+      {"stats", "{\"verb\":\"stats\"}"},
+      {"metrics", "{\"verb\":\"metrics\"}"},
+      {"shutdown", "{\"verb\":\"shutdown\"}"},
+  };
+  for (const Case &C : Cases) {
+    RunResult R = runCli(Q + C.Args);
+    EXPECT_EQ(R.ExitCode, 0) << C.Args << "\n" << R.Output;
+    EXPECT_EQ(R.Output, C.Request + "\n") << C.Args;
+    // --trace-id appends one member, and the answer's trace-id envelope
+    // still yields the bare payload.
+    std::string Traced = C.Request;
+    Traced.insert(Traced.size() - 1, ",\"trace_id\":\"t-9\"");
+    R = runCli(Q + "--trace-id t-9 " + C.Args);
+    EXPECT_EQ(R.ExitCode, 0) << C.Args << "\n" << R.Output;
+    EXPECT_EQ(R.Output, Traced + "\n") << C.Args;
+  }
+
+  // Usage and unknown-verb errors: exit 2, nothing sent.
+  struct Bad {
+    std::string Args, FirstLine;
+  } Bads[] = {
+      {"", "error: query requires a verb (analyze, alias, typestate, taint, "
+           "specs, cachekeys, stats, metrics, reload, shutdown) or --json "
+           "REQUEST"},
+      {"analyze", "error: usage: uspec query --socket PATH analyze FILE "
+                  "[--coverage]"},
+      {"alias " + Prog + " a", "error: usage: uspec query --socket PATH alias "
+                               "FILE A B"},
+      {"typestate " + Prog + " a b c",
+       "error: usage: uspec query --socket PATH typestate FILE CHECK USE"},
+      {"taint", "error: usage: uspec query --socket PATH taint FILE "
+                "[--source M]... [--sink M]... [--sanitizer M]..."},
+      {"stats extra", "error: usage: uspec query --socket PATH stats"},
+      {"reload a b", "error: unknown argument 'b' for 'uspec query'"},
+      {"zap", "error: unknown argument 'zap' for 'uspec query'"},
+  };
+  for (const Bad &B : Bads) {
+    RunResult R = runCli(Q + B.Args);
+    EXPECT_EQ(R.ExitCode, 2) << B.Args << "\n" << R.Output;
+    EXPECT_EQ(R.Output.substr(0, R.Output.find('\n')), B.FirstLine)
+        << B.Args;
+  }
+  // An unreadable program file fails before anything is sent.
+  RunResult R = runCli(Q + "alias " + Dir + "/missing.mini a b");
+  EXPECT_EQ(R.ExitCode, 1) << R.Output;
+
+  Stop = true;
+  Server.join();
 }

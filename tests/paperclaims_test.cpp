@@ -113,8 +113,8 @@ std::vector<std::string> candidateSpecsOf(const std::string &Source) {
   CandidateCollector Collector(Model, 10);
   Collector.addGraph(G, 0);
   std::vector<std::string> Specs;
-  for (const Spec &Sp : Collector.candidates())
-    Specs.push_back(Sp.str(S));
+  for (const CandidateLedger::Entry &E : Collector.table().Entries)
+    Specs.push_back(E.S.str(S));
   std::sort(Specs.begin(), Specs.end());
   return Specs;
 }

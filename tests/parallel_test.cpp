@@ -7,8 +7,9 @@
 // selected specification text, and saved USPB artifact bytes — must be
 // identical for any thread count. Plus unit coverage for the pieces the
 // contract rests on: exception-safe parallelFor, the deterministic
-// CandidateCollector shard merge, and StringInterner reference stability
-// under growth (the parallel phases read the interner concurrently).
+// append of CandidateCollector shard tables, and StringInterner reference
+// stability under growth (the parallel phases read the interner
+// concurrently).
 //
 //===----------------------------------------------------------------------===//
 
@@ -124,7 +125,7 @@ TEST(ParallelPipeline, InternerHeterogeneousLookup) {
 }
 
 //===----------------------------------------------------------------------===//
-// CandidateCollector shard merge
+// CandidateCollector shard tables appended in shard order
 //===----------------------------------------------------------------------===//
 
 TEST(ParallelPipeline, CollectorShardMergeMatchesSerialRun) {
@@ -158,28 +159,28 @@ TEST(ParallelPipeline, CollectorShardMergeMatchesSerialRun) {
       for (size_t I = Lo; I < Hi; ++I)
         Shards[T].addGraph(Graphs[I], static_cast<uint32_t>(I));
     }
-    for (unsigned T = 1; T < NumShards; ++T)
-      Shards[0].merge(std::move(Shards[T]));
-    const CandidateCollector &Merged = Shards[0];
+    CandidateLedger Merged;
+    size_t Pairs = 0, Matches = 0;
+    for (CandidateCollector &Shard : Shards) {
+      Pairs += Shard.numReceiverPairs();
+      Matches += Shard.numMatches();
+      Merged.append(Shard.take());
+    }
 
-    ASSERT_EQ(Merged.candidates().size(), Serial.candidates().size())
-        << NumShards << " shards";
-    ASSERT_FALSE(Serial.candidates().empty());
-    for (size_t I = 0; I < Serial.candidates().size(); ++I)
-      EXPECT_EQ(Merged.candidates()[I], Serial.candidates()[I])
-          << "first-seen order diverged at slot " << I << " with "
-          << NumShards << " shards";
-    for (const Spec &Sp : Serial.candidates()) {
-      const CandidateStats &A = Serial.stats().at(Sp);
-      const CandidateStats &B = Merged.stats().at(Sp);
+    const auto &Want = Serial.table().Entries;
+    ASSERT_EQ(Merged.Entries.size(), Want.size()) << NumShards << " shards";
+    ASSERT_FALSE(Want.empty());
+    for (size_t I = 0; I < Want.size(); ++I) {
+      const CandidateLedger::Entry &A = Want[I], &B = Merged.Entries[I];
+      EXPECT_EQ(B.S, A.S) << "first-seen order diverged at slot " << I
+                          << " with " << NumShards << " shards";
       EXPECT_EQ(A.Matches, B.Matches);
       EXPECT_EQ(A.Programs, B.Programs);
-      EXPECT_EQ(A.ProgramIds, B.ProgramIds);
       EXPECT_EQ(A.Confidences, B.Confidences)
-          << "ΓS must concatenate in graph order: " << Sp.str(S);
+          << "ΓS must concatenate in graph order: " << A.S.str(S);
     }
-    EXPECT_EQ(Merged.numReceiverPairs(), Serial.numReceiverPairs());
-    EXPECT_EQ(Merged.numMatches(), Serial.numMatches());
+    EXPECT_EQ(Pairs, Serial.numReceiverPairs());
+    EXPECT_EQ(Matches, Serial.numMatches());
   }
 }
 

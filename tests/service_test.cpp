@@ -53,6 +53,17 @@ std::vector<std::string> makeSources(size_t N, uint64_t Seed) {
   return Out;
 }
 
+/// The engine `uspec analyze` and the server run: parseProgram, then
+/// finishAnalysis.
+std::shared_ptr<const ProgramAnalysis>
+analyzeSource(std::string_view Source, std::string_view Name,
+              const ServiceSpecs &Specs, bool Coverage, std::string *Error) {
+  auto Parsed = parseProgram(Source, Name, Error);
+  if (!Parsed)
+    return nullptr;
+  return finishAnalysis(std::move(*Parsed), Specs, Coverage);
+}
+
 /// Learns a spec set from \p Sources and canonicalizes it.
 ServiceSpecs learnSpecs(const std::vector<std::string> &Sources) {
   StringInterner Strings;
@@ -203,6 +214,29 @@ TEST(ServiceProtocol, ResponseEnvelopes) {
   EXPECT_EQ(errorResponse("", "overloaded", "queue full"),
             "{\"ok\":false,\"error\":{\"kind\":\"overloaded\","
             "\"message\":\"queue full\"}}");
+}
+
+TEST(ServiceProtocol, OkPayloadUndoesTheIdLessEnvelope) {
+  for (std::string_view P : {"{\"x\":1}", "\"text\\n\"", "[]", "7"}) {
+    EXPECT_EQ(okPayload(okResponse("", P)), P);
+    EXPECT_EQ(okPayload(okResponse("", P, "t-1")), P);
+    EXPECT_EQ(okPayload(okResponse("", P, "a,\"ok\":true,\"result\":b")), P);
+  }
+  // Error answers, ids, empty payloads and malformed lines are rejected.
+  const std::string Bads[] = {
+      errorResponse("", "overloaded", "queue full"),
+      errorResponse("", "internal", "x", "t-1"),
+      okResponse("7", "{}"),
+      "",
+      "{}",
+      "{\"ok\":true,\"result\":}",
+      "{\"trace_id\":\"t\",\"ok\":true,\"result\":}",
+      "{\"ok\":true,\"result\":1",
+      "\"ok\":true,\"result\":1}",
+      "{\"trace_id\":\"t\",\"ok\":false}",
+      "{\"ok\":true}"};
+  for (const std::string &Bad : Bads)
+    EXPECT_EQ(okPayload(Bad), std::nullopt) << Bad;
 }
 
 //===----------------------------------------------------------------------===//

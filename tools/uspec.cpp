@@ -2,123 +2,11 @@
 //
 // Part of the USpec reproduction (PLDI 2019). MIT license.
 //
-// Subcommands:
-//
-//   uspec gen     --profile java|python -n N -o DIR [--seed S]
-//       Write a synthetic corpus of MiniLang files into DIR.
-//
-//   uspec learn   FILES... [-o specs.txt] [--tau X] [--seed S]
-//       Learn aliasing specifications from MiniLang files and write them in
-//       the SpecIO text format (stdout when -o is omitted). Prints the
-//       scored candidate list to stderr.
-//
-//   uspec train   FILES... -o run.uspb [--tau X] [--seed S] [--resume]
-//       Run the same pipeline but checkpoint everything up to τ-selection
-//       (model ϕ, scored candidates, selected set, corpus manifest) into a
-//       USPB artifact for `uspec select` / `uspec analyze --model`. The
-//       artifact is written crash-safely (temp + fsync + atomic rename);
-//       --resume discards any stale temp from an interrupted run and skips
-//       retraining when the artifact already matches the corpus/tau/seed.
-//
-//   uspec ingest  FILES... -j corpus.uspj
-//       Append MiniLang files to an append-only corpus journal. Every file
-//       is parse-validated first; a rotten file aborts the batch and the
-//       journal on disk is untouched (all-or-nothing append through the
-//       same temp + fsync + rename path artifacts use). One invocation
-//       appends one generation.
-//
-//   uspec train   --journal corpus.uspj -o run.uspb [--replay] [...]
-//       Journal-driven training (DESIGN.md §12): reads how far the
-//       artifact at -o got (its "jrnl" lineage section), trains only the
-//       new journal suffix warm-starting ϕ from the prior model, and
-//       reports a quantified spec-level diff. --replay forces a full
-//       retrain over the whole journal — byte-identical to training the
-//       same corpus from scratch with the same seed. Any lineage/config
-//       mismatch demotes warm to full with a printed note. An unchanged
-//       journal is up to date only at the artifact's τ; at a new --tau
-//       the artifact's scored candidates are re-selected, no program is
-//       analyzed.
-//
-//   uspec select  run.uspb [--tau X] [-o specs.txt]
-//       Re-select specifications from a training artifact at threshold τ
-//       (the training τ when omitted) without retraining. Emits exactly the
-//       text `uspec learn --tau X` would emit for the same corpus and seed.
-//
-//   uspec info    run.uspb
-//       Show an artifact's sections, sizes, training statistics and (for
-//       journal-trained artifacts) the journal lineage.
-//
-//   uspec analyze FILE [--specs specs.txt | --model run.uspb] [--coverage]
-//                 [--dot out.dot] [--json]
-//       Run the may-alias analysis on FILE (API-aware when --specs or
-//       --model is given), print aliasing call-site pairs, optionally dump
-//       the event graph in Graphviz format. --json emits the machine-
-//       readable payload of the query service (byte-identical to what
-//       `uspec serve` answers for the same program and artifact).
-//
-//   uspec serve   [--model run.uspb | --specs specs.txt] [--workers N]
-//                 [--queue N] [--cache N] [--socket PATH]
-//                 [--request-timeout MS] [--step-budget N]
-//                 [--trace t.json] [--slow-ms N]
-//       Run the resident query service: load the specs once, then answer
-//       newline-delimited JSON requests over stdin/stdout (default) or a
-//       Unix-domain socket. --request-timeout sets the default per-request
-//       deadline (a request's own "deadline_ms" wins); --step-budget bounds
-//       analysis work per request (exhaustion degrades to a sound "bounded"
-//       payload). --slow-ms logs requests slower than N ms to stderr;
-//       --trace records spans (DESIGN.md §11). See DESIGN.md §9–10 for the
-//       protocol and fault model. In socket mode SIGHUP (or the `reload`
-//       verb) hot-swaps the model from --model without dropping requests.
-//
-//   uspec query   --socket PATH [--retries N] [--retry-seed S]
-//                 [--trace-id ID]
-//                 (analyze FILE [--coverage] | alias FILE A B
-//                 | typestate FILE CHECK USE | taint FILE [--source M]...
-//                 [--sink M]... [--sanitizer M]... | specs | cachekeys
-//                 | stats | metrics | reload [ARTIFACT] | shutdown
-//                 | --json REQUEST)
-//       One-shot client for a running `uspec serve --socket` instance.
-//       Prints the result payload (byte-identical to `analyze --json` for
-//       the analyze verb); errors go to stderr with exit 1. --retries N
-//       retries transient failures (connection errors, `overloaded`) with
-//       deterministic seeded exponential backoff.
-//
-//   uspec route   --socket PATH --replicas SOCK1,SOCK2,... [--vnodes N]
-//                 [--supervise] [--respawn-cmd CMD | --model PATH]
-//                 [--probe-interval-ms N] [--respawn-seed S]
-//                 [--hedge-ms N | --hedge-auto] [--warm-keys K]
-//       Self-healing consistent-hash router over N `uspec serve --socket`
-//       replicas: program-carrying verbs go to the ring owner of the
-//       program text, stats/metrics fan out and aggregate, reload
-//       broadcasts, and a dead replica answers `replica_down` (transient
-//       for `query --retries`) with deterministic ring-walk failover.
-//       --supervise probes each replica every --probe-interval-ms and
-//       respawns dead ones (via CMD with `{socket}` substituted, or a
-//       synthesized `uspec serve` line when --model is given) with
-//       deterministic seeded backoff; a recovered replica rejoins the ring
-//       only after a successful probe + warm-cache replay. --hedge-ms (or
-//       --hedge-auto, p95-derived) fires slow requests at the next ring
-//       owner too and takes the first answer — byte-identical either way;
-//       the hedge carries no_cache so caches don't bleed. --warm-keys K
-//       bounds the per-replica hot-request LRU replayed on rejoin/reload.
-//
-//   uspec obs     stitch OUT.json SHARD... | top --socket PATH [--watch]
-//                 | events FILE [--follow] [--type T]
-//       Fleet observability (DESIGN.md §16). `stitch` merges per-process
-//       Chrome-trace shards into one Perfetto-loadable trace: shards are
-//       aligned onto the shared steady-clock timeline via their uspecBaseNs
-//       epoch, every pid gets process_name metadata, and flow events link
-//       router forwards to the replica request spans that carry the same
-//       trace id. `top` renders a one-shot (or --watch, refreshing) fleet
-//       summary from a router or serve socket. `events` prints a structured
-//       event log (--events / USPEC_EVENTS), optionally filtered by --type
-//       and tailed by --follow.
-//
-//   uspec check   FILES...
-//       Parse and lower files, reporting diagnostics.
-//
-// Unknown subcommands and unknown flags name the offending token and exit
-// with status 2.
+// One binary, one subcommand per step of the workflow: gen, learn, train,
+// ingest, select, info, analyze, check, serve, route, query and obs. Each
+// subcommand's options are its option table below, and `uspec` with no
+// arguments prints every table as usage text. README "Command-line tool"
+// and the sections after it describe what each subcommand does.
 //
 //===----------------------------------------------------------------------===//
 
@@ -138,6 +26,7 @@
 #include "support/EventLog.h"
 #include "support/Trace.h"
 
+#include <algorithm>
 #include <cctype>
 #include <cerrno>
 #include <chrono>
@@ -153,6 +42,7 @@
 #include <iterator>
 #include <limits>
 #include <map>
+#include <optional>
 #include <span>
 #include <sstream>
 #include <string_view>
@@ -1205,6 +1095,31 @@ void appendField(std::string &Out, const char *Key, std::string_view Value) {
   service::appendJsonString(Out, Value);
 }
 
+/// One `uspec query` verb with fixed arguments: whether FILE comes first
+/// (its text is sent as `program`), the request fields the remaining
+/// positionals fill, and the usage shape printed on an arity mismatch.
+struct QueryVerb {
+  const char *Name;
+  bool Program;
+  std::vector<const char *> Fields;
+  const char *Usage;
+};
+
+const QueryVerb QueryVerbs[] = {
+    {"analyze", true, {}, "analyze FILE [--coverage]"},
+    {"alias", true, {"a", "b"}, "alias FILE A B"},
+    {"typestate", true, {"check", "use"}, "typestate FILE CHECK USE"},
+    {"taint",
+     true,
+     {},
+     "taint FILE [--source M]... [--sink M]... [--sanitizer M]..."},
+    {"specs", false, {}, "specs"},
+    {"cachekeys", false, {}, "cachekeys"},
+    {"stats", false, {}, "stats"},
+    {"metrics", false, {}, "metrics"},
+    {"shutdown", false, {}, "shutdown"},
+};
+
 int cmdQuery(Args &A) {
   std::string SocketPath, RawRequest, TraceId;
   std::vector<std::string> Positional;
@@ -1241,78 +1156,8 @@ int cmdQuery(Args &A) {
                            "metrics, reload, shutdown) or --json REQUEST\n");
       return 2;
     }
-    std::string VerbName = Positional.front();
-    auto NeedArgs = [&](size_t N, const char *Shape) -> bool {
-      if (Positional.size() == N + 1)
-        return true;
-      std::fprintf(stderr, "error: usage: uspec query --socket PATH %s\n",
-                   Shape);
-      return false;
-    };
-    auto ReadProgram = [&](size_t Index,
-                           std::string &Out) -> bool {
-      auto Source = readFile(Positional[Index]);
-      if (!Source)
-        return false;
-      Out = std::move(*Source);
-      return true;
-    };
-    std::string Program;
-    if (VerbName == "analyze") {
-      if (!NeedArgs(1, "analyze FILE [--coverage]"))
-        return 2;
-      if (!ReadProgram(1, Program))
-        return 1;
-      Request = "{\"verb\":\"analyze\"";
-      appendField(Request, "program", Program);
-      if (Coverage)
-        Request += ",\"coverage\":true";
-      Request += "}";
-    } else if (VerbName == "alias") {
-      if (!NeedArgs(3, "alias FILE A B"))
-        return 2;
-      if (!ReadProgram(1, Program))
-        return 1;
-      Request = "{\"verb\":\"alias\"";
-      appendField(Request, "program", Program);
-      appendField(Request, "a", Positional[2]);
-      appendField(Request, "b", Positional[3]);
-      Request += "}";
-    } else if (VerbName == "typestate") {
-      if (!NeedArgs(3, "typestate FILE CHECK USE"))
-        return 2;
-      if (!ReadProgram(1, Program))
-        return 1;
-      Request = "{\"verb\":\"typestate\"";
-      appendField(Request, "program", Program);
-      appendField(Request, "check", Positional[2]);
-      appendField(Request, "use", Positional[3]);
-      Request += "}";
-    } else if (VerbName == "taint") {
-      if (!NeedArgs(1, "taint FILE [--source M]... [--sink M]... "
-                       "[--sanitizer M]..."))
-        return 2;
-      if (!ReadProgram(1, Program))
-        return 1;
-      Request = "{\"verb\":\"taint\"";
-      appendField(Request, "program", Program);
-      auto AppendList = [&](const char *Key,
-                            const std::vector<std::string> &Names) {
-        Request += ",\"";
-        Request += Key;
-        Request += "\":[";
-        for (size_t I = 0; I < Names.size(); ++I) {
-          if (I)
-            Request += ',';
-          service::appendJsonString(Request, Names[I]);
-        }
-        Request += ']';
-      };
-      AppendList("sources", Sources);
-      AppendList("sinks", Sinks);
-      AppendList("sanitizers", Sanitizers);
-      Request += "}";
-    } else if (VerbName == "reload") {
+    const std::string &VerbName = Positional.front();
+    if (VerbName == "reload") {
       // `reload` swaps the server's model in place: no path re-reads the
       // server's own --model, an explicit path is read *by the server*
       // (this is a server-side file name, not program content).
@@ -1322,14 +1167,46 @@ int cmdQuery(Args &A) {
       if (Positional.size() == 2)
         appendField(Request, "path", Positional[1]);
       Request += "}";
-    } else if (VerbName == "specs" || VerbName == "cachekeys" ||
-               VerbName == "stats" || VerbName == "metrics" ||
-               VerbName == "shutdown") {
-      if (!NeedArgs(0, (VerbName).c_str()))
-        return 2;
-      Request = "{\"verb\":\"" + VerbName + "\"}";
     } else {
-      return unknownToken("query", Positional.front().c_str());
+      const QueryVerb *V = std::find_if(
+          std::begin(QueryVerbs), std::end(QueryVerbs),
+          [&](const QueryVerb &Row) { return VerbName == Row.Name; });
+      if (V == std::end(QueryVerbs))
+        return unknownToken("query", VerbName.c_str());
+      if (Positional.size() != 1 + V->Program + V->Fields.size()) {
+        std::fprintf(stderr, "error: usage: uspec query --socket PATH %s\n",
+                     V->Usage);
+        return 2;
+      }
+      Request = "{\"verb\":\"" + VerbName + "\"";
+      if (V->Program) {
+        auto Source = readFile(Positional[1]);
+        if (!Source)
+          return 1;
+        appendField(Request, "program", *Source);
+      }
+      for (size_t I = 0; I < V->Fields.size(); ++I)
+        appendField(Request, V->Fields[I], Positional[1 + V->Program + I]);
+      if (VerbName == "analyze" && Coverage)
+        Request += ",\"coverage\":true";
+      if (VerbName == "taint") {
+        auto AppendList = [&](const char *Key,
+                              const std::vector<std::string> &Names) {
+          Request += ",\"";
+          Request += Key;
+          Request += "\":[";
+          for (size_t I = 0; I < Names.size(); ++I) {
+            if (I)
+              Request += ',';
+            service::appendJsonString(Request, Names[I]);
+          }
+          Request += ']';
+        };
+        AppendList("sources", Sources);
+        AppendList("sinks", Sinks);
+        AppendList("sanitizers", Sanitizers);
+      }
+      Request += "}";
     }
     if (!TraceId.empty()) {
       Request.pop_back(); // reopen the object to append the trace id
@@ -1371,41 +1248,23 @@ int cmdQuery(Args &A) {
     std::this_thread::sleep_for(std::chrono::milliseconds(DelayMs));
   }
 
-  // `uspec query` sends no id, so a success is exactly
-  // {"ok":true,"result":PAYLOAD} — or, when --trace-id was sent,
-  // {"trace_id":"...","ok":true,"result":PAYLOAD}. Strip the envelope to
-  // recover the payload byte-exactly (the analyze payload then matches
-  // `analyze --json`).
-  static const char OkPrefix[] = "{\"ok\":true,\"result\":";
-  const size_t PrefixLen = sizeof(OkPrefix) - 1;
-  size_t PayloadStart = std::string::npos;
-  if (Response.size() > PrefixLen + 1 &&
-      !Response.compare(0, PrefixLen, OkPrefix) && Response.back() == '}') {
-    PayloadStart = PrefixLen;
-  } else if (!TraceId.empty() &&
-             !Response.compare(0, 12, "{\"trace_id\":") &&
-             Response.size() > 1 && Response.back() == '}') {
-    static const char OkMember[] = ",\"ok\":true,\"result\":";
-    size_t Pos = Response.find(OkMember, 12);
-    if (Pos != std::string::npos)
-      PayloadStart = Pos + sizeof(OkMember) - 1;
-  }
-  if (PayloadStart != std::string::npos) {
-    std::string_view Payload(Response.data() + PayloadStart,
-                             Response.size() - PayloadStart - 1);
+  // `uspec query` sends no id, so a success is okResponse's id-less
+  // envelope, and okPayload recovers the payload byte-exactly (the analyze
+  // payload then matches `analyze --json`).
+  if (std::optional<std::string_view> Payload = service::okPayload(Response)) {
     // A string payload (the `metrics` verb) is decoded so the Prometheus
     // exposition text prints ready to scrape; structured payloads pass
     // through byte-exact.
-    if (!Payload.empty() && Payload.front() == '"') {
+    if (Payload->front() == '"') {
       service::JsonValue V;
-      if (service::parseJson(Payload, V, nullptr) && V.isString()) {
+      if (service::parseJson(*Payload, V, nullptr) && V.isString()) {
         std::fwrite(V.StringValue.data(), 1, V.StringValue.size(), stdout);
         if (V.StringValue.empty() || V.StringValue.back() != '\n')
           std::fputc('\n', stdout);
         return 0;
       }
     }
-    std::fwrite(Payload.data(), 1, Payload.size(), stdout);
+    std::fwrite(Payload->data(), 1, Payload->size(), stdout);
     std::fputc('\n', stdout);
     return 0;
   }
