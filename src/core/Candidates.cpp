@@ -6,6 +6,7 @@
 
 #include "core/Candidates.h"
 
+#include <cassert>
 #include <utility>
 
 using namespace uspec;
@@ -52,7 +53,13 @@ void CandidateLedger::append(CandidateLedger Later) {
   }
 }
 
-CandidateLedger CandidateCollector::take() {
+CandidateLedger CandidateCollector::take(const EdgeModel &Model) {
+  assert(RowEntry.size() == Rows.size() && "a feature row without its entry");
+  for (size_t R = 0; R < Rows.size(); ++R)
+    Table.Entries[RowEntry[R]].Confidences.push_back(
+        Model.predict(Rows.posKey(R), Rows.hashes(R)));
+  Rows = SampleSet();
+  RowEntry = std::vector<size_t>();
   Slots.clear();
   return std::exchange(Table, CandidateLedger());
 }
@@ -61,22 +68,31 @@ bool CandidateCollector::addGraph(const EventGraph &G, uint32_t ProgramId,
                                   Budget *B) {
   Pending.clear();
   size_t Pairs = 0;
+  const size_t RowMark = Rows.size();
   EventLabels Labels; // G's label table, built on the first scored match
   auto Record = [&](Spec S, const std::vector<InducedEdge> &Edges) {
-    // Alg. 1 line 6–8: only matches inducing exactly one edge are scored.
-    double Confidence = 0;
-    if (Edges.size() == 1) {
+    // Alg. 1 line 6–8: only matches inducing exactly one edge are scored;
+    // the edge's features wait in Rows for ϕ.
+    bool Scored = Edges.size() == 1;
+    if (Scored) {
       if (Labels.empty())
         Labels = eventLabels(G);
-      Confidence = Model.edgeProbability(G, Labels, Edges[0].first,
-                                         Edges[0].second);
+      Rows.closeRow(extractFeatures(G, Labels, Edges[0].first,
+                                    Edges[0].second, /*PruneLink=*/false,
+                                    Rows.pool()),
+                    /*Label=*/0);
     }
-    Pending.push_back({std::move(S), Edges.size() == 1, Confidence});
+    Pending.push_back({std::move(S), Scored});
+  };
+  // The budget ran out: drop the graph's rows with its pending matches.
+  auto Abandon = [&] {
+    Rows.truncate(RowMark);
+    return false;
   };
 
   for (auto [LaterIdx, EarlierIdx] : G.receiverPairs(DistanceBound)) {
     if (B && !B->consume())
-      return false;
+      return Abandon();
     ++Pairs;
     const CallSite &M1 = G.callSites()[LaterIdx];
     const CallSite &M2 = G.callSites()[EarlierIdx];
@@ -92,7 +108,7 @@ bool CandidateCollector::addGraph(const EventGraph &G, uint32_t ProgramId,
         Record(Spec::retArg(M1.Method, M2.Method, static_cast<uint8_t>(X)),
                inducedRetArg(G, M1, M2, X));
     if (B && B->exhausted())
-      return false;
+      return Abandon();
   }
 
   // Experimental RetRecv pattern (§5.3): every call site with receiver and
@@ -100,7 +116,7 @@ bool CandidateCollector::addGraph(const EventGraph &G, uint32_t ProgramId,
   if (Experimental) {
     for (const CallSite &M : G.callSites()) {
       if (B && !B->consume())
-        return false;
+        return Abandon();
       if (M.Recv == InvalidEvent || M.Ret == InvalidEvent ||
           M.Method.Name.isEmpty())
         continue;
@@ -108,7 +124,7 @@ bool CandidateCollector::addGraph(const EventGraph &G, uint32_t ProgramId,
     }
   }
   if (B && B->exhausted())
-    return false;
+    return Abandon();
 
   // The graph completed: commit its matches in match order, so ΓS stays in
   // graph order and new candidates append in first-seen order.
@@ -124,7 +140,7 @@ bool CandidateCollector::addGraph(const EventGraph &G, uint32_t ProgramId,
     }
     ++E.Matches;
     if (M.Scored)
-      E.Confidences.push_back(M.Confidence);
+      RowEntry.push_back(It->second.Index);
   }
   ReceiverPairsSeen += Pairs;
   TotalMatches += Pending.size();

@@ -7,12 +7,13 @@
 /// \file
 /// Alg. 1: for each event graph, enumerate call-site pairs with the same
 /// receiver (bounded history distance, §7.1), match the specification
-/// patterns, instantiate candidate specifications, and record the model's
-/// confidence on each single induced edge. The evidence is one table,
-/// CandidateLedger: one entry per candidate in first-seen order, with one
-/// merge (append) that folds a run's shards and the ledger carried across
-/// incremental runs alike. Scoring (§5.2) turns an entry's confidence list
-/// ΓS into a score.
+/// patterns, instantiate candidate specifications, and record the feature
+/// row of each single induced edge. Matching needs only the graph, so it
+/// runs while the graph is alive; ϕ scores the recorded rows later, when
+/// the table is taken. The evidence is one table, CandidateLedger: one
+/// entry per candidate in first-seen order, with one merge (append) that
+/// folds a run's shards and the ledger carried across incremental runs
+/// alike. Scoring (§5.2) turns an entry's confidence list ΓS into a score.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -21,6 +22,7 @@
 
 #include "core/Matching.h"
 #include "model/EdgeModel.h"
+#include "model/SampleSet.h"
 #include "specs/Spec.h"
 #include "support/Stats.h"
 
@@ -67,29 +69,36 @@ double scoreCandidate(const CandidateLedger::Entry &E, ScoreKind Kind,
 
 /// Runs Alg. 1 over event graphs into one CandidateLedger table. For
 /// sharded extraction give each worker its own collector over a contiguous
-/// range of programs and append the tables in shard order.
+/// range of programs and append the taken tables in shard order.
 class CandidateCollector {
 public:
   /// \p ExperimentalPatterns additionally instantiates the §5.3 extension
   /// pattern RetRecv on every call site with receiver and return events.
-  CandidateCollector(const EdgeModel &Model, unsigned DistanceBound = 10,
-                     bool ExperimentalPatterns = false)
-      : Model(Model), DistanceBound(DistanceBound),
-        Experimental(ExperimentalPatterns) {}
+  explicit CandidateCollector(unsigned DistanceBound = 10,
+                              bool ExperimentalPatterns = false)
+      : DistanceBound(DistanceBound), Experimental(ExperimentalPatterns) {}
 
   /// Processes program \p ProgramId's event graph (Alg. 1), all or nothing:
   /// the graph's matches are held and committed only once it completes.
-  /// With a budget, each receiver pair and each pattern probe consumes
-  /// steps; when it runs out this returns false and leaves the table and
-  /// counters as they were. Add each program's graph at most once: its
-  /// first match of a candidate counts the program.
+  /// A match that induces exactly one edge records that edge's feature row
+  /// (extractFeatures without pruning) for take() to score; the graph is
+  /// not read after this returns. With a budget, each receiver pair and
+  /// each pattern probe consumes steps; when it runs out this returns false
+  /// and leaves the table, the rows and the counters as they were. Add
+  /// each program's graph at most once: its first match of a candidate
+  /// counts the program.
   bool addGraph(const EventGraph &G, uint32_t ProgramId, Budget *B = nullptr);
 
-  /// The evidence so far.
-  const CandidateLedger &table() const { return Table; }
+  /// Candidates in the table so far.
+  size_t numCandidates() const { return Table.Entries.size(); }
+  /// Feature rows awaiting ϕ: one per scored match of the completed graphs.
+  size_t numRows() const { return Rows.size(); }
 
-  /// Moves the table out, leaving this collector's table empty.
-  CandidateLedger take();
+  /// Moves the table out, leaving this collector's table and rows empty
+  /// (the counters stay). Each recorded row becomes ϕ's confidence
+  /// \p Model.predict(row), appended to its entry's ΓS in row order, which
+  /// is graph order.
+  CandidateLedger take(const EdgeModel &Model);
 
   /// Receiver pairs enumerated / pattern matches recorded so far over the
   /// completed graphs (Alg. 1 workload counters; shard counters add up to
@@ -101,8 +110,7 @@ private:
   /// One match of the graph in progress; scored when it induces one edge.
   struct PendingMatch {
     Spec S;
-    bool Scored;
-    double Confidence;
+    bool Scored; ///< Its induced edge's feature row is in Rows.
   };
   /// A candidate's entry in Table and the last program that matched it.
   struct Slot {
@@ -110,12 +118,15 @@ private:
     uint32_t LastProgram;
   };
 
-  const EdgeModel &Model;
   unsigned DistanceBound;
   bool Experimental;
-  CandidateLedger Table;
+  CandidateLedger Table; ///< Confidences stay empty until take().
   std::unordered_map<Spec, Slot, SpecHash> Slots;
   std::vector<PendingMatch> Pending;
+  /// The feature row of every committed scored match, unlabeled, in commit
+  /// order, and the Table entry each row's confidence belongs to.
+  SampleSet Rows;
+  std::vector<size_t> RowEntry;
   size_t ReceiverPairsSeen = 0;
   size_t TotalMatches = 0;
 };

@@ -94,34 +94,48 @@ LearnResult USpecLearner::runPhases(const std::vector<IRProgram> &Programs,
   // indices are *global corpus positions* (Base + I): exactly what a full
   // replay of the grown corpus uses for the same slots, so per-program
   // sampling decisions agree between the incremental and replay pipelines.
-  // Each program's AnalysisResult dies as soon as its graph is built: the
-  // graph owns every fact phases 2–3 read.
+  // Each program's AnalysisResult dies as soon as its graph is built, and
+  // the graph dies with the program's iteration: sampling and matching are
+  // its only readers.
   //
   // Phase 2a (§4.2): per-program training samples, seeded per program so
   // results do not depend on scheduling. Programs run in contiguous chunks,
-  // one per worker (the shard ranges of Phase 3), and each chunk appends its
-  // programs' samples to one SampleSet in program order, so the chunk sets
-  // concatenate to the same training set at any thread count.
+  // one per worker, and each chunk appends its programs' samples to one
+  // SampleSet in program order, so the chunk sets concatenate to the same
+  // training set at any thread count.
+  //
+  // Alg. 1's matching (§5.1) runs right after sampling, into the chunk's
+  // CandidateCollector, with the program's own step budget. It records the
+  // feature row of each single induced edge; ϕ scores the rows in Phase 3,
+  // once Phase 2b has trained it. A program whose budget runs out adds no
+  // evidence, keeps its samples and is quarantined as extract:steps. The
+  // matching runs outside the program's try, so an exception there leaves
+  // learn().
   //
   // Per-program isolation (DESIGN.md §10): an analysis that throws or blows
   // its step budget quarantines that one program instead of aborting the
-  // run. Quarantine is IN PLACE — the program keeps its slot with an empty
-  // graph, and its chunk's set is cut back to where the program began — so
-  // sample seeds hashValues(Seed, Base + I) and Phase-3 shard boundaries are
+  // run. Quarantine is IN PLACE — the program keeps its slot, adds no
+  // evidence, and its chunk's set is cut back to where the program began —
+  // so sample seeds hashValues(Seed, Base + I) and chunk boundaries are
   // exactly those of the full corpus, keeping the result bit-identical at
   // any thread count.
   unsigned NumChunks = effectiveThreads(N, Config.Threads);
-  std::vector<EventGraph> Graphs(N);
   std::vector<std::string> QReason(N);
   std::vector<SampleSet> ChunkSamples(NumChunks);
-  auto RunProgram = [&](size_t I, SampleSet &Samples) {
+  std::vector<CandidateCollector> ChunkMatches(
+      NumChunks,
+      CandidateCollector(Config.DistanceBound, Config.ExperimentalPatterns));
+  std::vector<size_t> ChunkGraphs(NumChunks, 0);
+  auto RunProgram = [&](size_t I, size_t C) {
     TraceSpan ProgramSpan("learn.program");
     if (ProgramSpan.active()) {
       ProgramSpan.arg("index", std::to_string(Base + I));
       if (!Programs[I].Name.empty())
         ProgramSpan.arg("name", Programs[I].Name);
     }
+    SampleSet &Samples = ChunkSamples[C];
     size_t Mark = Samples.size();
+    EventGraph G;
     try {
       if (faultFiresAt("learn.analyze", Base + I))
         throw FaultInjected("learn.analyze");
@@ -138,12 +152,12 @@ LearnResult USpecLearner::runPhases(const std::vector<IRProgram> &Programs,
           return;
         }
         TraceSpan GraphSpan("eventgraph.build");
-        Graphs[I] = EventGraph::build(R);
+        G = EventGraph::build(R);
       }
       {
         TraceSpan SampleSpan("learn.samples");
         Rng Rand(hashValues(Config.Seed, Base + I));
-        collectTrainingSamples(Graphs[I], Rand, Samples);
+        collectTrainingSamples(G, Rand, Samples);
       }
       if (faultFiresAt("learn.sample", Base + I))
         throw FaultInjected("learn.sample");
@@ -153,20 +167,25 @@ LearnResult USpecLearner::runPhases(const std::vector<IRProgram> &Programs,
       QReason[I] = std::string("error:") + E.what();
     }
     if (!QReason[I].empty()) {
-      Graphs[I] = EventGraph();
       Samples.truncate(Mark);
+      return;
     }
+    if (!G.callSites().empty())
+      ++ChunkGraphs[C];
+    TraceSpan MatchSpan("learn.match");
+    Budget B = Budget::steps(Config.ProgramStepBudget);
+    if (!ChunkMatches[C].addGraph(G, static_cast<uint32_t>(Base + I), &B))
+      QReason[I] = "extract:steps";
   };
   {
   TraceSpan PhaseSpan("learn.phase1_analyze");
   parallelFor(NumChunks, Config.Threads, [&](size_t C) {
     auto [Lo, Hi] = shardRange(N, static_cast<unsigned>(C), NumChunks);
     for (size_t I = Lo; I < Hi; ++I)
-      RunProgram(I, ChunkSamples[C]);
+      RunProgram(I, C);
   });
-  for (const EventGraph &G : Graphs)
-    if (!G.callSites().empty())
-      ++Result.Stats.Graphs;
+  for (size_t Graphs : ChunkGraphs)
+    Result.Stats.Graphs += Graphs;
   Result.Stats.AnalyzeSeconds = Phase.lap();
   }
 
@@ -179,38 +198,19 @@ LearnResult USpecLearner::runPhases(const std::vector<IRProgram> &Programs,
                  Result.Model, Result);
   Result.Stats.TrainSeconds = Phase.lap();
 
-  // Phase 3 (Alg. 1): candidate extraction and confidence collection,
-  // sharded. Each worker runs Alg. 1 over its own contiguous range of
-  // graphs into a private collector (ϕ queries are read-only). A graph adds
-  // its evidence all or nothing: one whose step budget runs out adds none
-  // and quarantines its program. The shard tables then append to the
-  // carried ledger in shard order: known candidates keep their slots, new
-  // ones append in first-seen order, so the ledger is bit-identical to a
-  // serial pass at any shard count.
+  // Phase 3 (Alg. 1, scoring its matches): each chunk's table is taken with
+  // the ϕ Phase 2b just trained, which turns the chunk's recorded rows into
+  // confidences, and appended to the carried ledger in chunk order. Known
+  // candidates keep their slots, new ones append in first-seen order, so the
+  // ledger is bit-identical to a serial pass at any chunk count. A warm
+  // start's carried entries keep the confidences they were recorded with.
   {
   TraceSpan PhaseSpan("learn.phase3_extract");
-  std::vector<CandidateCollector> Shards;
-  Shards.reserve(NumChunks);
-  for (unsigned S = 0; S < NumChunks; ++S)
-    Shards.emplace_back(Result.Model, Config.DistanceBound,
-                        Config.ExperimentalPatterns);
-  parallelFor(NumChunks, Config.Threads, [&](size_t S) {
-    auto [Lo, Hi] = shardRange(N, static_cast<unsigned>(S), NumChunks);
-    for (size_t I = Lo; I < Hi; ++I) {
-      if (!QReason[I].empty())
-        continue; // quarantined in Phase 1; default graph has no analysis
-      Budget B = Budget::steps(Config.ProgramStepBudget);
-      if (!Shards[S].addGraph(Graphs[I], static_cast<uint32_t>(Base + I), &B))
-        QReason[I] = "extract:steps";
-    }
-  });
-  // Phase 3 is the graphs' last reader: free them inside its span.
-  std::vector<EventGraph>().swap(Graphs);
-  for (CandidateCollector &Shard : Shards) {
-    Result.Stats.PeakCandidates += Shard.table().Entries.size();
+  for (CandidateCollector &Shard : ChunkMatches) {
+    Result.Stats.PeakCandidates += Shard.numCandidates();
     Result.Stats.ReceiverPairs += Shard.numReceiverPairs();
     Result.Stats.Matches += Shard.numMatches();
-    Result.Ledger.append(Shard.take());
+    Result.Ledger.append(Shard.take(Result.Model));
   }
   }
   Result.Stats.Candidates = Result.Ledger.Entries.size();

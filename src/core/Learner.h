@@ -59,20 +59,21 @@ struct LearnerConfig {
   /// Seed for negative subsampling and SGD shuffling.
   uint64_t Seed = 0xC0FFEE;
   /// Worker threads for the parallel pipeline phases: per-program
-  /// analysis/graph/sampling (Phase 1–2a), sharded candidate extraction
-  /// (Phase 3) and per-candidate scoring (Phase 4). 0 = hardware
-  /// concurrency. Results are bit-identical for any thread count — sampling
-  /// is seeded per program, extraction shards merge deterministically, and
-  /// scoring writes per-candidate slots.
+  /// analysis, graph, sampling and candidate matching (Phase 1–2a) and
+  /// per-candidate scoring (Phase 4). 0 = hardware concurrency. Results are
+  /// bit-identical for any thread count — sampling is seeded per program,
+  /// the chunks' candidate tables fold deterministically, and scoring
+  /// writes per-candidate slots.
   unsigned Threads = 0;
-  /// Per-program step budget for Phase 1 analysis and Phase 3 extraction
-  /// (0 = unlimited). A program that exhausts its budget — or throws — is
-  /// quarantined (recorded in PipelineStats::Quarantined with a reason)
-  /// instead of aborting the run. Quarantine is in-place: the program keeps
-  /// its corpus slot (empty graph, no samples; one whose extraction runs out
-  /// keeps its samples and adds no candidate evidence), so per-program
-  /// sample seeds hashValues(Seed, I) and shard boundaries are unchanged and
-  /// the result stays bit-identical at any thread count.
+  /// Per-program step budget for the analysis and for Alg. 1's matching,
+  /// both spent in Phase 1 (0 = unlimited). A program that exhausts its
+  /// budget — or throws — is quarantined (recorded in
+  /// PipelineStats::Quarantined with a reason) instead of aborting the run.
+  /// Quarantine is in-place: the program keeps its corpus slot (no samples,
+  /// no evidence; one whose matching runs out keeps its samples and adds no
+  /// candidate evidence), so per-program sample seeds hashValues(Seed, I)
+  /// and chunk boundaries are unchanged and the result stays bit-identical
+  /// at any thread count.
   uint64_t ProgramStepBudget = 0;
 };
 

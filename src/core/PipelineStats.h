@@ -48,9 +48,11 @@ struct PipelineStats {
   unsigned ThreadsUsed = 1;
 
   // Wall-clock seconds per phase.
-  double AnalyzeSeconds = 0; ///< Phase 1–2a: analysis, graphs, sampling.
+  /// Phase 1–2a: analysis, graphs, sampling and Alg. 1's matching.
+  double AnalyzeSeconds = 0;
   double TrainSeconds = 0;   ///< Phase 2b: model training.
-  double ExtractSeconds = 0; ///< Phase 3: candidate extraction + merge.
+  /// Phase 3: ϕ's predictions for the matched rows + the chunk fold.
+  double ExtractSeconds = 0;
   double ScoreSeconds = 0;   ///< Phase 4: per-candidate scoring + sort.
   double SelectSeconds = 0;  ///< Phase 5: τ-selection + extension.
   double TotalSeconds = 0;   ///< End-to-end learn() wall time.

@@ -6,6 +6,8 @@
 
 #include "model/EdgeModel.h"
 
+#include "support/Trace.h"
+
 #include <numeric>
 #include <stdexcept>
 
@@ -44,6 +46,7 @@ void EdgeModel::train(const SampleSet &Samples) {
   Rng Rand(Config.Seed);
   double LR = Config.LearningRate;
   for (unsigned Epoch = 0; Epoch < Config.Epochs; ++Epoch) {
+    TraceSpan EpochSpan("model.sgd_epoch");
     Rand.shuffle(Order);
     for (size_t J = 0; J < N; ++J) {
       if (J + MetaAhead < N)
@@ -68,15 +71,6 @@ double EdgeModel::predict(uint16_t PosKey,
   if (It == Models.end())
     return 0.5;
   return It->second.predict(Hashes);
-}
-
-double EdgeModel::edgeProbability(const EventGraph &G,
-                                  const EventLabels &Labels, EventId E1,
-                                  EventId E2) const {
-  std::vector<uint32_t> Hashes;
-  uint16_t Key = extractFeatures(G, Labels, E1, E2, /*PruneLink=*/false,
-                                 Hashes);
-  return predict(Key, Hashes);
 }
 
 double EdgeModel::accuracy(const SampleSet &Samples) const {

@@ -44,18 +44,13 @@ public:
   /// Trains the per-position-pair models, continuing from their current
   /// weights (models for new position pairs start at zero). Each epoch
   /// visits the samples in a fresh shuffle drawn deterministically from
-  /// Config.Seed.
+  /// Config.Seed, inside one `model.sgd_epoch` trace span.
   void train(const SampleSet &Samples);
 
   /// ϕ(ftr) for pre-extracted features: the model selector \p PosKey and
   /// the raw hashes. Position pairs never seen during training fall back to
   /// probability 0.5.
   double predict(uint16_t PosKey, std::span<const uint32_t> Hashes) const;
-
-  /// Convenience: extract (without pruning) and predict the probability of
-  /// the potential edge (E1, E2) in \p G; \p Labels is eventLabels(G).
-  double edgeProbability(const EventGraph &G, const EventLabels &Labels,
-                         EventId E1, EventId E2) const;
 
   /// Fraction of \p Samples classified correctly at threshold 0.5.
   double accuracy(const SampleSet &Samples) const;

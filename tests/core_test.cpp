@@ -221,15 +221,16 @@ TEST(Candidates, CollectsAndAggregates) {
   F.addGraph(Src);
   F.addGraph(Src);
 
-  EdgeModel Model; // untrained: every confidence is 0.5
-  CandidateCollector Collector(Model, 10);
+  CandidateCollector Collector(10);
   for (size_t I = 0; I < F.Graphs.size(); ++I)
     Collector.addGraph(F.Graphs[I], static_cast<uint32_t>(I));
 
   Spec Expected = Spec::retArg(
       {F.Strings.intern("Map"), F.Strings.intern("get"), 1},
       {F.Strings.intern("Map"), F.Strings.intern("put"), 2}, 2);
-  const auto &Entries = Collector.table().Entries;
+  EdgeModel Model; // untrained: every confidence is 0.5
+  const CandidateLedger Table = Collector.take(Model);
+  const auto &Entries = Table.Entries;
   auto It = std::find_if(
       Entries.begin(), Entries.end(),
       [&](const CandidateLedger::Entry &E) { return E.S == Expected; });
@@ -254,13 +255,18 @@ bool sameTable(const CandidateLedger &A, const CandidateLedger &B) {
   return true;
 }
 
+/// The table \p C.take(\p Model) would return, leaving \p C as it is.
+CandidateLedger peek(const CandidateCollector &C, const EdgeModel &Model) {
+  return CandidateCollector(C).take(Model);
+}
+
 } // namespace
 
 TEST(Candidates, ExhaustedBudgetLeavesTheTableAsItWas) {
   // addGraph is all or nothing: wherever in Alg. 1 the budget runs out
-  // (a receiver pair, a pattern probe, the RetRecv loop), the table and
-  // counters stay as they were, and adding the graph in full afterwards
-  // gives a serial run's table.
+  // (a receiver pair, a pattern probe, the RetRecv loop), the table, the
+  // recorded rows and the counters stay as they were, and adding the graph
+  // in full afterwards gives a serial run's table.
   CoreFixture F;
   F.addGraph(R"(
     class Main {
@@ -288,30 +294,44 @@ TEST(Candidates, ExhaustedBudgetLeavesTheTableAsItWas) {
     }
   )");
 
+  // A trained ϕ: its confidences differ between rows, so a row left behind
+  // or scored into the wrong entry changes the taken table.
+  SampleSet Samples;
+  for (size_t I = 0; I < F.Graphs.size(); ++I) {
+    Rng Rand(I);
+    collectTrainingSamples(F.Graphs[I], Rand, Samples);
+  }
   EdgeModel Model;
-  CandidateCollector Serial(Model, 10, /*ExperimentalPatterns=*/true);
+  Model.train(Samples);
+
+  CandidateCollector Serial(10, /*ExperimentalPatterns=*/true);
   ASSERT_TRUE(Serial.addGraph(F.Graphs[0], 0));
   Budget Unlimited;
   ASSERT_TRUE(Serial.addGraph(F.Graphs[1], 1, &Unlimited));
   const uint64_t Steps = Unlimited.used();
   ASSERT_GT(Steps, 1u);
+  const CandidateLedger Want = peek(Serial, Model);
 
   for (uint64_t Limit = 1; Limit <= Steps; ++Limit) {
-    CandidateCollector C(Model, 10, /*ExperimentalPatterns=*/true);
+    CandidateCollector C(10, /*ExperimentalPatterns=*/true);
     ASSERT_TRUE(C.addGraph(F.Graphs[0], 0));
-    CandidateLedger Before = C.table();
+    CandidateLedger Before = peek(C, Model);
     size_t Pairs = C.numReceiverPairs(), Matches = C.numMatches();
+    size_t Rows = C.numRows();
 
     Budget B = Budget::steps(Limit);
     bool Done = C.addGraph(F.Graphs[1], 1, &B);
     EXPECT_EQ(Done, Limit == Steps) << "budget " << Limit;
     if (!Done) {
-      EXPECT_TRUE(sameTable(C.table(), Before)) << "budget " << Limit;
+      // A row left behind would be scored into another match's entry.
+      ASSERT_EQ(C.numRows(), Rows) << "budget " << Limit;
+      EXPECT_TRUE(sameTable(peek(C, Model), Before)) << "budget " << Limit;
       EXPECT_EQ(C.numReceiverPairs(), Pairs) << "budget " << Limit;
       EXPECT_EQ(C.numMatches(), Matches) << "budget " << Limit;
       ASSERT_TRUE(C.addGraph(F.Graphs[1], 1));
     }
-    EXPECT_TRUE(sameTable(C.table(), Serial.table())) << "budget " << Limit;
+    ASSERT_EQ(C.numRows(), Serial.numRows()) << "budget " << Limit;
+    EXPECT_TRUE(sameTable(C.take(Model), Want)) << "budget " << Limit;
     EXPECT_EQ(C.numReceiverPairs(), Serial.numReceiverPairs());
     EXPECT_EQ(C.numMatches(), Serial.numMatches());
   }

@@ -333,13 +333,15 @@ TEST(EventGraphTest, GraphOutlivesItsAnalysis) {
 
   EdgeModel Model;
   Model.train(KeptSamples);
-  CandidateCollector FromKept(Model), FromOrphans(Model);
+  CandidateCollector FromKept, FromOrphans;
   for (size_t I = 0; I < Programs.size(); ++I) {
     FromKept.addGraph(Kept[I], static_cast<uint32_t>(I));
     FromOrphans.addGraph(Orphaned[I], static_cast<uint32_t>(I));
   }
-  const auto &KeptTable = FromKept.table().Entries;
-  const auto &OrphanTable = FromOrphans.table().Entries;
+  const CandidateLedger KeptLedger = FromKept.take(Model);
+  const CandidateLedger OrphanLedger = FromOrphans.take(Model);
+  const auto &KeptTable = KeptLedger.Entries;
+  const auto &OrphanTable = OrphanLedger.Entries;
   ASSERT_FALSE(KeptTable.empty());
   ASSERT_EQ(KeptTable.size(), OrphanTable.size());
   for (size_t I = 0; I < KeptTable.size(); ++I) {

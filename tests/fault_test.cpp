@@ -411,9 +411,9 @@ CandidateLedger ownEvidence(const IRProgram &Prog, StringInterner &Strings,
                             const EdgeModel &Model, uint32_t ProgramId) {
   EventGraph G =
       EventGraph::build(analyzeProgram(Prog, Strings, AnalysisOptions()));
-  CandidateCollector C(Model, LearnerConfig().DistanceBound);
+  CandidateCollector C(LearnerConfig().DistanceBound);
   EXPECT_TRUE(C.addGraph(G, ProgramId));
-  return C.take();
+  return C.take(Model);
 }
 
 void expectSameEntry(const CandidateLedger::Entry &A,
@@ -430,8 +430,8 @@ void expectSameEntry(const CandidateLedger::Entry &A,
 TEST_F(FaultLearner, ExtractBudgetDropsAllOfOneProgramsEvidence) {
   // One receiver with 40 put/get pairs: its analysis fits in 800 steps,
   // Alg. 1 over its receiver pairs does not, and every generated program
-  // fits both. The program keeps its samples (Phase 2 already ran) and adds
-  // no evidence, identically at 1 and 8 threads.
+  // fits both. Its matching runs out after its sampling, so the program
+  // keeps its samples and adds no evidence, identically at 1 and 8 threads.
   std::vector<std::string> Sources = makeSources(111, 41);
   std::string Heavy = "class Main { def main() {\n  var m = new HashMap();\n"
                       "  var v = new File(\"cfg\");\n";

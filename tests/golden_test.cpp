@@ -113,8 +113,9 @@ TEST(GoldenArtifact, ThreadCountLeavesArtifactAndStatsUnchanged) {
   EXPECT_EQ(SA.Matches, SB.Matches);
   EXPECT_EQ(SA.TrainingSamples, SB.TrainingSamples);
   EXPECT_EQ(SA.Candidates, SB.Candidates);
-  // PeakCandidates is the max over per-shard ledgers mid-merge, so it may
-  // legitimately differ with the shard count — only its floor is invariant.
+  // PeakCandidates is the sum of the shard tables' sizes before the fold,
+  // so it may legitimately differ with the shard count — only its floor is
+  // invariant.
   EXPECT_GE(SA.PeakCandidates, SA.Candidates);
   EXPECT_GE(SB.PeakCandidates, SB.Candidates);
 }

@@ -25,11 +25,15 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <span>
 #include <string>
 #include <thread>
+#include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include <unistd.h>
@@ -328,6 +332,119 @@ TEST(IncrementalTrain, WarmTrainsOnlyTheDeltaDeterministically) {
   ASSERT_TRUE(Again.has_value());
   EXPECT_EQ(Again->Mode, TrainMode::UpToDate);
   EXPECT_EQ(Again->ProgramsTrained, 0u);
+}
+
+namespace {
+
+/// The bit patterns of \p Values, for bit-for-bit comparisons.
+std::vector<uint64_t> bitsOf(std::span<const double> Values) {
+  std::vector<uint64_t> Bits;
+  for (double V : Values)
+    Bits.push_back(std::bit_cast<uint64_t>(V));
+  return Bits;
+}
+
+} // namespace
+
+TEST(IncrementalTrain, WarmLedgerIsThePriorsThenTheDeltasEvidence) {
+  // A warm start scores only the delta programs' matches, with the ϕ it
+  // continued training, and never touches the carried ledger. So each
+  // carried entry's ΓS is the prior artifact's, bit for bit, followed by
+  // the delta's own confidences; a new entry holds the delta's alone; and
+  // match and program counts add.
+  std::vector<std::string> Sources = makeSources(9, /*Seed=*/33);
+  CorpusJournal Prefix = makeJournal(Sources, 6, /*PerGeneration=*/3);
+  CorpusJournal Whole = makeJournal(Sources, 9, /*PerGeneration=*/3);
+  LearnerConfig Cfg;
+  Cfg.Seed = 5;
+
+  StringInterner S0;
+  auto Base = trainFromJournal(Prefix, Cfg, S0, "", false);
+  ASSERT_TRUE(Base.has_value());
+  std::string BaseBytes = artifactBytes(*Base, Cfg, S0);
+  const size_t BasePrograms = Prefix.Entries.size();
+
+  for (unsigned Threads : {1u, 8u}) {
+    LearnerConfig TCfg = Cfg;
+    TCfg.Threads = Threads;
+    StringInterner S1;
+    auto Warm = trainFromJournal(Whole, TCfg, S1, BaseBytes, false);
+    ASSERT_TRUE(Warm.has_value());
+    ASSERT_EQ(Warm->Mode, TrainMode::Warm);
+
+    // The prior artifact's ledger, decoded into the warm run's symbols.
+    std::optional<LearnArtifacts> Prior = loadLearnArtifacts(BaseBytes, S1);
+    ASSERT_TRUE(Prior.has_value() && Prior->Ledger.has_value());
+    const std::vector<CandidateLedger::Entry> &Carried =
+        Prior->Ledger->Entries;
+    ASSERT_FALSE(Carried.empty());
+
+    // The delta programs' own evidence: a collector fed only their graphs,
+    // with their global program ids, taken with the warm ϕ.
+    CandidateCollector Delta(TCfg.DistanceBound, TCfg.ExperimentalPatterns);
+    for (size_t I = BasePrograms; I < Whole.Entries.size(); ++I) {
+      DiagnosticSink Diags;
+      auto P = parseAndLower(Whole.Entries[I].Source, Whole.Entries[I].Name,
+                             S1, Diags);
+      ASSERT_TRUE(P.has_value()) << Diags.render();
+      EventGraph G = EventGraph::build(analyzeProgram(*P, S1, TCfg.Analysis));
+      ASSERT_TRUE(Delta.addGraph(G, static_cast<uint32_t>(I)));
+    }
+    CandidateLedger Own = Delta.take(Warm->Result.Model);
+    ASSERT_FALSE(Own.Entries.empty());
+    std::unordered_map<Spec, const CandidateLedger::Entry *, SpecHash> OwnOf;
+    for (const CandidateLedger::Entry &E : Own.Entries)
+      OwnOf.emplace(E.S, &E);
+
+    const std::vector<CandidateLedger::Entry> &Got =
+        Warm->Result.Ledger.Entries;
+    ASSERT_GE(Got.size(), Carried.size());
+    size_t Extended = 0;
+    std::unordered_set<Spec, SpecHash> CarriedSpecs;
+    for (size_t I = 0; I < Carried.size(); ++I) {
+      const CandidateLedger::Entry &E = Got[I], &C = Carried[I];
+      ASSERT_EQ(E.S, C.S) << "carried slot " << I;
+      CarriedSpecs.insert(C.S);
+      const size_t Split = C.Confidences.size();
+      ASSERT_GE(E.Confidences.size(), Split) << E.S.str(S1);
+      std::span<const double> Head(E.Confidences.data(), Split);
+      std::span<const double> Tail(E.Confidences.data() + Split,
+                                   E.Confidences.size() - Split);
+      EXPECT_EQ(bitsOf(Head), bitsOf(C.Confidences))
+          << "carried ΓS rescored: " << E.S.str(S1);
+      auto It = OwnOf.find(E.S);
+      const CandidateLedger::Entry *O = It == OwnOf.end() ? nullptr
+                                                          : It->second;
+      EXPECT_EQ(bitsOf(Tail), O ? bitsOf(O->Confidences)
+                                : std::vector<uint64_t>())
+          << "delta ΓS: " << E.S.str(S1);
+      EXPECT_EQ(E.Matches, C.Matches + (O ? O->Matches : 0)) << E.S.str(S1);
+      EXPECT_EQ(E.Programs, C.Programs + (O ? O->Programs : 0))
+          << E.S.str(S1);
+      Extended += O != nullptr;
+    }
+    EXPECT_GT(Extended, 0u) << "the delta must extend a carried entry";
+
+    // New entries: the delta's candidates that were not carried, in the
+    // delta's first-seen order, with the delta's evidence alone.
+    std::vector<const CandidateLedger::Entry *> WantNew;
+    for (const CandidateLedger::Entry &E : Own.Entries)
+      if (!CarriedSpecs.count(E.S))
+        WantNew.push_back(&E);
+    ASSERT_EQ(Got.size(), Carried.size() + WantNew.size());
+    for (size_t I = 0; I < WantNew.size(); ++I) {
+      const CandidateLedger::Entry &E = Got[Carried.size() + I];
+      const CandidateLedger::Entry &O = *WantNew[I];
+      ASSERT_EQ(E.S, O.S) << "new slot " << I;
+      EXPECT_EQ(bitsOf(E.Confidences), bitsOf(O.Confidences)) << E.S.str(S1);
+      EXPECT_EQ(E.Matches, O.Matches) << E.S.str(S1);
+      EXPECT_EQ(E.Programs, O.Programs) << E.S.str(S1);
+    }
+
+    // This run's counters are the delta's alone.
+    EXPECT_EQ(Warm->Result.Stats.Matches, Delta.numMatches());
+    EXPECT_EQ(Warm->Result.Stats.ReceiverPairs, Delta.numReceiverPairs());
+  }
 }
 
 TEST(IncrementalTrain, WarmDemotesToFullOnMismatch) {

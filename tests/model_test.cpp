@@ -46,6 +46,15 @@ Extracted extract(const EventGraph &G, EventId E1, EventId E2, bool Prune) {
   return X;
 }
 
+/// ϕ's confidence in the potential edge (E1, E2) of \p G, as Alg. 1 scores
+/// a single induced edge: its features extracted without pruning, then
+/// predicted.
+double confidence(const EdgeModel &Model, const EventGraph &G, EventId E1,
+                  EventId E2) {
+  Extracted X = extract(G, E1, E2, /*Prune=*/false);
+  return Model.predict(X.PosKey, X.Hashes);
+}
+
 } // namespace
 
 //===----------------------------------------------------------------------===//
@@ -290,8 +299,7 @@ TEST(EdgeModel, AssignsHighProbabilityToFamiliarMissingEdges) {
   ASSERT_FALSE(Query.hasEdge(GetFileRet, GetNameRecv))
       << "the edge must be absent in the API-unaware graph";
 
-  double PFamiliar =
-      Model.edgeProbability(Query, eventLabels(Query), GetFileRet, GetNameRecv);
+  double PFamiliar = confidence(Model, Query, GetFileRet, GetNameRecv);
   EXPECT_GT(PFamiliar, 0.6) << "familiar interaction should look like an edge";
 
   // Contrast: getFile.ret -> launch.0 was seen as a NON-edge in training.
@@ -317,8 +325,7 @@ TEST(EdgeModel, AssignsHighProbabilityToFamiliarMissingEdges) {
   }
   ASSERT_NE(CGetFileRet, InvalidEvent);
   ASSERT_NE(LaunchRecv, InvalidEvent);
-  double PUnfamiliar = Model.edgeProbability(Contrast, eventLabels(Contrast),
-                                             CGetFileRet, LaunchRecv);
+  double PUnfamiliar = confidence(Model, Contrast, CGetFileRet, LaunchRecv);
   EXPECT_LT(PUnfamiliar, PFamiliar)
       << "an interaction pattern never observed must score lower";
 }

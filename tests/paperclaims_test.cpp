@@ -109,11 +109,10 @@ std::vector<std::string> candidateSpecsOf(const std::string &Source) {
   EXPECT_TRUE(P.has_value()) << Diags.render();
   AnalysisResult R = analyzeProgram(*P, S, AnalysisOptions());
   EventGraph G = EventGraph::build(R);
-  EdgeModel Model;
-  CandidateCollector Collector(Model, 10);
+  CandidateCollector Collector(10);
   Collector.addGraph(G, 0);
   std::vector<std::string> Specs;
-  for (const CandidateLedger::Entry &E : Collector.table().Entries)
+  for (const CandidateLedger::Entry &E : Collector.take(EdgeModel()).Entries)
     Specs.push_back(E.S.str(S));
   std::sort(Specs.begin(), Specs.end());
   return Specs;

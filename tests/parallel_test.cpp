@@ -144,16 +144,25 @@ TEST(ParallelPipeline, CollectorShardMergeMatchesSerialRun) {
   for (const AnalysisResult &R : Analyses)
     Graphs.push_back(EventGraph::build(R));
 
+  // A trained ϕ, so that ΓS holds distinct confidences whose order shows.
+  SampleSet Samples;
+  for (size_t I = 0; I < Graphs.size(); ++I) {
+    Rng Rand(I);
+    collectTrainingSamples(Graphs[I], Rand, Samples);
+  }
   EdgeModel Model;
-  CandidateCollector Serial(Model, 10);
+  Model.train(Samples);
+
+  CandidateCollector Serial(10);
   for (size_t I = 0; I < Graphs.size(); ++I)
     Serial.addGraph(Graphs[I], static_cast<uint32_t>(I));
+  const CandidateLedger SerialLedger = Serial.take(Model);
 
   for (unsigned NumShards : {1u, 2u, 3u, 8u}) {
     std::vector<CandidateCollector> Shards;
     Shards.reserve(NumShards);
     for (unsigned T = 0; T < NumShards; ++T)
-      Shards.emplace_back(Model, 10);
+      Shards.emplace_back(10);
     for (unsigned T = 0; T < NumShards; ++T) {
       auto [Lo, Hi] = shardRange(Graphs.size(), T, NumShards);
       for (size_t I = Lo; I < Hi; ++I)
@@ -164,10 +173,10 @@ TEST(ParallelPipeline, CollectorShardMergeMatchesSerialRun) {
     for (CandidateCollector &Shard : Shards) {
       Pairs += Shard.numReceiverPairs();
       Matches += Shard.numMatches();
-      Merged.append(Shard.take());
+      Merged.append(Shard.take(Model));
     }
 
-    const auto &Want = Serial.table().Entries;
+    const auto &Want = SerialLedger.Entries;
     ASSERT_EQ(Merged.Entries.size(), Want.size()) << NumShards << " shards";
     ASSERT_FALSE(Want.empty());
     for (size_t I = 0; I < Want.size(); ++I) {

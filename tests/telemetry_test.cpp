@@ -661,40 +661,77 @@ TEST(TelemetryAlloc, FreshStringInternerAllocatesNothing) {
   EXPECT_EQ(TlAllocs, Before);
 }
 
+namespace {
+
+const std::string &nameOf(const service::JsonValue &E) {
+  return E.find("name")->StringValue;
+}
+
+/// Whether span \p Inner lies inside span \p Outer (same thread, contained
+/// interval; 0.01us slack for the microsecond rounding).
+bool encloses(const service::JsonValue &Outer,
+              const service::JsonValue &Inner) {
+  return numField(Inner, "tid") == numField(Outer, "tid") &&
+         numField(Inner, "ts") + 0.01 >= numField(Outer, "ts") &&
+         numField(Inner, "ts") + numField(Inner, "dur") <=
+             numField(Outer, "ts") + numField(Outer, "dur") + 0.01;
+}
+
+/// For each span named \p Outer in \p Events, how many spans named
+/// \p Inner it holds; and, in \p Total, how many \p Inner spans there are.
+std::vector<size_t> countInside(const std::vector<service::JsonValue> &Events,
+                                const std::string &Outer,
+                                const std::string &Inner, size_t &Total) {
+  std::vector<const service::JsonValue *> Outers;
+  for (const service::JsonValue &E : Events)
+    if (nameOf(E) == Outer)
+      Outers.push_back(&E);
+  std::vector<size_t> Inside(Outers.size(), 0);
+  Total = 0;
+  for (const service::JsonValue &E : Events) {
+    if (nameOf(E) != Inner)
+      continue;
+    ++Total;
+    for (size_t O = 0; O < Outers.size(); ++O)
+      Inside[O] += encloses(*Outers[O], E);
+  }
+  return Inside;
+}
+
+} // namespace
+
 TEST(TelemetryTrace, EveryProgramSpansItsGraphAndSamples) {
   // Phase 1's layers below analysis.run: each learn.program span holds
-  // exactly one eventgraph.build and one learn.samples span.
+  // exactly one eventgraph.build, one learn.samples and one learn.match
+  // span.
   service::JsonValue Doc = tracedLearnDoc(/*Threads=*/2);
   const std::vector<service::JsonValue> &Events =
       Doc.find("traceEvents")->Items;
-  auto NameOf = [](const service::JsonValue &E) {
-    return E.find("name")->StringValue;
-  };
-  auto Encloses = [](const service::JsonValue &Outer,
-                     const service::JsonValue &Inner) {
-    return numField(Inner, "tid") == numField(Outer, "tid") &&
-           numField(Inner, "ts") + 0.01 >= numField(Outer, "ts") &&
-           numField(Inner, "ts") + numField(Inner, "dur") <=
-               numField(Outer, "ts") + numField(Outer, "dur") + 0.01;
-  };
-  std::vector<const service::JsonValue *> Programs;
-  for (const service::JsonValue &E : Events)
-    if (NameOf(E) == "learn.program")
-      Programs.push_back(&E);
-  ASSERT_EQ(Programs.size(), 8u);
-  for (const char *Layer : {"eventgraph.build", "learn.samples"}) {
-    std::vector<int> Inside(Programs.size(), 0);
+  for (const char *Layer :
+       {"eventgraph.build", "learn.samples", "learn.match"}) {
     size_t Count = 0;
-    for (const service::JsonValue &E : Events) {
-      if (NameOf(E) != Layer)
-        continue;
-      ++Count;
-      for (size_t P = 0; P < Programs.size(); ++P)
-        Inside[P] += Encloses(*Programs[P], E);
-    }
-    EXPECT_EQ(Count, Programs.size()) << Layer;
-    for (size_t P = 0; P < Programs.size(); ++P)
-      EXPECT_EQ(Inside[P], 1) << Layer << " in learn.program #" << P;
+    std::vector<size_t> Inside =
+        countInside(Events, "learn.program", Layer, Count);
+    ASSERT_EQ(Inside.size(), 8u);
+    EXPECT_EQ(Count, Inside.size()) << Layer;
+    for (size_t P = 0; P < Inside.size(); ++P)
+      EXPECT_EQ(Inside[P], 1u) << Layer << " in learn.program #" << P;
+  }
+}
+
+TEST(TelemetryTrace, EverySgdEpochSpansInsidePhase2) {
+  // ϕ's training: each learn.phase2_train span holds one model.sgd_epoch
+  // span per epoch, and no epoch runs outside it.
+  for (unsigned Threads : {1u, 2u}) {
+    service::JsonValue Doc = tracedLearnDoc(Threads);
+    const std::vector<service::JsonValue> &Events =
+        Doc.find("traceEvents")->Items;
+    size_t Count = 0;
+    std::vector<size_t> Inside =
+        countInside(Events, "learn.phase2_train", "model.sgd_epoch", Count);
+    ASSERT_EQ(Inside.size(), 1u) << Threads;
+    EXPECT_EQ(Inside[0], EdgeModelConfig().Epochs) << Threads;
+    EXPECT_EQ(Count, Inside[0]) << Threads;
   }
 }
 
